@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,6 +410,26 @@ func TestMetricsSnapshotStringDeterministic(t *testing.T) {
 	}
 	if want := "breaker_transitions=open@4;closed@9\n"; !contains(a, want) {
 		t.Fatalf("snapshot missing transition line:\n%s", a)
+	}
+}
+
+// TestMetricsSnapshotStringGolden pins the dpmctl -metrics bytes for a
+// snapshot whose every field is set to a distinct value.
+func TestMetricsSnapshotStringGolden(t *testing.T) {
+	s := MetricsSnapshot{
+		Requests: 1, Succeeded: 2, Failed: 3, Attempts: 4, Retries: 5,
+		BreakerFastFails: 6, BreakerOpens: 7, BreakerHalfOpens: 8, BreakerCloses: 9,
+		BreakerState:       "half-open",
+		BreakerTransitions: []string{"open@4", "half-open@9", "closed@10"},
+		Hedges:             10, HedgesWon: 11, HedgesLost: 12, Replays: 13,
+		DigestMismatches: 14, RetryAfterHonored: 15, NetErrors: 16, HTTPRetries: 17,
+	}
+	want, err := os.ReadFile("testdata/metrics_string.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.String(); got != string(want) {
+		t.Fatalf("String() differs from testdata/metrics_string.golden:\n%s", got)
 	}
 }
 
