@@ -26,7 +26,7 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestDebugServerEndpoints(t *testing.T) {
 	coll := obs.New()
-	coll.CountSimRun()
+	coll.Add(obs.SimRuns, 1)
 	coll.EnsureDisks(1, 3000, 3000, 1)
 	coll.ObserveRequest(0, 1.5, 0, 10)
 	addr, shutdown, err := StartDebugServer("127.0.0.1:0", coll, func() any {
@@ -52,7 +52,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 	var status struct {
 		App     map[string]string `json:"app"`
-		Metrics *obs.Snapshot     `json:"metrics"`
+		Metrics map[string]any    `json:"metrics"`
 	}
 	if err := json.Unmarshal([]byte(body), &status); err != nil {
 		t.Fatalf("/status is not valid JSON: %v\n%s", err, body)
@@ -60,7 +60,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if status.App["phase"] != "testing" {
 		t.Errorf("/status app = %v, want phase=testing", status.App)
 	}
-	if status.Metrics == nil || status.Metrics.SimRuns != 1 || status.Metrics.Requests != 1 {
+	if status.Metrics == nil || status.Metrics["sim_runs"] != 1.0 || status.Metrics["requests"] != 1.0 {
 		t.Errorf("/status metrics snapshot = %+v", status.Metrics)
 	}
 

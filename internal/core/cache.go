@@ -132,11 +132,11 @@ func (c *Cache) countLookup(ran, wasDone bool) {
 	}
 	switch {
 	case ran:
-		c.Obs.CountCacheMiss()
+		c.Obs.Add(obs.CacheMisses, 1)
 	case wasDone:
-		c.Obs.CountCacheHit()
+		c.Obs.Add(obs.CacheHits, 1)
 	default:
-		c.Obs.CountCacheWait()
+		c.Obs.Add(obs.CacheWaits, 1)
 	}
 }
 

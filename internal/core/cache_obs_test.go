@@ -37,7 +37,7 @@ func TestCacheCountsHitsAndMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hits, misses, waits := c.Obs.CacheStats()
+	hits, misses, waits := c.Obs.Value(obs.CacheHits), c.Obs.Value(obs.CacheMisses), c.Obs.Value(obs.CacheWaits)
 	if misses != 3 { // two Prepare keys + one PrepareVersion key
 		t.Errorf("misses = %d, want 3", misses)
 	}
@@ -71,7 +71,7 @@ func TestCacheCountsAccountForEveryLookup(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, misses, waits := c.Obs.CacheStats()
+	hits, misses, waits := c.Obs.Value(obs.CacheHits), c.Obs.Value(obs.CacheMisses), c.Obs.Value(obs.CacheWaits)
 	if misses != 1 {
 		t.Errorf("misses = %d, want 1 (singleflight)", misses)
 	}

@@ -164,7 +164,7 @@ func (s *Suite) cellKey(exp string, cfg *core.Config, parts ...string) string {
 func (s *Suite) cell(key string, n int, compute func() ([]float64, error)) ([]float64, error) {
 	if s.Journal != nil {
 		if vals, ok := s.Journal.Lookup(key); ok && len(vals) == n {
-			s.Obs.CountJournalHit()
+			s.Obs.Add(obs.JournalHits, 1)
 			s.Events.Emit(events.Event{Kind: events.KindJournalHit, Disk: -1, Detail: key})
 			return vals, nil
 		}
@@ -177,7 +177,7 @@ func (s *Suite) cell(key string, n int, compute func() ([]float64, error)) ([]fl
 		return nil, fmt.Errorf("experiments: cell %q computed %d values, expected %d", key, len(vals), n)
 	}
 	if s.Journal != nil {
-		s.Obs.CountJournalMiss()
+		s.Obs.Add(obs.JournalMisses, 1)
 		s.Events.Emit(events.Event{Kind: events.KindJournalMiss, Disk: -1, Detail: key})
 		if err := s.Journal.Append(key, vals); err != nil {
 			return nil, err

@@ -7,6 +7,12 @@
 // exposition (WritePrometheus) and Chrome trace-event / Perfetto JSON
 // (WriteChromeTrace).
 //
+// Every counter, gauge and histogram is one row of a single table,
+// indexed by Metric, that gives its Prometheus name, help text, kind,
+// label value and /status key. Storage, Snapshot, WritePrometheus and
+// the /status JSON all walk that table, so adding a metric takes one
+// Metric constant, one table row and its call site.
+//
 // A nil *Collector is a valid no-op everywhere: every method guards
 // its receiver, so instrumented code paths carry a single branch and
 // zero allocations when observability is off. An attached Collector
@@ -87,85 +93,184 @@ const (
 	numDiskStates
 )
 
+// diskStateLabels holds the Prometheus label value of each DiskState.
+var diskStateLabels = [numDiskStates]string{"service", "idle", "standby", "spindown", "spinup", "rpmshift"}
+
 // String returns the Prometheus label value of the state.
-func (s DiskState) String() string {
-	switch s {
-	case StateService:
-		return "service"
-	case StateIdle:
-		return "idle"
-	case StateStandby:
-		return "standby"
-	case StateSpinDown:
-		return "spindown"
-	case StateSpinUp:
-		return "spinup"
-	default:
-		return "rpmshift"
-	}
-}
+func (s DiskState) String() string { return diskStateLabels[s] }
 
-// PowerOpKind labels executed power-management operations.
-type PowerOpKind uint8
+// Metric names one series of the collector: a counter or gauge, one
+// label value of a labeled counter family, or a histogram. The
+// constants follow the /metrics order; table describes each one.
+type Metric uint8
 
-// Power op kinds (matching the trace's call names).
+// Collector metrics.
 const (
-	OpSpinDown PowerOpKind = iota
+	SimRuns Metric = iota
+	Requests
+	ServiceMS
+	WaitMS
+	IdleMS
+
+	// Executed power-management operations (matching the trace's call
+	// names).
+	OpSpinDown
 	OpSpinUp
 	OpSetRPM
-	numPowerOpKinds
+
+	// Spin-up mispredictions: requests that blocked on a disk that was
+	// not ready because of a spin-up. Inflight is the paper's
+	// pre-activation failure mode (the spin-up was issued but too
+	// late); on-demand means no pre-activation happened at all (the
+	// request found the disk in or heading to standby).
+	MissOnDemand
+	MissInflight
+
+	// Injected-fault events (see internal/faults); all zero unless a
+	// fault plan is attached to the simulation.
+	FaultSpinUpFail // one failed spin-up attempt
+	FaultRetry      // one spin-up retry (backoff taken after a failure)
+	FaultTimeout    // a spin-up call abandoned at its timeout cap
+	FaultFallback   // a request served on demand because an earlier pre-activation gave up
+	FaultRemap      // a request that hit a remapped bad sector
+	FaultDegraded   // a request serviced inside a degradation window
+
+	// diskFamilies marks where the per-disk families (EnsureDisks)
+	// render; it has no storage of its own.
+	diskFamilies
+
+	CacheHits
+	CacheMisses
+	CacheWaits
+
+	RunnerTasks
+	RunnerBusyNS
+	RunnerActive
+	RunnerQueue
+	CellPanics
+	CellRetries
+
+	JournalHits
+	JournalMisses
+
+	// Serving-layer metrics (see internal/serve).
+	ServeAccepted
+	ServeShed
+	ServeDeadline
+	ServeCanceled
+	ServeDrains
+	ServeJournalErrors
+	ServeJournalRecoveries
+	ServeInflight
+	ServeQueued
+	ServeWaitMS
+	ServeMS
+
+	numMetrics
 )
 
-// String returns the Prometheus label value of the kind.
-func (k PowerOpKind) String() string {
-	switch k {
-	case OpSpinDown:
-		return "spin_down"
-	case OpSpinUp:
-		return "spin_up"
-	default:
-		return "set_rpm"
-	}
-}
+// kind is a metric's Prometheus type.
+type kind uint8
 
-// FaultKind labels injected-fault events (see internal/faults).
-type FaultKind uint8
-
-// Fault kinds.
 const (
-	// FaultSpinUpFail is one failed spin-up attempt.
-	FaultSpinUpFail FaultKind = iota
-	// FaultRetry is one spin-up retry (backoff taken after a failure).
-	FaultRetry
-	// FaultTimeout is a spin-up call abandoned at its timeout cap.
-	FaultTimeout
-	// FaultFallback is a request served on demand because an earlier
-	// pre-activation gave up.
-	FaultFallback
-	// FaultRemap is a request that hit a remapped bad sector.
-	FaultRemap
-	// FaultDegraded is a request serviced inside a degradation window.
-	FaultDegraded
-	numFaultKinds
+	counter kind = iota
+	gauge
+	histogram
+	perDisk
 )
 
-// String returns the Prometheus label value of the kind.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultSpinUpFail:
-		return "spinup_fail"
-	case FaultRetry:
-		return "spinup_retry"
-	case FaultTimeout:
-		return "spinup_timeout"
-	case FaultFallback:
-		return "ondemand_fallback"
-	case FaultRemap:
-		return "remap_hit"
-	default:
-		return "degraded_service"
-	}
+func (k kind) String() string { return [...]string{"counter", "gauge", "histogram"}[k] }
+
+// desc describes one Metric. A row with a name opens a Prometheus
+// family; a row with only a label is the next series of the family
+// opened above it.
+type desc struct {
+	name, help string
+	kind       kind
+	// label is the series' kind="..." label value, empty for an
+	// unlabeled family.
+	label string
+	// key is the family's /status JSON key. A labeled family's value
+	// is an object keyed by label, unless key ends in "_": then each
+	// series gets its own key+label entry.
+	key string
+	// div divides the stored integer for /metrics; zero exports it
+	// unscaled.
+	div float64
 }
+
+var table = [numMetrics]desc{
+	SimRuns:   {name: "sdpm_sim_runs_total", help: "Simulation runs started.", key: "sim_runs"},
+	Requests:  {name: "sdpm_requests_total", help: "Disk requests serviced.", key: "requests"},
+	ServiceMS: {name: "sdpm_request_service_ms", help: "Request service time in milliseconds.", kind: histogram, key: "service_ms"},
+	WaitMS:    {name: "sdpm_request_wait_ms", help: "Request readiness wait (spin-up or shift completion) in milliseconds.", kind: histogram, key: "wait_ms"},
+	IdleMS:    {name: "sdpm_idle_period_ms", help: "Length of the inter-request idle period ending at each request, in milliseconds.", kind: histogram, key: "idle_ms"},
+
+	OpSpinDown: {name: "sdpm_power_ops_total", help: "Executed power-management operations by kind.", label: "spin_down", key: "power_ops"},
+	OpSpinUp:   {label: "spin_up"},
+	OpSetRPM:   {label: "set_rpm"},
+
+	MissOnDemand: {name: "sdpm_spinup_mispredictions_total", help: "Requests that blocked on a disk spin-up: ondemand = no pre-activation (disk in standby), inflight = pre-activation issued too late.", label: "ondemand", key: "spinup_miss_"},
+	MissInflight: {label: "inflight"},
+
+	FaultSpinUpFail: {name: "sdpm_faults_total", help: "Injected fault events by kind: spin-up failures, retries, timeout give-ups, on-demand fallbacks, bad-sector remap hits, degraded-window services.", label: "spinup_fail", key: "faults"},
+	FaultRetry:      {label: "spinup_retry"},
+	FaultTimeout:    {label: "spinup_timeout"},
+	FaultFallback:   {label: "ondemand_fallback"},
+	FaultRemap:      {label: "remap_hit"},
+	FaultDegraded:   {label: "degraded_service"},
+
+	diskFamilies: {kind: perDisk, key: "disks"},
+
+	CacheHits:   {name: "sdpm_cache_hits_total", help: "Instance-cache hits (preparation already memoized).", key: "cache_hits"},
+	CacheMisses: {name: "sdpm_cache_misses_total", help: "Instance-cache misses (preparation executed).", key: "cache_misses"},
+	CacheWaits:  {name: "sdpm_cache_singleflight_waits_total", help: "Instance-cache callers that blocked on a concurrent preparation of the same key.", key: "cache_singleflight_waits"},
+
+	RunnerTasks:  {name: "sdpm_runner_tasks_total", help: "Worker-pool cells completed.", key: "runner_tasks"},
+	RunnerBusyNS: {name: "sdpm_runner_busy_seconds_total", help: "Cumulative worker busy time in seconds.", key: "runner_busy_ns", div: 1e9},
+	RunnerActive: {name: "sdpm_runner_workers_active", help: "Workers currently executing a cell.", kind: gauge, key: "runner_workers_active"},
+	RunnerQueue:  {name: "sdpm_runner_queue_depth", help: "Cells claimed by no worker yet.", kind: gauge, key: "runner_queue_depth"},
+	CellPanics:   {name: "sdpm_runner_cell_panics_total", help: "Worker-pool cells recovered from a panic (reported as CellError).", key: "cell_panics"},
+	CellRetries:  {name: "sdpm_runner_cell_retries_total", help: "Retries of failing worker-pool cells.", key: "cell_retries"},
+
+	JournalHits:   {name: "sdpm_journal_hits_total", help: "Experiment cells served from the result journal on resume.", key: "journal_hits"},
+	JournalMisses: {name: "sdpm_journal_misses_total", help: "Experiment cells computed and appended to the result journal.", key: "journal_misses"},
+
+	ServeAccepted:          {name: "sdpm_serve_accepted_total", help: "Requests admitted past the serving layer's admission queue.", key: "serve_accepted"},
+	ServeShed:              {name: "sdpm_serve_shed_total", help: "Requests rejected by admission control (queue full or queue-wait budget expired).", key: "serve_shed"},
+	ServeDeadline:          {name: "sdpm_serve_deadline_total", help: "Requests whose deadline expired while queued or executing (504).", key: "serve_deadline"},
+	ServeCanceled:          {name: "sdpm_serve_canceled_total", help: "Requests abandoned by their client before completion.", key: "serve_canceled"},
+	ServeDrains:            {name: "sdpm_serve_drains_total", help: "Drain transitions (readiness flipped to draining).", key: "serve_drains"},
+	ServeJournalErrors:     {name: "sdpm_serve_journal_errors_total", help: "Journal append failures seen by the serving layer (each failed retry counts).", key: "serve_journal_errors"},
+	ServeJournalRecoveries: {name: "sdpm_serve_journal_recoveries_total", help: "Degraded-mode recoveries: the journal re-probe re-attached durability.", key: "serve_journal_recoveries"},
+	ServeInflight:          {name: "sdpm_serve_inflight", help: "Requests currently executing in the serving layer.", kind: gauge, key: "serve_inflight"},
+	ServeQueued:            {name: "sdpm_serve_queue_depth", help: "Requests currently waiting in the admission queue.", kind: gauge, key: "serve_queue_depth"},
+	ServeWaitMS:            {name: "sdpm_serve_queue_wait_ms", help: "Admission-queue wait of accepted requests in milliseconds.", kind: histogram, key: "serve_queue_wait_ms"},
+	ServeMS:                {name: "sdpm_serve_handle_ms", help: "Handler latency of admitted requests in milliseconds.", kind: histogram, key: "serve_handle_ms"},
+}
+
+// Label returns the kind="..." label value of a labeled series — for
+// the fault kinds also the detail of the matching fault event — or ""
+// for an unlabeled one.
+func (m Metric) Label() string { return table[m].label }
+
+// numHists is the number of histogram rows in table.
+const numHists = 5
+
+// histSlot maps each histogram metric to its index in Collector.hists.
+var histSlot = func() (slot [numMetrics]uint8) {
+	n := uint8(0)
+	for m := range table {
+		if table[m].kind == histogram {
+			slot[m] = n
+			n++
+		}
+	}
+	if n != numHists {
+		panic("obs: numHists does not match the histogram rows of table")
+	}
+	return slot
+}()
 
 // diskMetrics holds one disk's accumulators. The RPM residency grid
 // is fixed at creation (EnsureDisks) from the disk model's level
@@ -198,61 +303,8 @@ func (d *diskMetrics) levelIndex(rpm int) (int, bool) {
 // Collector accumulates engine metrics. Construct with New; a nil
 // *Collector is a valid no-op sink.
 type Collector struct {
-	simRuns  atomic.Int64
-	requests atomic.Int64
-	powerOps [numPowerOpKinds]atomic.Int64
-	// Spin-up mispredictions: requests that blocked on a disk that
-	// was not ready because of a spin-up. "inflight" is the paper's
-	// pre-activation failure mode (the spin-up was issued but too
-	// late); "ondemand" means no pre-activation happened at all (the
-	// request found the disk in or heading to standby).
-	missOnDemand atomic.Int64
-	missInflight atomic.Int64
-
-	// faults counts injected-fault events by kind (all zero unless a
-	// fault plan is attached to the simulation).
-	faults [numFaultKinds]atomic.Int64
-
-	serviceMS Histogram
-	waitMS    Histogram
-	idleMS    Histogram
-
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	cacheWaits  atomic.Int64
-
-	runnerTasks  atomic.Int64
-	runnerBusyNS atomic.Int64
-	runnerActive atomic.Int64
-	runnerQueue  atomic.Int64
-
-	cellPanics  atomic.Int64
-	cellRetries atomic.Int64
-
-	journalHits   atomic.Int64
-	journalMisses atomic.Int64
-
-	// Serving-layer counters (see internal/serve): request admission,
-	// load shedding, deadline expiries, client cancellations, and the
-	// drain transition, plus live inflight/queued gauges and the
-	// queue-wait and handler latency histograms.
-	serveAccepted atomic.Int64
-	serveShed     atomic.Int64
-	serveDeadline atomic.Int64
-	serveCanceled atomic.Int64
-	serveDrains   atomic.Int64
-	// serveJournalErrs counts journal append failures seen by the
-	// serving layer, including every failed retry before it degrades
-	// to memory-only operation.
-	serveJournalErrs atomic.Int64
-	// serveJournalRecov counts degraded-mode recoveries: the periodic
-	// re-probe successfully re-attached the journal and durability
-	// resumed.
-	serveJournalRecov atomic.Int64
-	serveInflight     atomic.Int64
-	serveQueued       atomic.Int64
-	serveWaitMS       Histogram
-	serveMS           Histogram
+	vals  [numMetrics]atomic.Int64 // counters and gauges, by Metric
+	hists [numHists]Histogram      // by histSlot
 
 	mu    sync.Mutex // serializes EnsureDisks growth
 	disks atomic.Pointer[[]*diskMetrics]
@@ -260,6 +312,30 @@ type Collector struct {
 
 // New returns an empty collector.
 func New() *Collector { return &Collector{} }
+
+// Add adds delta to counter or gauge m.
+func (c *Collector) Add(m Metric, delta int64) {
+	if c == nil {
+		return
+	}
+	c.vals[m].Add(delta)
+}
+
+// Observe records one value in histogram m.
+func (c *Collector) Observe(m Metric, v float64) {
+	if c == nil {
+		return
+	}
+	c.hists[histSlot[m]].Observe(v)
+}
+
+// Value returns the current value of counter or gauge m.
+func (c *Collector) Value(m Metric) int64 {
+	if c == nil {
+		return 0
+	}
+	return c.vals[m].Load()
+}
 
 // EnsureDisks guarantees per-disk storage for disks [0, n) with an
 // RPM residency grid of numLevels levels starting at minRPM in steps
@@ -314,14 +390,6 @@ func (c *Collector) NumDisks() int {
 	return len(*ds)
 }
 
-// CountSimRun records the start of one simulation run.
-func (c *Collector) CountSimRun() {
-	if c == nil {
-		return
-	}
-	c.simRuns.Add(1)
-}
-
 // ObserveRequest records one serviced request on disk d: its service
 // time, its readiness wait, and the idle period that ended at its
 // issue.
@@ -329,13 +397,13 @@ func (c *Collector) ObserveRequest(d int, svcMS, waitMS, idleMS float64) {
 	if c == nil {
 		return
 	}
-	c.requests.Add(1)
+	c.vals[Requests].Add(1)
 	if dm := c.disk(d); dm != nil {
 		dm.requests.Add(1)
 	}
-	c.serviceMS.Observe(svcMS)
-	c.waitMS.Observe(waitMS)
-	c.idleMS.Observe(idleMS)
+	c.Observe(ServiceMS, svcMS)
+	c.Observe(WaitMS, waitMS)
+	c.Observe(IdleMS, idleMS)
 }
 
 // ObserveResidency accumulates ms of residency for disk d in the
@@ -357,312 +425,4 @@ func (c *Collector) ObserveResidency(d int, st DiskState, rpm int, ms float64) {
 			dm.otherMS.Add(ms)
 		}
 	}
-}
-
-// CountPowerOp records one executed power-management operation.
-func (c *Collector) CountPowerOp(k PowerOpKind) {
-	if c == nil {
-		return
-	}
-	c.powerOps[k].Add(1)
-}
-
-// CountSpinupMiss records a request that blocked on a spin-up:
-// onDemand when the disk was still in (or heading to) standby — no
-// pre-activation at all — and in-flight otherwise (the spin-up was
-// issued but completed too late).
-func (c *Collector) CountSpinupMiss(onDemand bool) {
-	if c == nil {
-		return
-	}
-	if onDemand {
-		c.missOnDemand.Add(1)
-	} else {
-		c.missInflight.Add(1)
-	}
-}
-
-// SpinupMisses returns the (ondemand, inflight) misprediction counts.
-func (c *Collector) SpinupMisses() (onDemand, inflight int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.missOnDemand.Load(), c.missInflight.Load()
-}
-
-// Requests returns the total request count.
-func (c *Collector) Requests() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.requests.Load()
-}
-
-// PowerOps returns the executed op count for one kind.
-func (c *Collector) PowerOps(k PowerOpKind) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.powerOps[k].Load()
-}
-
-// CountFault records one injected-fault event.
-func (c *Collector) CountFault(k FaultKind) {
-	if c == nil {
-		return
-	}
-	c.faults[k].Add(1)
-}
-
-// FaultCount returns the injected-fault event count for one kind.
-func (c *Collector) FaultCount(k FaultKind) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.faults[k].Load()
-}
-
-// CountCacheHit records an instance-cache hit (preparation already
-// memoized).
-func (c *Collector) CountCacheHit() {
-	if c == nil {
-		return
-	}
-	c.cacheHits.Add(1)
-}
-
-// CountCacheMiss records an instance-cache miss (this caller did the
-// preparation).
-func (c *Collector) CountCacheMiss() {
-	if c == nil {
-		return
-	}
-	c.cacheMisses.Add(1)
-}
-
-// CountCacheWait records a singleflight wait (another goroutine was
-// already preparing the same key and this caller blocked on it).
-func (c *Collector) CountCacheWait() {
-	if c == nil {
-		return
-	}
-	c.cacheWaits.Add(1)
-}
-
-// CacheStats returns the (hits, misses, singleflight-waits) counts.
-func (c *Collector) CacheStats() (hits, misses, waits int64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	return c.cacheHits.Load(), c.cacheMisses.Load(), c.cacheWaits.Load()
-}
-
-// RunnerTask records one completed worker-pool cell and the time it
-// kept its worker busy.
-func (c *Collector) RunnerTask(busyNS int64) {
-	if c == nil {
-		return
-	}
-	c.runnerTasks.Add(1)
-	c.runnerBusyNS.Add(busyNS)
-}
-
-// RunnerWorker adjusts the active-worker gauge.
-func (c *Collector) RunnerWorker(delta int64) {
-	if c == nil {
-		return
-	}
-	c.runnerActive.Add(delta)
-}
-
-// RunnerQueue adjusts the queued-cell gauge.
-func (c *Collector) RunnerQueue(delta int64) {
-	if c == nil {
-		return
-	}
-	c.runnerQueue.Add(delta)
-}
-
-// RunnerStats returns the pool counters: completed tasks, cumulative
-// busy nanoseconds, and the current active/queued gauges.
-func (c *Collector) RunnerStats() (tasks, busyNS, active, queued int64) {
-	if c == nil {
-		return 0, 0, 0, 0
-	}
-	return c.runnerTasks.Load(), c.runnerBusyNS.Load(), c.runnerActive.Load(), c.runnerQueue.Load()
-}
-
-// CountCellPanic records a worker-pool cell recovered from a panic.
-func (c *Collector) CountCellPanic() {
-	if c == nil {
-		return
-	}
-	c.cellPanics.Add(1)
-}
-
-// CountCellRetry records one retry of a failing worker-pool cell.
-func (c *Collector) CountCellRetry() {
-	if c == nil {
-		return
-	}
-	c.cellRetries.Add(1)
-}
-
-// CellStats returns the (recovered panics, retries) cell counts.
-func (c *Collector) CellStats() (panics, retries int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.cellPanics.Load(), c.cellRetries.Load()
-}
-
-// CountJournalHit records an experiment cell served from the result
-// journal (its simulation was skipped on resume).
-func (c *Collector) CountJournalHit() {
-	if c == nil {
-		return
-	}
-	c.journalHits.Add(1)
-}
-
-// CountJournalMiss records an experiment cell that was computed and
-// appended to the result journal.
-func (c *Collector) CountJournalMiss() {
-	if c == nil {
-		return
-	}
-	c.journalMisses.Add(1)
-}
-
-// JournalStats returns the (hits, misses) journal cell counts.
-func (c *Collector) JournalStats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.journalHits.Load(), c.journalMisses.Load()
-}
-
-// ServeAdmitted records one request admitted past the serving layer's
-// admission queue after waiting waitMS milliseconds for a slot.
-func (c *Collector) ServeAdmitted(waitMS float64) {
-	if c == nil {
-		return
-	}
-	c.serveAccepted.Add(1)
-	c.serveWaitMS.Observe(waitMS)
-}
-
-// ServeFinished records one admitted request's handler latency.
-func (c *Collector) ServeFinished(handleMS float64) {
-	if c == nil {
-		return
-	}
-	c.serveMS.Observe(handleMS)
-}
-
-// CountServeShed records a request rejected by admission control
-// (queue full, or the queue-wait budget expired before a slot freed).
-func (c *Collector) CountServeShed() {
-	if c == nil {
-		return
-	}
-	c.serveShed.Add(1)
-}
-
-// CountServeDeadline records a request whose deadline expired while
-// it was queued or executing (a 504 response).
-func (c *Collector) CountServeDeadline() {
-	if c == nil {
-		return
-	}
-	c.serveDeadline.Add(1)
-}
-
-// CountServeCanceled records a request abandoned by its client before
-// a result could be written.
-func (c *Collector) CountServeCanceled() {
-	if c == nil {
-		return
-	}
-	c.serveCanceled.Add(1)
-}
-
-// CountServeDrain records one drain transition (readiness flipped to
-// draining; the listener stops accepting new work).
-func (c *Collector) CountServeDrain() {
-	if c == nil {
-		return
-	}
-	c.serveDrains.Add(1)
-}
-
-// CountServeJournalError records one journal append failure in the
-// serving layer (each failed retry counts separately).
-func (c *Collector) CountServeJournalError() {
-	if c == nil {
-		return
-	}
-	c.serveJournalErrs.Add(1)
-}
-
-// ServeJournalErrors returns the journal append failures the serving
-// layer has observed.
-func (c *Collector) ServeJournalErrors() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.serveJournalErrs.Load()
-}
-
-// CountServeJournalRecovery records one degraded-mode recovery: the
-// serving layer re-attached its journal and durability resumed.
-func (c *Collector) CountServeJournalRecovery() {
-	if c == nil {
-		return
-	}
-	c.serveJournalRecov.Add(1)
-}
-
-// ServeJournalRecoveries returns how many times the serving layer has
-// recovered from journal degradation.
-func (c *Collector) ServeJournalRecoveries() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.serveJournalRecov.Load()
-}
-
-// ServeInflight adjusts the executing-request gauge.
-func (c *Collector) ServeInflight(delta int64) {
-	if c == nil {
-		return
-	}
-	c.serveInflight.Add(delta)
-}
-
-// ServeQueued adjusts the admission-queue depth gauge.
-func (c *Collector) ServeQueued(delta int64) {
-	if c == nil {
-		return
-	}
-	c.serveQueued.Add(delta)
-}
-
-// ServeStats returns the serving-layer counters: admitted requests,
-// shed requests, deadline expiries, client cancellations, and drain
-// transitions.
-func (c *Collector) ServeStats() (accepted, shed, deadline, canceled, drains int64) {
-	if c == nil {
-		return 0, 0, 0, 0, 0
-	}
-	return c.serveAccepted.Load(), c.serveShed.Load(),
-		c.serveDeadline.Load(), c.serveCanceled.Load(), c.serveDrains.Load()
-}
-
-// ServeGauges returns the live (inflight, queued) serving gauges.
-func (c *Collector) ServeGauges() (inflight, queued int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.serveInflight.Load(), c.serveQueued.Load()
 }

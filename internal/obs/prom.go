@@ -12,7 +12,7 @@ import (
 // format (version 0.0.4). The collector is read once into a Snapshot
 // and rendered from it, so a scrape racing live writers can never
 // show a histogram whose _count disagrees with its bucket sums.
-// Output is deterministic: metric families appear in a fixed order,
+// Output is deterministic: metric families appear in table order,
 // disks in index order, RPM levels ascending. Histogram buckets are
 // cumulative, as the format requires. A nil collector renders an
 // empty (but valid) exposition.
@@ -29,101 +29,71 @@ func WritePrometheus(w io.Writer, c *Collector) error {
 // read use this directly.
 func WritePrometheusSnapshot(w io.Writer, s *Snapshot) error {
 	bw := bufio.NewWriter(w)
-	writeCounter(bw, "sdpm_sim_runs_total", "Simulation runs started.", s.SimRuns)
-	writeCounter(bw, "sdpm_requests_total", "Disk requests serviced.", s.Requests)
-	writeHistogram(bw, "sdpm_request_service_ms", "Request service time in milliseconds.", &s.ServiceMS)
-	writeHistogram(bw, "sdpm_request_wait_ms", "Request readiness wait (spin-up or shift completion) in milliseconds.", &s.WaitMS)
-	writeHistogram(bw, "sdpm_idle_period_ms", "Length of the inter-request idle period ending at each request, in milliseconds.", &s.IdleMS)
-
-	header(bw, "sdpm_power_ops_total", "Executed power-management operations by kind.", "counter")
-	for k := PowerOpKind(0); k < numPowerOpKinds; k++ {
-		fmt.Fprintf(bw, "sdpm_power_ops_total{kind=%q} %d\n", k.String(), s.PowerOps[k.String()])
-	}
-
-	header(bw, "sdpm_spinup_mispredictions_total", "Requests that blocked on a disk spin-up: ondemand = no pre-activation (disk in standby), inflight = pre-activation issued too late.", "counter")
-	fmt.Fprintf(bw, "sdpm_spinup_mispredictions_total{kind=\"ondemand\"} %d\n", s.MissOnDemand)
-	fmt.Fprintf(bw, "sdpm_spinup_mispredictions_total{kind=\"inflight\"} %d\n", s.MissInflight)
-
-	header(bw, "sdpm_faults_total", "Injected fault events by kind: spin-up failures, retries, timeout give-ups, on-demand fallbacks, bad-sector remap hits, degraded-window services.", "counter")
-	for k := FaultKind(0); k < numFaultKinds; k++ {
-		fmt.Fprintf(bw, "sdpm_faults_total{kind=%q} %d\n", k.String(), s.Faults[k.String()])
-	}
-
-	if len(s.Disks) > 0 {
-		header(bw, "sdpm_disk_requests_total", "Requests serviced per disk.", "counter")
-		for d := range s.Disks {
-			fmt.Fprintf(bw, "sdpm_disk_requests_total{disk=\"%d\"} %d\n", d, s.Disks[d].Requests)
+	var fam *desc
+	for m := Metric(0); m < numMetrics; m++ {
+		d := &table[m]
+		if d.kind == perDisk {
+			writeDisks(bw, s.Disks)
+			continue
 		}
-		header(bw, "sdpm_disk_state_ms_total", "Per-disk residency by power state, in milliseconds.", "counter")
-		for d := range s.Disks {
-			for st := DiskState(0); st < numDiskStates; st++ {
-				fmt.Fprintf(bw, "sdpm_disk_state_ms_total{disk=\"%d\",state=%q} %s\n",
-					d, st.String(), fmtFloat(s.Disks[d].StateMS[st.String()]))
-			}
+		if d.name != "" {
+			fam = d
+			header(bw, d.name, d.help, d.kind)
 		}
-		header(bw, "sdpm_disk_rpm_ms_total", "Per-disk spinning-time residency by RPM level, in milliseconds (zero levels omitted).", "counter")
-		for d := range s.Disks {
-			dm := &s.Disks[d]
-			rpms := make([]int, 0, len(dm.RPMMS))
-			for rpm := range dm.RPMMS {
-				rpms = append(rpms, rpm)
-			}
-			sort.Ints(rpms)
-			for _, rpm := range rpms {
-				fmt.Fprintf(bw, "sdpm_disk_rpm_ms_total{disk=\"%d\",rpm=\"%d\"} %s\n",
-					d, rpm, fmtFloat(dm.RPMMS[rpm]))
-			}
-			if dm.OtherMS != 0 {
-				fmt.Fprintf(bw, "sdpm_disk_rpm_ms_total{disk=\"%d\",rpm=\"other\"} %s\n", d, fmtFloat(dm.OtherMS))
-			}
+		switch {
+		case d.kind == histogram:
+			writeHistogram(bw, d.name, s.hist(m))
+		case d.label != "":
+			fmt.Fprintf(bw, "%s{kind=%q} %d\n", fam.name, d.label, s.vals[m])
+		case d.div != 0:
+			fmt.Fprintf(bw, "%s %s\n", d.name, fmtFloat(float64(s.vals[m])/d.div))
+		default:
+			fmt.Fprintf(bw, "%s %d\n", d.name, s.vals[m])
 		}
 	}
-
-	writeCounter(bw, "sdpm_cache_hits_total", "Instance-cache hits (preparation already memoized).", s.CacheHits)
-	writeCounter(bw, "sdpm_cache_misses_total", "Instance-cache misses (preparation executed).", s.CacheMisses)
-	writeCounter(bw, "sdpm_cache_singleflight_waits_total", "Instance-cache callers that blocked on a concurrent preparation of the same key.", s.CacheWaits)
-
-	writeCounter(bw, "sdpm_runner_tasks_total", "Worker-pool cells completed.", s.RunnerTasks)
-	header(bw, "sdpm_runner_busy_seconds_total", "Cumulative worker busy time in seconds.", "counter")
-	fmt.Fprintf(bw, "sdpm_runner_busy_seconds_total %s\n", fmtFloat(float64(s.RunnerBusyNS)/1e9))
-	writeGauge(bw, "sdpm_runner_workers_active", "Workers currently executing a cell.", s.RunnerActive)
-	writeGauge(bw, "sdpm_runner_queue_depth", "Cells claimed by no worker yet.", s.RunnerQueue)
-	writeCounter(bw, "sdpm_runner_cell_panics_total", "Worker-pool cells recovered from a panic (reported as CellError).", s.CellPanics)
-	writeCounter(bw, "sdpm_runner_cell_retries_total", "Retries of failing worker-pool cells.", s.CellRetries)
-
-	writeCounter(bw, "sdpm_journal_hits_total", "Experiment cells served from the result journal on resume.", s.JournalHits)
-	writeCounter(bw, "sdpm_journal_misses_total", "Experiment cells computed and appended to the result journal.", s.JournalMisses)
-
-	writeCounter(bw, "sdpm_serve_accepted_total", "Requests admitted past the serving layer's admission queue.", s.ServeAccepted)
-	writeCounter(bw, "sdpm_serve_shed_total", "Requests rejected by admission control (queue full or queue-wait budget expired).", s.ServeShed)
-	writeCounter(bw, "sdpm_serve_deadline_total", "Requests whose deadline expired while queued or executing (504).", s.ServeDeadline)
-	writeCounter(bw, "sdpm_serve_canceled_total", "Requests abandoned by their client before completion.", s.ServeCanceled)
-	writeCounter(bw, "sdpm_serve_drains_total", "Drain transitions (readiness flipped to draining).", s.ServeDrains)
-	writeCounter(bw, "sdpm_serve_journal_errors_total", "Journal append failures seen by the serving layer (each failed retry counts).", s.ServeJournalErrors)
-	writeCounter(bw, "sdpm_serve_journal_recoveries_total", "Degraded-mode recoveries: the journal re-probe re-attached durability.", s.ServeJournalRecoveries)
-	writeGauge(bw, "sdpm_serve_inflight", "Requests currently executing in the serving layer.", s.ServeInflight)
-	writeGauge(bw, "sdpm_serve_queue_depth", "Requests currently waiting in the admission queue.", s.ServeQueued)
-	writeHistogram(bw, "sdpm_serve_queue_wait_ms", "Admission-queue wait of accepted requests in milliseconds.", &s.ServeWaitMS)
-	writeHistogram(bw, "sdpm_serve_handle_ms", "Handler latency of admitted requests in milliseconds.", &s.ServeMS)
 	return bw.Flush()
 }
 
-func header(w io.Writer, name, help, typ string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// writeDisks renders the per-disk families; they are absent until
+// EnsureDisks has run.
+func writeDisks(w io.Writer, disks []DiskSnapshot) {
+	if len(disks) == 0 {
+		return
+	}
+	header(w, "sdpm_disk_requests_total", "Requests serviced per disk.", counter)
+	for d := range disks {
+		fmt.Fprintf(w, "sdpm_disk_requests_total{disk=\"%d\"} %d\n", d, disks[d].Requests)
+	}
+	header(w, "sdpm_disk_state_ms_total", "Per-disk residency by power state, in milliseconds.", counter)
+	for d := range disks {
+		for st := DiskState(0); st < numDiskStates; st++ {
+			fmt.Fprintf(w, "sdpm_disk_state_ms_total{disk=\"%d\",state=%q} %s\n",
+				d, st.String(), fmtFloat(disks[d].StateMS[st.String()]))
+		}
+	}
+	header(w, "sdpm_disk_rpm_ms_total", "Per-disk spinning-time residency by RPM level, in milliseconds (zero levels omitted).", counter)
+	for d := range disks {
+		dm := &disks[d]
+		rpms := make([]int, 0, len(dm.RPMMS))
+		for rpm := range dm.RPMMS {
+			rpms = append(rpms, rpm)
+		}
+		sort.Ints(rpms)
+		for _, rpm := range rpms {
+			fmt.Fprintf(w, "sdpm_disk_rpm_ms_total{disk=\"%d\",rpm=\"%d\"} %s\n",
+				d, rpm, fmtFloat(dm.RPMMS[rpm]))
+		}
+		if dm.OtherMS != 0 {
+			fmt.Fprintf(w, "sdpm_disk_rpm_ms_total{disk=\"%d\",rpm=\"other\"} %s\n", d, fmtFloat(dm.OtherMS))
+		}
+	}
 }
 
-func writeCounter(w io.Writer, name, help string, v int64) {
-	header(w, name, help, "counter")
-	fmt.Fprintf(w, "%s %d\n", name, v)
+func header(w io.Writer, name, help string, k kind) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, k)
 }
 
-func writeGauge(w io.Writer, name, help string, v int64) {
-	header(w, name, help, "gauge")
-	fmt.Fprintf(w, "%s %d\n", name, v)
-}
-
-func writeHistogram(w io.Writer, name, help string, h *HistogramSnapshot) {
-	header(w, name, help, "histogram")
+func writeHistogram(w io.Writer, name string, h *HistogramSnapshot) {
 	cum := int64(0)
 	for i := range bucketBoundsMS {
 		cum += h.Buckets[i]

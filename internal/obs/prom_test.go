@@ -96,7 +96,7 @@ func parseSample(t *testing.T, line string) sample {
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	c := New()
 	c.EnsureDisks(2, 3000, 1200, 11)
-	c.CountSimRun()
+	c.Add(SimRuns, 1)
 	for i := 0; i < 5; i++ {
 		c.ObserveRequest(0, 4.2, 0, 100)
 	}
@@ -105,20 +105,21 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	c.ObserveResidency(0, StateService, 15000, 10)
 	c.ObserveResidency(1, StateStandby, 0, 5000)
 	c.ObserveResidency(1, StateIdle, 3001, 3) // off-grid -> rpm="other"
-	c.CountPowerOp(OpSpinDown)
-	c.CountPowerOp(OpSpinUp)
-	c.CountPowerOp(OpSetRPM)
-	c.CountPowerOp(OpSetRPM)
-	c.CountSpinupMiss(true)
-	c.CountSpinupMiss(false)
-	c.CountSpinupMiss(false)
-	c.CountCacheMiss()
-	c.CountCacheHit()
-	c.CountCacheHit()
-	c.CountCacheWait()
-	c.RunnerTask(2e9)
-	c.RunnerQueue(3)
-	c.RunnerWorker(2)
+	c.Add(OpSpinDown, 1)
+	c.Add(OpSpinUp, 1)
+	c.Add(OpSetRPM, 1)
+	c.Add(OpSetRPM, 1)
+	c.Add(MissOnDemand, 1)
+	c.Add(MissInflight, 1)
+	c.Add(MissInflight, 1)
+	c.Add(CacheMisses, 1)
+	c.Add(CacheHits, 1)
+	c.Add(CacheHits, 1)
+	c.Add(CacheWaits, 1)
+	c.Add(RunnerTasks, 1)
+	c.Add(RunnerBusyNS, 2e9)
+	c.Add(RunnerQueue, 3)
+	c.Add(RunnerActive, 2)
 
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, c); err != nil {

@@ -11,42 +11,45 @@ import (
 // the rest of the collector.
 func TestServeMetrics(t *testing.T) {
 	c := New()
-	c.ServeAdmitted(1.5)
-	c.ServeAdmitted(40)
-	c.ServeFinished(12)
-	c.CountServeShed()
-	c.CountServeShed()
-	c.CountServeDeadline()
-	c.CountServeCanceled()
-	c.CountServeDrain()
-	c.CountServeJournalError()
-	c.CountServeJournalRecovery()
-	c.CountServeJournalRecovery()
-	c.ServeInflight(1)
-	c.ServeQueued(2)
-	c.ServeQueued(-1)
+	c.Add(ServeAccepted, 1)
+	c.Observe(ServeWaitMS, 1.5)
+	c.Add(ServeAccepted, 1)
+	c.Observe(ServeWaitMS, 40)
+	c.Observe(ServeMS, 12)
+	c.Add(ServeShed, 1)
+	c.Add(ServeShed, 1)
+	c.Add(ServeDeadline, 1)
+	c.Add(ServeCanceled, 1)
+	c.Add(ServeDrains, 1)
+	c.Add(ServeJournalErrors, 1)
+	c.Add(ServeJournalRecoveries, 1)
+	c.Add(ServeJournalRecoveries, 1)
+	c.Add(ServeInflight, 1)
+	c.Add(ServeQueued, 2)
+	c.Add(ServeQueued, -1)
 
-	accepted, shed, deadline, canceled, drains := c.ServeStats()
+	accepted, shed, deadline, canceled, drains := c.Value(ServeAccepted), c.Value(ServeShed),
+		c.Value(ServeDeadline), c.Value(ServeCanceled), c.Value(ServeDrains)
 	if accepted != 2 || shed != 2 || deadline != 1 || canceled != 1 || drains != 1 {
-		t.Fatalf("ServeStats = %d %d %d %d %d", accepted, shed, deadline, canceled, drains)
+		t.Fatalf("serve counters = %d %d %d %d %d", accepted, shed, deadline, canceled, drains)
 	}
-	if c.ServeJournalErrors() != 1 || c.ServeJournalRecoveries() != 2 {
-		t.Fatalf("journal counters = %d errors, %d recoveries", c.ServeJournalErrors(), c.ServeJournalRecoveries())
+	if c.Value(ServeJournalErrors) != 1 || c.Value(ServeJournalRecoveries) != 2 {
+		t.Fatalf("journal counters = %d errors, %d recoveries", c.Value(ServeJournalErrors), c.Value(ServeJournalRecoveries))
 	}
-	inflight, queued := c.ServeGauges()
+	inflight, queued := c.Value(ServeInflight), c.Value(ServeQueued)
 	if inflight != 1 || queued != 1 {
-		t.Fatalf("ServeGauges = %d %d", inflight, queued)
+		t.Fatalf("serve gauges = %d %d", inflight, queued)
 	}
 
 	s := c.Snapshot()
-	if s.ServeAccepted != 2 || s.ServeShed != 2 || s.ServeDeadline != 1 ||
-		s.ServeCanceled != 1 || s.ServeDrains != 1 ||
-		s.ServeJournalErrors != 1 || s.ServeJournalRecoveries != 2 ||
-		s.ServeInflight != 1 || s.ServeQueued != 1 {
+	if s.vals[ServeAccepted] != 2 || s.vals[ServeShed] != 2 || s.vals[ServeDeadline] != 1 ||
+		s.vals[ServeCanceled] != 1 || s.vals[ServeDrains] != 1 ||
+		s.vals[ServeJournalErrors] != 1 || s.vals[ServeJournalRecoveries] != 2 ||
+		s.vals[ServeInflight] != 1 || s.vals[ServeQueued] != 1 {
 		t.Fatalf("snapshot serve fields wrong: %+v", s)
 	}
-	if s.ServeWaitMS.Count != 2 || s.ServeMS.Count != 1 {
-		t.Fatalf("serve histograms: wait count %d, handle count %d", s.ServeWaitMS.Count, s.ServeMS.Count)
+	if s.hist(ServeWaitMS).Count != 2 || s.hist(ServeMS).Count != 1 {
+		t.Fatalf("serve histograms: wait count %d, handle count %d", s.hist(ServeWaitMS).Count, s.hist(ServeMS).Count)
 	}
 
 	var buf bytes.Buffer
@@ -77,23 +80,24 @@ func TestServeMetrics(t *testing.T) {
 // so unobserved servers need no branches.
 func TestServeMetricsNilCollector(t *testing.T) {
 	var c *Collector
-	c.ServeAdmitted(1)
-	c.ServeFinished(1)
-	c.CountServeShed()
-	c.CountServeDeadline()
-	c.CountServeCanceled()
-	c.CountServeDrain()
-	c.CountServeJournalError()
-	c.CountServeJournalRecovery()
-	c.ServeInflight(1)
-	c.ServeQueued(1)
-	if a, s, d, x, dr := c.ServeStats(); a|s|d|x|dr != 0 {
-		t.Fatalf("nil ServeStats = %d %d %d %d %d", a, s, d, x, dr)
+	c.Add(ServeAccepted, 1)
+	c.Observe(ServeWaitMS, 1)
+	c.Observe(ServeMS, 1)
+	c.Add(ServeShed, 1)
+	c.Add(ServeDeadline, 1)
+	c.Add(ServeCanceled, 1)
+	c.Add(ServeDrains, 1)
+	c.Add(ServeJournalErrors, 1)
+	c.Add(ServeJournalRecoveries, 1)
+	c.Add(ServeInflight, 1)
+	c.Add(ServeQueued, 1)
+	if a, s, d, x, dr := c.Value(ServeAccepted), c.Value(ServeShed), c.Value(ServeDeadline), c.Value(ServeCanceled), c.Value(ServeDrains); a|s|d|x|dr != 0 {
+		t.Fatalf("nil serve counters = %d %d %d %d %d", a, s, d, x, dr)
 	}
-	if c.ServeJournalErrors() != 0 || c.ServeJournalRecoveries() != 0 {
+	if c.Value(ServeJournalErrors) != 0 || c.Value(ServeJournalRecoveries) != 0 {
 		t.Fatalf("nil journal counters nonzero")
 	}
-	if i, q := c.ServeGauges(); i|q != 0 {
-		t.Fatalf("nil ServeGauges = %d %d", i, q)
+	if i, q := c.Value(ServeInflight), c.Value(ServeQueued); i|q != 0 {
+		t.Fatalf("nil serve gauges = %d %d", i, q)
 	}
 }

@@ -1,12 +1,17 @@
 package obs
 
-// Snapshot support: a point-in-time plain-struct copy of every
-// counter, gauge, and histogram in a Collector. Exporters render from
-// a snapshot rather than interleaving atomic loads with formatting,
-// so a live scrape mid-run can never show torn histogram totals (a
+import (
+	"encoding/json"
+	"strings"
+)
+
+// Snapshot support: a point-in-time plain copy of every counter,
+// gauge, and histogram in a Collector. Exporters render from a
+// snapshot rather than interleaving atomic loads with formatting, so
+// a live scrape mid-run can never show torn histogram totals (a
 // _count that disagrees with the bucket sums because observations
-// landed between the two loads). The JSON tags make a snapshot
-// directly servable as the live /status endpoint's body.
+// landed between the two loads). A snapshot marshals to JSON as the
+// live /status endpoint's metrics object.
 
 // HistogramSnapshot is a point-in-time copy of one Histogram. Count
 // is derived from the bucket counts (not the independent count
@@ -33,14 +38,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// BucketBoundsMS returns the shared histogram bucket upper bounds
-// (the +Inf bucket is implicit after the last bound).
-func BucketBoundsMS() []float64 {
-	out := make([]float64, len(bucketBoundsMS))
-	copy(out, bucketBoundsMS[:])
-	return out
-}
-
 // DiskSnapshot is a point-in-time copy of one disk's accumulators.
 type DiskSnapshot struct {
 	Requests int64 `json:"requests"`
@@ -56,53 +53,13 @@ type DiskSnapshot struct {
 
 // Snapshot is a point-in-time copy of a whole Collector.
 type Snapshot struct {
-	SimRuns  int64 `json:"sim_runs"`
-	Requests int64 `json:"requests"`
-	// PowerOps maps op kind label (PowerOpKind.String) to count.
-	PowerOps map[string]int64 `json:"power_ops"`
-	// Spin-up mispredictions by flavor.
-	MissOnDemand int64 `json:"spinup_miss_ondemand"`
-	MissInflight int64 `json:"spinup_miss_inflight"`
-	// Faults maps fault kind label (FaultKind.String) to count.
-	Faults map[string]int64 `json:"faults"`
-
-	ServiceMS HistogramSnapshot `json:"service_ms"`
-	WaitMS    HistogramSnapshot `json:"wait_ms"`
-	IdleMS    HistogramSnapshot `json:"idle_ms"`
-
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	CacheWaits  int64 `json:"cache_singleflight_waits"`
-
-	RunnerTasks  int64 `json:"runner_tasks"`
-	RunnerBusyNS int64 `json:"runner_busy_ns"`
-	RunnerActive int64 `json:"runner_workers_active"`
-	RunnerQueue  int64 `json:"runner_queue_depth"`
-
-	CellPanics  int64 `json:"cell_panics"`
-	CellRetries int64 `json:"cell_retries"`
-
-	JournalHits   int64 `json:"journal_hits"`
-	JournalMisses int64 `json:"journal_misses"`
-
-	ServeAccepted int64 `json:"serve_accepted"`
-	ServeShed     int64 `json:"serve_shed"`
-	ServeDeadline int64 `json:"serve_deadline"`
-	ServeCanceled int64 `json:"serve_canceled"`
-	ServeDrains   int64 `json:"serve_drains"`
-	// ServeJournalErrors counts journal append failures seen by the
-	// serving layer (every failed retry, before and after degrading).
-	ServeJournalErrors int64 `json:"serve_journal_errors"`
-	// ServeJournalRecoveries counts degraded-mode recoveries (the
-	// journal re-probe re-attached durability).
-	ServeJournalRecoveries int64             `json:"serve_journal_recoveries"`
-	ServeInflight          int64             `json:"serve_inflight"`
-	ServeQueued            int64             `json:"serve_queue_depth"`
-	ServeWaitMS            HistogramSnapshot `json:"serve_queue_wait_ms"`
-	ServeMS                HistogramSnapshot `json:"serve_handle_ms"`
-
-	Disks []DiskSnapshot `json:"disks,omitempty"`
+	vals  [numMetrics]int64
+	hists [numHists]HistogramSnapshot
+	Disks []DiskSnapshot
 }
+
+// hist returns histogram m as of the snapshot.
+func (s *Snapshot) hist(m Metric) *HistogramSnapshot { return &s.hists[histSlot[m]] }
 
 // Snapshot reads every counter, gauge, and histogram once and returns
 // the copies. A nil collector returns a zero snapshot. The snapshot
@@ -110,43 +67,15 @@ type Snapshot struct {
 // not per-event ones.
 func (c *Collector) Snapshot() Snapshot {
 	var s Snapshot
-	s.PowerOps = make(map[string]int64, int(numPowerOpKinds))
-	s.Faults = make(map[string]int64, int(numFaultKinds))
 	if c == nil {
-		for k := PowerOpKind(0); k < numPowerOpKinds; k++ {
-			s.PowerOps[k.String()] = 0
-		}
-		for k := FaultKind(0); k < numFaultKinds; k++ {
-			s.Faults[k.String()] = 0
-		}
 		return s
 	}
-	s.SimRuns = c.simRuns.Load()
-	s.Requests = c.requests.Load()
-	for k := PowerOpKind(0); k < numPowerOpKinds; k++ {
-		s.PowerOps[k.String()] = c.powerOps[k].Load()
+	for m := range c.vals {
+		s.vals[m] = c.vals[m].Load()
 	}
-	s.MissOnDemand = c.missOnDemand.Load()
-	s.MissInflight = c.missInflight.Load()
-	for k := FaultKind(0); k < numFaultKinds; k++ {
-		s.Faults[k.String()] = c.faults[k].Load()
+	for i := range c.hists {
+		s.hists[i] = c.hists[i].snapshot()
 	}
-	s.ServiceMS = c.serviceMS.snapshot()
-	s.WaitMS = c.waitMS.snapshot()
-	s.IdleMS = c.idleMS.snapshot()
-	s.CacheHits, s.CacheMisses, s.CacheWaits = c.cacheHits.Load(), c.cacheMisses.Load(), c.cacheWaits.Load()
-	s.RunnerTasks = c.runnerTasks.Load()
-	s.RunnerBusyNS = c.runnerBusyNS.Load()
-	s.RunnerActive = c.runnerActive.Load()
-	s.RunnerQueue = c.runnerQueue.Load()
-	s.CellPanics, s.CellRetries = c.cellPanics.Load(), c.cellRetries.Load()
-	s.JournalHits, s.JournalMisses = c.journalHits.Load(), c.journalMisses.Load()
-	s.ServeAccepted, s.ServeShed, s.ServeDeadline, s.ServeCanceled, s.ServeDrains = c.ServeStats()
-	s.ServeJournalErrors = c.ServeJournalErrors()
-	s.ServeJournalRecoveries = c.ServeJournalRecoveries()
-	s.ServeInflight, s.ServeQueued = c.ServeGauges()
-	s.ServeWaitMS = c.serveWaitMS.snapshot()
-	s.ServeMS = c.serveMS.snapshot()
 	if ds := c.disks.Load(); ds != nil {
 		s.Disks = make([]DiskSnapshot, len(*ds))
 		for d, dm := range *ds {
@@ -168,4 +97,38 @@ func (c *Collector) Snapshot() Snapshot {
 		}
 	}
 	return s
+}
+
+// MarshalJSON renders the snapshot as the /status metrics object: one
+// entry per table family under its key, with the disks omitted when
+// EnsureDisks never ran.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	out := make(map[string]any, numMetrics)
+	var fam *desc
+	for m := Metric(0); m < numMetrics; m++ {
+		d := &table[m]
+		if d.name != "" {
+			fam = d
+		}
+		switch {
+		case d.kind == histogram:
+			out[d.key] = s.hist(m)
+		case d.kind == perDisk:
+			if len(s.Disks) > 0 {
+				out[d.key] = s.Disks
+			}
+		case d.label == "":
+			out[d.key] = s.vals[m]
+		case strings.HasSuffix(fam.key, "_"):
+			out[fam.key+d.label] = s.vals[m]
+		default:
+			group, ok := out[fam.key].(map[string]int64)
+			if !ok {
+				group = make(map[string]int64)
+				out[fam.key] = group
+			}
+			group[d.label] = s.vals[m]
+		}
+	}
+	return json.Marshal(out)
 }

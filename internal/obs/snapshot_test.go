@@ -26,15 +26,15 @@ func TestSnapshotConsistentUnderWriters(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				c.ObserveRequest(i%2, float64(i%7), float64(i%3), float64(i%1000))
 				c.ObserveResidency(i%2, StateIdle, 4200+600*(i%8), 1.5)
-				c.CountPowerOp(PowerOpKind(i % int(numPowerOpKinds)))
-				c.CountFault(FaultKind(i % int(numFaultKinds)))
+				c.Add(OpSpinDown+Metric(i%3), 1)
+				c.Add(FaultSpinUpFail+Metric(i%6), 1)
 			}
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
 		s := c.Snapshot()
 		for name, h := range map[string]*HistogramSnapshot{
-			"service": &s.ServiceMS, "wait": &s.WaitMS, "idle": &s.IdleMS,
+			"service": s.hist(ServiceMS), "wait": s.hist(WaitMS), "idle": s.hist(IdleMS),
 		} {
 			var sum int64
 			for _, b := range h.Buckets {
@@ -84,36 +84,37 @@ func checkExpositionTotals(t *testing.T, text string) {
 func TestSnapshotValues(t *testing.T) {
 	c := New()
 	c.EnsureDisks(1, 6000, 1200, 4)
-	c.CountSimRun()
+	c.Add(SimRuns, 1)
 	c.ObserveRequest(0, 3, 0, 120)
 	c.ObserveRequest(0, 4, 50, 9000)
 	c.ObserveResidency(0, StateService, 6000, 7)
 	c.ObserveResidency(0, StateStandby, 0, 300)
 	c.ObserveResidency(0, StateIdle, 4242, 1) // off-grid -> other
-	c.CountPowerOp(OpSpinDown)
-	c.CountSpinupMiss(true)
-	c.CountFault(FaultRemap)
-	c.CountCacheHit()
-	c.RunnerTask(2e9)
-	c.RunnerQueue(3)
-	c.CountCellRetry()
-	c.CountJournalHit()
+	c.Add(OpSpinDown, 1)
+	c.Add(MissOnDemand, 1)
+	c.Add(FaultRemap, 1)
+	c.Add(CacheHits, 1)
+	c.Add(RunnerTasks, 1)
+	c.Add(RunnerBusyNS, 2e9)
+	c.Add(RunnerQueue, 3)
+	c.Add(CellRetries, 1)
+	c.Add(JournalHits, 1)
 
 	s := c.Snapshot()
-	if s.SimRuns != 1 || s.Requests != 2 {
-		t.Fatalf("runs/requests = %d/%d", s.SimRuns, s.Requests)
+	if s.vals[SimRuns] != 1 || s.vals[Requests] != 2 {
+		t.Fatalf("runs/requests = %d/%d", s.vals[SimRuns], s.vals[Requests])
 	}
-	if s.ServiceMS.Count != 2 || s.ServiceMS.Sum != 7 {
-		t.Fatalf("service histogram = %+v", s.ServiceMS)
+	if h := s.hist(ServiceMS); h.Count != 2 || h.Sum != 7 {
+		t.Fatalf("service histogram = %+v", h)
 	}
-	if s.PowerOps["spin_down"] != 1 || s.PowerOps["spin_up"] != 0 {
-		t.Fatalf("power ops = %v", s.PowerOps)
+	if s.vals[OpSpinDown] != 1 || s.vals[OpSpinUp] != 0 {
+		t.Fatalf("power ops = %d/%d", s.vals[OpSpinDown], s.vals[OpSpinUp])
 	}
-	if s.MissOnDemand != 1 || s.MissInflight != 0 {
-		t.Fatalf("misses = %d/%d", s.MissOnDemand, s.MissInflight)
+	if s.vals[MissOnDemand] != 1 || s.vals[MissInflight] != 0 {
+		t.Fatalf("misses = %d/%d", s.vals[MissOnDemand], s.vals[MissInflight])
 	}
-	if s.Faults["remap_hit"] != 1 {
-		t.Fatalf("faults = %v", s.Faults)
+	if s.vals[FaultRemap] != 1 {
+		t.Fatalf("remap faults = %d", s.vals[FaultRemap])
 	}
 	if len(s.Disks) != 1 {
 		t.Fatalf("disks = %d", len(s.Disks))
@@ -125,10 +126,10 @@ func TestSnapshotValues(t *testing.T) {
 	if d.RPMMS[6000] != 7 || d.OtherMS != 1 {
 		t.Fatalf("rpm residency = %v other %v", d.RPMMS, d.OtherMS)
 	}
-	if s.CacheHits != 1 || s.RunnerTasks != 1 || s.RunnerBusyNS != 2e9 || s.RunnerQueue != 3 {
+	if s.vals[CacheHits] != 1 || s.vals[RunnerTasks] != 1 || s.vals[RunnerBusyNS] != 2e9 || s.vals[RunnerQueue] != 3 {
 		t.Fatalf("engine counters: %+v", s)
 	}
-	if s.CellRetries != 1 || s.JournalHits != 1 {
+	if s.vals[CellRetries] != 1 || s.vals[JournalHits] != 1 {
 		t.Fatalf("cell/journal counters: %+v", s)
 	}
 
@@ -146,13 +147,17 @@ func TestSnapshotValues(t *testing.T) {
 func TestSnapshotNil(t *testing.T) {
 	var c *Collector
 	s := c.Snapshot()
-	if s.Requests != 0 || len(s.Disks) != 0 {
+	if s.vals[Requests] != 0 || len(s.Disks) != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
-	// Label maps are populated (with zeros) so renderers need no nil
-	// checks.
-	if _, ok := s.PowerOps["spin_up"]; !ok {
-		t.Fatal("nil snapshot lacks power-op labels")
+	// Labeled families render every label (with zeros), so /status
+	// readers need no missing-key checks.
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"spin_up":0`) {
+		t.Fatalf("nil snapshot lacks power-op labels: %s", b)
 	}
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, nil); err != nil {

@@ -86,7 +86,7 @@ func TestMapCancelDrainsGaugesAndGoroutines(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	_, _, active, queued := c.RunnerStats()
+	active, queued := c.Value(obs.RunnerActive), c.Value(obs.RunnerQueue)
 	if active != 0 || queued != 0 {
 		t.Errorf("gauges not drained after cancellation: active=%d queued=%d", active, queued)
 	}

@@ -20,7 +20,7 @@ func TestMapObservesTasksAndGauges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tasks, busyNS, active, queued := c.RunnerStats()
+		tasks, busyNS, active, queued := c.Value(obs.RunnerTasks), c.Value(obs.RunnerBusyNS), c.Value(obs.RunnerActive), c.Value(obs.RunnerQueue)
 		if tasks != n {
 			t.Errorf("workers=%d: tasks = %d, want %d", workers, tasks, n)
 		}
@@ -45,7 +45,7 @@ func TestMapSequentialErrorDrainsQueueGauge(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	tasks, _, active, queued := c.RunnerStats()
+	tasks, active, queued := c.Value(obs.RunnerTasks), c.Value(obs.RunnerActive), c.Value(obs.RunnerQueue)
 	if tasks != 3 { // cells 0, 1, and the failing 2 ran
 		t.Errorf("tasks = %d, want 3", tasks)
 	}

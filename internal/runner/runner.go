@@ -193,7 +193,7 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 	base := func(i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				c.CountCellPanic()
+				c.Add(obs.CellPanics, 1)
 				ev.Emit(events.Event{Kind: events.KindCellPanic, Disk: -1,
 					Detail: fmt.Sprintf("cell=%d", i)})
 				err = &CellError{Index: i, Value: r, Stack: debug.Stack()}
@@ -207,7 +207,7 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 		exec = func(i int) error {
 			err := base(i)
 			for r := 0; r < retries && err != nil && canceled() == nil; r++ {
-				c.CountCellRetry()
+				c.Add(obs.CellRetries, 1)
 				ev.Emit(events.Event{Kind: events.KindCellRetry, Disk: -1,
 					Detail: fmt.Sprintf("cell=%d attempt=%d", i, r+2)})
 				err = base(i)
@@ -217,27 +217,28 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 	}
 	run := exec
 	if c != nil {
-		c.RunnerQueue(int64(n))
+		c.Add(obs.RunnerQueue, int64(n))
 		run = func(i int) error {
-			c.RunnerQueue(-1)
+			c.Add(obs.RunnerQueue, -1)
 			t0 := time.Now()
 			err := exec(i)
-			c.RunnerTask(time.Since(t0).Nanoseconds())
+			c.Add(obs.RunnerTasks, 1)
+			c.Add(obs.RunnerBusyNS, time.Since(t0).Nanoseconds())
 			return err
 		}
 	}
 	if p == nil || p.workers <= 1 || n == 1 {
-		c.RunnerWorker(1)
-		defer c.RunnerWorker(-1)
+		c.Add(obs.RunnerActive, 1)
+		defer c.Add(obs.RunnerActive, -1)
 		for i := 0; i < n; i++ {
 			if err := canceled(); err != nil {
 				// Cells i.. were never claimed; drain the gauge.
-				c.RunnerQueue(int64(-(n - i)))
+				c.Add(obs.RunnerQueue, int64(-(n - i)))
 				return err
 			}
 			if err := run(i); err != nil {
 				// Cells n-i-1.. were never claimed; drain the gauge.
-				c.RunnerQueue(int64(-(n - i - 1)))
+				c.Add(obs.RunnerQueue, int64(-(n - i - 1)))
 				return err
 			}
 		}
@@ -246,8 +247,8 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var next, claimed atomic.Int64
 	work := func() {
-		c.RunnerWorker(1)
-		defer c.RunnerWorker(-1)
+		c.Add(obs.RunnerActive, 1)
+		defer c.Add(obs.RunnerActive, -1)
 		for {
 			if canceled() != nil {
 				return
@@ -293,7 +294,7 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 	wg.Wait()
 	if unclaimed := int64(n) - claimed.Load(); unclaimed > 0 {
 		// Cancellation left cells unclaimed; drain the gauge.
-		c.RunnerQueue(-unclaimed)
+		c.Add(obs.RunnerQueue, -unclaimed)
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -47,26 +47,26 @@ func (a *admitter) acquire(ctx context.Context) (release func(), waitMS float64,
 	select {
 	case a.queued <- struct{}{}:
 	default:
-		a.coll.CountServeShed()
+		a.coll.Add(obs.ServeShed, 1)
 		return nil, 0, &Error{
 			Kind:       KindOverload,
 			Msg:        "admission queue full",
 			RetryAfter: a.queueWait,
 		}
 	}
-	a.coll.ServeQueued(1)
+	a.coll.Add(obs.ServeQueued, 1)
 	start := time.Now()
 	timer := time.NewTimer(a.queueWait)
 	defer func() {
 		timer.Stop()
 		<-a.queued
-		a.coll.ServeQueued(-1)
+		a.coll.Add(obs.ServeQueued, -1)
 	}()
 	select {
 	case a.slots <- struct{}{}:
 		return a.release, float64(time.Since(start)) / float64(time.Millisecond), nil
 	case <-timer.C:
-		a.coll.CountServeShed()
+		a.coll.Add(obs.ServeShed, 1)
 		return nil, 0, &Error{
 			Kind:       KindOverload,
 			Msg:        "no execution slot freed within the queue-wait budget",

@@ -18,6 +18,7 @@ import (
 
 	"sdpm/internal/experiments"
 	"sdpm/internal/journal"
+	"sdpm/internal/obs"
 	"sdpm/internal/obs/events"
 )
 
@@ -63,7 +64,7 @@ func (d *degradingJournal) Append(key string, vals []float64) error {
 			return nil
 		}
 		last = err
-		s.coll.CountServeJournalError()
+		s.coll.Add(obs.ServeJournalErrors, 1)
 		slog.Warn("journal append failed", "key", key, "attempt", attempt+1, "err", err)
 		if j.Poisoned() != nil || attempt >= s.cfg.JournalRetries || s.degraded.Load() {
 			break

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sdpm/internal/fsx"
+	"sdpm/internal/obs"
 )
 
 var errInjectedIO = errors.New("injected: input/output error")
@@ -52,11 +53,11 @@ func TestDegradedOnSyncFailure(t *testing.T) {
 	if st := do(s, "GET", "/status", "", nil); !strings.Contains(st.Body.String(), `"degraded": "journal"`) {
 		t.Fatalf("status missing degraded flag: %s", st.Body.String())
 	}
-	if n := s.coll.ServeJournalErrors(); n == 0 {
+	if n := s.coll.Value(obs.ServeJournalErrors); n == 0 {
 		t.Fatal("journal error counter did not advance")
 	}
 	// Poisoned journal: retries are futile and must not have happened.
-	if n := s.coll.ServeJournalErrors(); n != 1 {
+	if n := s.coll.Value(obs.ServeJournalErrors); n != 1 {
 		t.Fatalf("poisoned journal burned %d attempts, want 1 (no retries)", n)
 	}
 
@@ -96,7 +97,7 @@ func TestDegradedAfterRetryBudget(t *testing.T) {
 	}
 	// 1 initial + 3 retries on the first cell; later cells skip the
 	// journal entirely once degraded.
-	if n := s.coll.ServeJournalErrors(); n != 4 {
+	if n := s.coll.Value(obs.ServeJournalErrors); n != 4 {
 		t.Fatalf("journal error counter = %d, want 4 (initial + 3 retries)", n)
 	}
 }
@@ -126,7 +127,7 @@ func TestDegradedChaosSeededSyncFaults(t *testing.T) {
 		t.Fatal("no cell survived in memory")
 	}
 	// A retry never follows a poisoning failure, so errors == 1.
-	if n := s.coll.ServeJournalErrors(); n != 1 {
+	if n := s.coll.Value(obs.ServeJournalErrors); n != 1 {
 		t.Fatalf("journal error counter = %d, want 1", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sdpm/internal/fsx"
+	"sdpm/internal/obs"
 )
 
 // degrade drives one journaled experiment through a failing filesystem
@@ -37,7 +38,7 @@ func TestReprobeRecoversAfterHeal(t *testing.T) {
 	if deg, _ := s.Degraded(); !deg {
 		t.Fatal("failed reprobe lifted degraded mode")
 	}
-	if n := s.coll.ServeJournalRecoveries(); n != 0 {
+	if n := s.coll.Value(obs.ServeJournalRecoveries); n != 0 {
 		t.Fatalf("recoveries = %d after a failed probe, want 0", n)
 	}
 
@@ -52,7 +53,7 @@ func TestReprobeRecoversAfterHeal(t *testing.T) {
 	if r := do(s, "GET", "/readyz", "", nil); r.Body.String() != "ready\n" {
 		t.Fatalf("readyz after recovery = %q, want ready", r.Body.String())
 	}
-	if n := s.coll.ServeJournalRecoveries(); n != 1 {
+	if n := s.coll.Value(obs.ServeJournalRecoveries); n != 1 {
 		t.Fatalf("recoveries = %d, want 1", n)
 	}
 	if m := do(s, "GET", "/metrics", "", nil); !strings.Contains(m.Body.String(), "sdpm_serve_journal_recoveries_total 1") {
@@ -113,7 +114,7 @@ func TestReprobeLoopAutoRecovers(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if n := s.coll.ServeJournalRecoveries(); n != 1 {
+	if n := s.coll.Value(obs.ServeJournalRecoveries); n != 1 {
 		t.Fatalf("recoveries = %d, want exactly 1", n)
 	}
 	s.BeginDrain() // closes the loop's stop channel; must not panic or hang

@@ -189,7 +189,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	if _, ok := b.Error.Meta["elapsed_ms"]; !ok {
 		t.Fatalf("deadline error missing partial-progress metadata: %s", w.Body.String())
 	}
-	if _, _, deadline, _, _ := s.coll.ServeStats(); deadline != 1 {
+	if deadline := s.coll.Value(obs.ServeDeadline); deadline != 1 {
 		t.Fatalf("deadline counter = %d, want 1", deadline)
 	}
 }
@@ -240,7 +240,7 @@ func TestAdmitterBounds(t *testing.T) {
 		}
 		waiterDone <- werr
 	}()
-	waitFor(t, func() bool { _, q := coll.ServeGauges(); return q == 1 })
+	waitFor(t, func() bool { return coll.Value(obs.ServeQueued) == 1 })
 	// Queue full: instant shed.
 	if _, _, err := a.acquire(context.Background()); err == nil || err.Kind != KindOverload {
 		t.Fatalf("full queue: err = %v, want overload", err)
@@ -311,7 +311,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 	if shed == 0 {
 		t.Fatalf("no request was shed under overload: %v", codes)
 	}
-	if _, shedN, _, _, _ := s.coll.ServeStats(); int(shedN) != shed {
+	if shedN := s.coll.Value(obs.ServeShed); int(shedN) != shed {
 		t.Fatalf("shed counter = %d, want %d", shedN, shed)
 	}
 }
@@ -537,10 +537,8 @@ func TestJournalInterchangeableWithOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	snap := coll.Snapshot()
-	if snap.JournalMisses != 0 || snap.JournalHits == 0 {
-		t.Fatalf("offline resume of the service journal recomputed cells: hits=%d misses=%d",
-			snap.JournalHits, snap.JournalMisses)
+	if hits, misses := coll.Value(obs.JournalHits), coll.Value(obs.JournalMisses); misses != 0 || hits == 0 {
+		t.Fatalf("offline resume of the service journal recomputed cells: hits=%d misses=%d", hits, misses)
 	}
 }
 

@@ -282,26 +282,24 @@ func (s *Server) Handler() http.Handler {
 
 // status feeds the /status endpoint.
 func (s *Server) status() any {
-	inflight, queued := s.coll.ServeGauges()
-	accepted, shed, deadline, canceled, drains := s.coll.ServeStats()
 	st := map[string]any{
 		"tool":        "dpmd",
 		"uptime_s":    time.Since(s.started).Seconds(),
 		"draining":    s.Draining(),
-		"inflight":    inflight,
-		"queued":      queued,
-		"accepted":    accepted,
-		"shed":        shed,
-		"deadline":    deadline,
-		"canceled":    canceled,
-		"drains":      drains,
+		"inflight":    s.coll.Value(obs.ServeInflight),
+		"queued":      s.coll.Value(obs.ServeQueued),
+		"accepted":    s.coll.Value(obs.ServeAccepted),
+		"shed":        s.coll.Value(obs.ServeShed),
+		"deadline":    s.coll.Value(obs.ServeDeadline),
+		"canceled":    s.coll.Value(obs.ServeCanceled),
+		"drains":      s.coll.Value(obs.ServeDrains),
 		"cache_len":   s.cache.Len(),
 		"chaos_armed": s.chaos != nil,
 	}
 	if j := s.jrnl(); j != nil {
 		st["journal_cells"] = j.Len()
-		st["journal_errors"] = s.coll.ServeJournalErrors()
-		st["journal_recoveries"] = s.coll.ServeJournalRecoveries()
+		st["journal_errors"] = s.coll.Value(obs.ServeJournalErrors)
+		st["journal_recoveries"] = s.coll.Value(obs.ServeJournalRecoveries)
 	}
 	if deg, reason := s.Degraded(); deg {
 		st["degraded"] = "journal"
@@ -336,7 +334,7 @@ func (s *Server) BeginDrain() {
 		close(s.reprobeStop)
 		s.reprobeWG.Wait()
 	}
-	s.coll.CountServeDrain()
+	s.coll.Add(obs.ServeDrains, 1)
 	s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: "drain_begin"})
 	slog.Info("drain started", "drain_timeout", s.cfg.DrainTimeout)
 }
@@ -491,9 +489,10 @@ func (s *Server) admitAndRun(ctx context.Context, work func(ctx context.Context)
 		return nil, "", aerr
 	}
 	defer release()
-	s.coll.ServeAdmitted(waitMS)
-	s.coll.ServeInflight(1)
-	defer s.coll.ServeInflight(-1)
+	s.coll.Add(obs.ServeAccepted, 1)
+	s.coll.Observe(obs.ServeWaitMS, waitMS)
+	s.coll.Add(obs.ServeInflight, 1)
+	defer s.coll.Add(obs.ServeInflight, -1)
 
 	seq := s.reqSeq.Add(1) - 1
 	started := time.Now()
@@ -543,15 +542,15 @@ func (s *Server) finishObs(e *Error, start time.Time) {
 	if e != nil {
 		switch e.Kind {
 		case KindDeadline:
-			s.coll.CountServeDeadline()
+			s.coll.Add(obs.ServeDeadline, 1)
 			s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: "deadline"})
 		case KindCanceled:
-			s.coll.CountServeCanceled()
+			s.coll.Add(obs.ServeCanceled, 1)
 		case KindOverload:
 			s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: "shed"})
 		}
 	}
-	s.coll.ServeFinished(float64(time.Since(start)) / float64(time.Millisecond))
+	s.coll.Observe(obs.ServeMS, float64(time.Since(start))/float64(time.Millisecond))
 }
 
 // simRequest is the POST /v1/sim body.

@@ -161,24 +161,24 @@ func TestEventsMatchCollector(t *testing.T) {
 			}
 			evs := log.Events()
 			od, inf := events.MissCounts(evs)
-			wantOD, wantInf := coll.SpinupMisses()
+			wantOD, wantInf := coll.Value(obs.MissOnDemand), coll.Value(obs.MissInflight)
 			if int64(od) != wantOD || int64(inf) != wantInf {
 				t.Errorf("seed %d %s: event misses %d/%d, collector %d/%d", seed, pol, od, inf, wantOD, wantInf)
 			}
 			faultEvs := events.CountByDetail(evs, events.KindFault)
-			for _, k := range []obs.FaultKind{0, 1, 2, 3, 4, 5} {
-				if got, want := int64(faultEvs[k.String()]), coll.FaultCount(k); got != want {
-					t.Errorf("seed %d %s: fault %s events %d, collector %d", seed, pol, k.String(), got, want)
+			for k := obs.FaultSpinUpFail; k <= obs.FaultDegraded; k++ {
+				if got, want := int64(faultEvs[k.Label()]), coll.Value(k); got != want {
+					t.Errorf("seed %d %s: fault %s events %d, collector %d", seed, pol, k.Label(), got, want)
 				}
 			}
 			// Decision events match the power-op counters too.
 			byKind := events.CountByKind(evs)
-			for kind, op := range map[string]obs.PowerOpKind{
+			for kind, op := range map[string]obs.Metric{
 				events.KindSpinDown: obs.OpSpinDown,
 				events.KindSpinUp:   obs.OpSpinUp,
 				events.KindRPMShift: obs.OpSetRPM,
 			} {
-				if got, want := int64(byKind[kind]), coll.PowerOps(op); got != want {
+				if got, want := int64(byKind[kind]), coll.Value(op); got != want {
 					t.Errorf("seed %d %s: %s events %d, collector %d", seed, pol, kind, got, want)
 				}
 			}

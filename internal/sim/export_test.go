@@ -226,9 +226,9 @@ func TestChromeTraceAnnotatedFaultsGolden(t *testing.T) {
 			decisions++
 		}
 	}
-	for _, k := range []obs.FaultKind{obs.FaultSpinUpFail, obs.FaultRetry, obs.FaultFallback} {
-		if got, want := int64(faultDetails[k.String()]), coll.FaultCount(k); got == 0 || got != want {
-			t.Errorf("fault %q: %d instants in trace, collector counted %d", k.String(), got, want)
+	for _, k := range []obs.Metric{obs.FaultSpinUpFail, obs.FaultRetry, obs.FaultFallback} {
+		if got, want := int64(faultDetails[k.Label()]), coll.Value(k); got == 0 || got != want {
+			t.Errorf("fault %q: %d instants in trace, collector counted %d", k.Label(), got, want)
 		}
 	}
 	if decisions == 0 {

@@ -429,7 +429,7 @@ func (m *Machine) SpinDownAt(d int, t float64) {
 	s.transPowerW = m.p.SpinDownJ / m.p.SpinDownMS * 1e3
 	s.stats.SpinDowns++
 	if m.obs != nil {
-		m.obs.CountPowerOp(obs.OpSpinDown)
+		m.obs.Add(obs.OpSpinDown, 1)
 	}
 	if m.ev != nil {
 		m.emitDecision(d, events.KindSpinDown, 0, eff)
@@ -477,7 +477,7 @@ func (m *Machine) spinUp(d int, t float64, onDemand bool) {
 	}
 	s.stats.SpinUps++
 	if m.obs != nil {
-		m.obs.CountPowerOp(obs.OpSpinUp)
+		m.obs.Add(obs.OpSpinUp, 1)
 	}
 	if m.ev != nil {
 		m.emitDecision(d, events.KindSpinUp, 0, eff)
@@ -513,10 +513,10 @@ func (m *Machine) spinUpCascade(d int, t float64, onDemand bool) (durMS, energyJ
 		}
 		s.stats.SpinUpFailures++
 		if m.obs != nil {
-			m.obs.CountFault(obs.FaultSpinUpFail)
+			m.obs.Add(obs.FaultSpinUpFail, 1)
 		}
 		if m.ev != nil {
-			m.emitFault(d, t+durMS, obs.FaultSpinUpFail.String())
+			m.emitFault(d, t+durMS, obs.FaultSpinUpFail.Label())
 		}
 		if !onDemand {
 			if try >= cfg.MaxRetries {
@@ -525,10 +525,10 @@ func (m *Machine) spinUpCascade(d int, t float64, onDemand bool) (durMS, energyJ
 			if cfg.SpinUpTimeoutMS > 0 && durMS+backoff+m.p.SpinUpMS > cfg.SpinUpTimeoutMS {
 				s.stats.SpinUpTimeouts++
 				if m.obs != nil {
-					m.obs.CountFault(obs.FaultTimeout)
+					m.obs.Add(obs.FaultTimeout, 1)
 				}
 				if m.ev != nil {
-					m.emitFault(d, t+durMS, obs.FaultTimeout.String())
+					m.emitFault(d, t+durMS, obs.FaultTimeout.Label())
 				}
 				return durMS, energyJ, false
 			}
@@ -538,10 +538,10 @@ func (m *Machine) spinUpCascade(d int, t float64, onDemand bool) (durMS, energyJ
 		backoff *= 2
 		s.stats.SpinUpRetries++
 		if m.obs != nil {
-			m.obs.CountFault(obs.FaultRetry)
+			m.obs.Add(obs.FaultRetry, 1)
 		}
 		if m.ev != nil {
-			m.emitFault(d, t+durMS, obs.FaultRetry.String())
+			m.emitFault(d, t+durMS, obs.FaultRetry.Label())
 		}
 	}
 }
@@ -570,7 +570,7 @@ func (m *Machine) SetRPMAt(d int, t float64, rpm int) {
 	s.transPowerW = m.tbl.TransitionEnergyJ(from, rpm) / dur * 1e3
 	s.stats.RPMShifts++
 	if m.obs != nil {
-		m.obs.CountPowerOp(obs.OpSetRPM)
+		m.obs.Add(obs.OpSetRPM, 1)
 	}
 	if m.ev != nil {
 		m.emitDecision(d, events.KindRPMShift, rpm, eff)
@@ -605,10 +605,10 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 			s.upGaveUp = false
 			s.stats.Fallbacks++
 			if m.obs != nil {
-				m.obs.CountFault(obs.FaultFallback)
+				m.obs.Add(obs.FaultFallback, 1)
 			}
 			if m.ev != nil {
-				m.emitFault(d, start, obs.FaultFallback.String())
+				m.emitFault(d, start, obs.FaultFallback.Label())
 			}
 		}
 		// On-demand spin-up: the request pays the full delay. The
@@ -637,10 +637,10 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 	if remapped {
 		s.stats.RemapHits++
 		if m.obs != nil {
-			m.obs.CountFault(obs.FaultRemap)
+			m.obs.Add(obs.FaultRemap, 1)
 		}
 		if m.ev != nil {
-			m.emitFault(d, start, obs.FaultRemap.String())
+			m.emitFault(d, start, obs.FaultRemap.Label())
 		}
 	}
 	if m.distSeek && block >= 0 {
@@ -668,10 +668,10 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 			s.stats.DegradedHits++
 			s.stats.DegradedExtraMS += extra
 			if m.obs != nil {
-				m.obs.CountFault(obs.FaultDegraded)
+				m.obs.Add(obs.FaultDegraded, 1)
 			}
 			if m.ev != nil {
-				m.emitFault(d, start, obs.FaultDegraded.String())
+				m.emitFault(d, start, obs.FaultDegraded.Label())
 			}
 		}
 	}
@@ -693,9 +693,9 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 			// standby and the request paid the full delay.
 			switch pre {
 			case StUp:
-				m.obs.CountSpinupMiss(false)
+				m.obs.Add(obs.MissInflight, 1)
 			case StStandby, StDown:
-				m.obs.CountSpinupMiss(true)
+				m.obs.Add(obs.MissOnDemand, 1)
 			}
 		}
 	}

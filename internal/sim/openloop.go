@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"sdpm/internal/obs"
 	"sdpm/internal/obs/events"
 	"sdpm/internal/trace"
 )
@@ -47,7 +48,7 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 		m.EnableTimeline()
 	}
 	if cfg.Obs != nil {
-		cfg.Obs.CountSimRun()
+		cfg.Obs.Add(obs.SimRuns, 1)
 		cfg.Obs.EnsureDisks(tr.NumDisks, cfg.Disk.MinRPM, cfg.Disk.RPMStep, cfg.Disk.NumLevels())
 		m.AttachCollector(cfg.Obs)
 	}

@@ -227,7 +227,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		m.EnableTimeline()
 	}
 	if cfg.Obs != nil {
-		cfg.Obs.CountSimRun()
+		cfg.Obs.Add(obs.SimRuns, 1)
 		cfg.Obs.EnsureDisks(tr.NumDisks, cfg.Disk.MinRPM, cfg.Disk.RPMStep, cfg.Disk.NumLevels())
 		m.AttachCollector(cfg.Obs)
 	}
