@@ -70,7 +70,7 @@ func main() {
 	eventsOut := flag.String("events-out", "", "write the decision-provenance event log as JSON Lines to this file after the experiments (- for stderr); query with dpmquery")
 	eventsCap := flag.Int("events-cap", 0, "event ring capacity for -events-out (0 = default; oldest events drop past the cap)")
 	httpAddr := flag.String("http", "", "serve live /metrics, /status, and /debug/pprof on this address (e.g. :6060) while the experiments run")
-	faultSpec := flag.String("faults", "", "fault-injection spec: preset (off/light/moderate/heavy), key=value list, or @file; empty = fault-free")
+	faultSpec := flag.String("faults", "", "fault-injection spec: preset (off/light/moderate/heavy), key=value list, or @file (read here; dpmd rejects @file); empty = fault-free")
 	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed; the same seed reproduces the exact fault pattern at any -workers count")
 	journalPath := flag.String("journal", "", "record completed experiment cells to this crash-safe journal file")
 	resume := flag.Bool("resume", false, "reopen the -journal file and skip cells it already holds (requires -journal)")
@@ -96,9 +96,13 @@ func main() {
 	if *resume && *journalPath == "" {
 		cli.Fatal(fmt.Errorf("-resume requires -journal"))
 	}
+	spec, err := cli.ExpandSpecFile(*faultSpec)
+	if err != nil {
+		cli.Fatal(err)
+	}
 	opts := sdpm.Options{
 		Format: *format, Workers: *workers, Ctx: ctx,
-		FaultSpec: *faultSpec, FaultSeed: *faultSeed,
+		FaultSpec: spec, FaultSeed: *faultSeed,
 		Journal: *journalPath, Resume: *resume,
 		Audit: *audit, Retries: *retries,
 		DisableBatch: !*batch,

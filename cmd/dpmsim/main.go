@@ -80,7 +80,7 @@ func main() {
 	eventsOut := flag.String("events-out", "", "write the decision-provenance event log as JSON Lines to this file after the run (- for stdout; the report then moves to stderr); query with dpmquery")
 	eventsCap := flag.Int("events-cap", 0, "event ring capacity for -events-out (0 = default; oldest events drop past the cap)")
 	httpAddr := flag.String("http", "", "serve live /metrics, /status, and /debug/pprof on this address (e.g. :6060) for the run's duration")
-	faultSpec := flag.String("faults", "", "fault-injection spec: preset (off/light/moderate/heavy), key=value list, or @file; empty = fault-free")
+	faultSpec := flag.String("faults", "", "fault-injection spec: preset (off/light/moderate/heavy), key=value list, or @file (read here; dpmd rejects @file); empty = fault-free")
 	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed; the same seed reproduces the exact fault pattern")
 	audit := flag.Bool("audit", false, "verify conservation invariants (energy/time bookkeeping, state-machine legality) after the run; fail on any violation")
 	batch := flag.Bool("batch", true, "batched steady-state executor over the trace's compiled runs; -batch=false forces the general per-request path (results are bit-identical)")
@@ -146,7 +146,11 @@ func main() {
 		defer shutdown()
 	}
 	if *faultSpec != "" {
-		fc, err := faults.ParseSpec(*faultSpec)
+		spec, err := cli.ExpandSpecFile(*faultSpec)
+		if err != nil {
+			cli.Fatal(err)
+		}
+		fc, err := faults.ParseSpec(spec)
 		if err != nil {
 			cli.Fatal(err)
 		}

@@ -60,10 +60,12 @@ type Options struct {
 	// written to Metrics.
 	Ctx context.Context
 	// FaultSpec injects deterministic faults into every experiment's
-	// simulations: a preset name (off/light/moderate/heavy), a
-	// key=value spec, or "@file" (see faults.ParseSpec). Empty keeps
-	// the paper's fault-free setting. The faults-energy/faults-time
-	// experiments sweep all severities regardless of this base.
+	// simulations: a preset name (off/light/moderate/heavy) or a
+	// key=value spec (see faults.ParseSpec). It is spec text only:
+	// "@file" is expanded by the dpmexp -faults flag, and dpmd rejects
+	// it. Empty keeps the paper's fault-free setting. The
+	// faults-energy/faults-time experiments sweep all severities
+	// regardless of this base.
 	FaultSpec string
 	// FaultSeed seeds the fault-sensitivity experiments' fault plans;
 	// the same seed yields byte-identical tables at any worker count.

@@ -1,5 +1,5 @@
 // Package cli holds the shared helpers of the command-line tools:
-// workload loading and layout-spec parsing.
+// workload loading, layout-spec parsing and spec-file expansion.
 package cli
 
 import (
@@ -28,6 +28,23 @@ func LoadWorkload(bench, dslFile string) (*sdpm.Workload, error) {
 	default:
 		return nil, fmt.Errorf("one of -bench or -dsl is required (benchmarks: %v)", sdpm.BenchmarkNames())
 	}
+}
+
+// ExpandSpecFile resolves a -faults flag value: "@path" becomes the
+// contents of that file, and anything else is returned unchanged.
+// The spec parsers accept spec text only, so this is the one place a
+// spec is read from a file — on the command line, never from a
+// request field.
+func ExpandSpecFile(spec string) (string, error) {
+	path, ok := strings.CutPrefix(strings.TrimSpace(spec), "@")
+	if !ok {
+		return spec, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", fmt.Errorf("cli: reading spec: %w", err)
+	}
+	return string(data), nil
 }
 
 // ApplyLayoutSpecs parses and applies -layout specifications of the

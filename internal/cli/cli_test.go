@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sdpm/internal/faults"
 )
 
 func TestLoadWorkloadBench(t *testing.T) {
@@ -41,6 +43,34 @@ func TestLoadWorkloadDSL(t *testing.T) {
 	_ = os.WriteFile(bad, []byte("garbage"), 0o644)
 	if _, err := LoadWorkload("", bad); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+func TestParseSpecFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "faults.spec")
+	body := "# heavy spin-up trouble\nspinup=0.4 retries=2\nbackoff=250, timeout=20000 # cascade cap\n"
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ExpandSpecFile("@" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := faults.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := faults.Config{SpinUpFailProb: 0.4, MaxRetries: 2, RetryBackoffMS: 250, SpinUpTimeoutMS: 20000}
+	if c != want {
+		t.Fatalf("parsed %+v, want %+v", c, want)
+	}
+	// Anything but "@path" passes through untouched; a missing file is
+	// an error.
+	if got, err := ExpandSpecFile("light"); got != "light" || err != nil {
+		t.Fatalf("ExpandSpecFile(light) = %q, %v", got, err)
+	}
+	if _, err := ExpandSpecFile("@" + filepath.Join(t.TempDir(), "missing.spec")); err == nil {
+		t.Fatal("missing spec file accepted")
 	}
 }
 

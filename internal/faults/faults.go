@@ -21,7 +21,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,8 +181,8 @@ var specKeys = []string{
 }
 
 // ParseSpec parses a fault specification. A spec is either a preset
-// name (see Preset), "@path" naming a file holding a spec, or a
-// comma/whitespace-separated list of key=value pairs:
+// name (see Preset) or a comma/whitespace-separated list of key=value
+// pairs:
 //
 //	spinup=P     spin-up failure probability per attempt [0,1]
 //	retries=N    retry bound per spin-up call
@@ -196,8 +195,11 @@ var specKeys = []string{
 //	duration=MS  degradation window length
 //	slowdown=F   transfer-time multiplier inside a window (>= 1)
 //
-// Files may also carry '#' comments and newline-separated pairs. The
-// empty spec is the zero (disabled) configuration.
+// A spec may also carry '#' comments and newline-separated pairs. It
+// is only ever text: reading a spec from a file ("@path" on the
+// command line) is the caller's job, so no spec can make the parser
+// touch the filesystem. The empty spec is the zero (disabled)
+// configuration.
 func ParseSpec(spec string) (Config, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -205,13 +207,6 @@ func ParseSpec(spec string) (Config, error) {
 	}
 	if c, ok := Preset(spec); ok {
 		return c, nil
-	}
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return Config{}, fmt.Errorf("faults: reading spec: %w", err)
-		}
-		return parsePairs(string(data))
 	}
 	return parsePairs(spec)
 }

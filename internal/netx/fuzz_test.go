@@ -19,6 +19,7 @@ func FuzzNetxSpec(f *testing.F) {
 		"stall=0.5,stall_at=0:2,stall_ms=250,stall_after=128",
 		"reset=2", "latency=-1", "x=y", "reset_at=", "reset_at=1:x",
 		"# comment\nreset=0.5", "latency=1e308", "stall_ms=NaN",
+		"@/etc/hostname",
 	} {
 		f.Add(seed)
 	}
@@ -26,14 +27,14 @@ func FuzzNetxSpec(f *testing.F) {
 		if len(spec) > 1<<12 {
 			return
 		}
-		// Never read files during fuzzing: @-specs depend on the
-		// filesystem, not the input bytes.
-		if strings.HasPrefix(strings.TrimSpace(spec), "@") {
-			return
-		}
 		c, err := ParseSpec(spec)
 		if err != nil {
 			return
+		}
+		// No key starts with '@', so "@path" is never a valid spec: the
+		// parser must not read it as a file name.
+		if strings.HasPrefix(strings.TrimSpace(spec), "@") {
+			t.Fatalf("accepted @-spec %q", spec)
 		}
 		if verr := c.Validate(); verr != nil {
 			t.Fatalf("ParseSpec(%q) accepted an invalid config: %v", spec, verr)

@@ -261,6 +261,8 @@ func TestSpecErrors(t *testing.T) {
 	}
 }
 
+// A spec file's text (comments, newline-separated pairs) parses as a
+// spec, but "@path" is not read: the parser never touches files.
 func TestSpecFile(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/net.spec"
@@ -268,12 +270,15 @@ func TestSpecFile(t *testing.T) {
 	if err := writeFile(path, content); err != nil {
 		t.Fatal(err)
 	}
-	c, err := ParseSpec("@" + path)
+	c, err := ParseSpec(content)
 	if err != nil {
-		t.Fatalf("ParseSpec(@file): %v", err)
+		t.Fatalf("ParseSpec(file text): %v", err)
 	}
 	if c.ResetProb != 0.1 || c.TruncateProb != 0.05 || c.StallProb != 0.2 || c.StallMS != 50 {
 		t.Fatalf("parsed config %+v", c)
+	}
+	if _, err := ParseSpec("@" + path); err == nil || strings.Contains(err.Error(), "soak") {
+		t.Fatalf("ParseSpec(@file) = %v, want a rejection that does not read the file", err)
 	}
 }
 

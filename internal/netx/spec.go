@@ -24,7 +24,6 @@ package netx
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -201,10 +200,10 @@ var specKeys = []string{
 }
 
 // ParseSpec parses a network-fault specification. The grammar matches
-// the -faults one: a preset name (see Preset), "@path" naming a file
-// holding a spec, or a comma/whitespace-separated list of key=value
-// pairs; files may carry '#' comments. Index lists use ':' between
-// entries (commas split pairs):
+// the -faults one: a preset name (see Preset) or a comma/whitespace-
+// separated list of key=value pairs, with optional '#' comments. The
+// spec is only ever text; the parser never reads files. Index lists
+// use ':' between entries (commas split pairs):
 //
 //	latency=MS         fixed delay before the first response byte
 //	jitter=MS          seeded extra delay in [0,jitter) per connection
@@ -232,13 +231,6 @@ func ParseSpec(spec string) (Config, error) {
 	}
 	if c, ok := Preset(spec); ok {
 		return c, nil
-	}
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return Config{}, fmt.Errorf("netx: reading spec: %w", err)
-		}
-		return parsePairs(string(data))
 	}
 	return parsePairs(spec)
 }

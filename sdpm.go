@@ -115,9 +115,10 @@ type Config struct {
 	DistanceAwareSeek bool
 	// FaultSpec injects deterministic faults (spin-up failures with
 	// bounded retry, bad-sector remaps, transient degradation windows)
-	// into every simulation: a preset name (off/light/moderate/heavy),
-	// a key=value spec, or "@file" — see docs/robustness.md. Empty
-	// injects nothing.
+	// into every simulation: a preset name (off/light/moderate/heavy)
+	// or a key=value spec — see docs/robustness.md. It is spec text
+	// only: "@file" is expanded by the dpmsim/dpmexp -faults flag, and
+	// dpmd rejects it. Empty injects nothing.
 	FaultSpec string
 	// FaultSeed seeds the fault schedule; the same (spec, seed, disk
 	// count) always produces byte-identical behavior.
