@@ -68,8 +68,8 @@ func breakerScript(t *testing.T) MetricsSnapshot {
 func TestBreakerOpensAndClosesAtSeededPoints(t *testing.T) {
 	m := breakerScript(t)
 	want := []string{"open@10", "half-open@12", "closed@13"}
-	if got := transitionString(m.BreakerTransitions); got != transitionString(want) {
-		t.Fatalf("breaker transitions = %q, want %q", got, transitionString(want))
+	if got := strings.Join(m.BreakerTransitions, ";"); got != strings.Join(want, ";") {
+		t.Fatalf("breaker transitions = %q, want %q", got, strings.Join(want, ";"))
 	}
 	if m.Requests != 8 || m.Succeeded != 4 || m.Failed != 4 {
 		t.Fatalf("request accounting: %+v", m)

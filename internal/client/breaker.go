@@ -2,7 +2,6 @@ package client
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"sdpm/internal/faults"
@@ -221,7 +220,3 @@ func (b *breaker) snapshot() (string, int64, int64, int64, []string) {
 	tr := append([]string(nil), b.transitions...)
 	return b.state, b.opens, b.halfOpens, b.closes, tr
 }
-
-// transitionString renders the transition log as a ';'-joined line
-// ("open@12;half-open@21;closed@22"), empty when nothing happened.
-func transitionString(tr []string) string { return strings.Join(tr, ";") }

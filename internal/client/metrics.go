@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -56,28 +57,19 @@ type MetricsSnapshot struct {
 
 // String renders the snapshot as deterministic key=value lines in
 // alphabetical key order — the format dpmctl -metrics prints and the
-// soak harness diffs across runs.
+// soak harness diffs across runs. Each field's key is its json tag;
+// numbers print in decimal and the transition log joins with ';'
+// ("open@12;half-open@21;closed@22", empty when nothing happened).
 func (s MetricsSnapshot) String() string {
-	kv := map[string]string{
-		"attempts":            fmt.Sprint(s.Attempts),
-		"breaker_closes":      fmt.Sprint(s.BreakerCloses),
-		"breaker_fast_fails":  fmt.Sprint(s.BreakerFastFails),
-		"breaker_half_opens":  fmt.Sprint(s.BreakerHalfOpens),
-		"breaker_opens":       fmt.Sprint(s.BreakerOpens),
-		"breaker_state":       s.BreakerState,
-		"breaker_transitions": transitionString(s.BreakerTransitions),
-		"digest_mismatches":   fmt.Sprint(s.DigestMismatches),
-		"failed":              fmt.Sprint(s.Failed),
-		"hedges":              fmt.Sprint(s.Hedges),
-		"hedges_lost":         fmt.Sprint(s.HedgesLost),
-		"hedges_won":          fmt.Sprint(s.HedgesWon),
-		"http_retries":        fmt.Sprint(s.HTTPRetries),
-		"net_errors":          fmt.Sprint(s.NetErrors),
-		"replays":             fmt.Sprint(s.Replays),
-		"requests":            fmt.Sprint(s.Requests),
-		"retries":             fmt.Sprint(s.Retries),
-		"retry_after_honored": fmt.Sprint(s.RetryAfterHonored),
-		"succeeded":           fmt.Sprint(s.Succeeded),
+	v := reflect.ValueOf(s)
+	kv := make(map[string]string, v.NumField())
+	for i := 0; i < v.NumField(); i++ {
+		key, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		if list, ok := v.Field(i).Interface().([]string); ok {
+			kv[key] = strings.Join(list, ";")
+		} else {
+			kv[key] = fmt.Sprint(v.Field(i).Interface())
+		}
 	}
 	keys := make([]string, 0, len(kv))
 	for k := range kv {
