@@ -86,7 +86,7 @@ func TopRegret(evs []Event, n int) []Event {
 // MissCounts tallies spinup_miss events by flavor: ondemand (the
 // request paid the full spin-up) and inflight (a spin-up was already
 // underway but finished too late). These match the metrics
-// collector's sdpm_spinup_miss_total counters one for one.
+// collector's sdpm_spinup_mispredictions_total counters one for one.
 func MissCounts(evs []Event) (ondemand, inflight int) {
 	for i := range evs {
 		if evs[i].Kind != KindSpinupMiss {

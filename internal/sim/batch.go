@@ -58,6 +58,20 @@ type batchEntry struct {
 	idleE   float64
 }
 
+// refill recomputes the entry's constants for a new (rpm, bytes)
+// pair. Callers test for a change first, so the per-request path pays
+// only that comparison.
+func (c *batchEntry) refill(m *Machine, rpm int, bytes int64) {
+	c.rpm = rpm
+	c.bytes = bytes
+	c.pwIdle = m.tbl.IdlePowerAt(rpm)
+	c.pwAct = m.tbl.ActivePowerAt(rpm)
+	c.svc = m.tbl.ServiceTimeSeekMS(rpm, bytes, m.p.AvgSeekMS)
+	c.addActJ = c.pwAct * c.svc / 1e3
+	c.residIdx = m.p.LevelIndex(rpm)
+	c.idleLen = -1 // unmatchable: idle memo invalid for new rpm
+}
+
 // batchScratch is the per-disk constant cache (one entry per disk,
 // one allocation per machine).
 type batchScratch []batchEntry
@@ -145,14 +159,7 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		}
 		c := &sc[d]
 		if c.rpm != s.rpm || c.bytes != bytes {
-			c.rpm = s.rpm
-			c.bytes = bytes
-			c.pwIdle = m.tbl.IdlePowerAt(s.rpm)
-			c.pwAct = m.tbl.ActivePowerAt(s.rpm)
-			c.svc = m.tbl.ServiceTimeSeekMS(s.rpm, bytes, m.p.AvgSeekMS)
-			c.addActJ = c.pwAct * c.svc / 1e3
-			c.residIdx = m.p.LevelIndex(s.rpm)
-			c.idleLen = -1 // unmatchable: idle memo invalid for new rpm
+			c.refill(m, s.rpm, bytes)
 		}
 		idleLen := t - s.idleFrom
 		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
@@ -251,14 +258,7 @@ func (m *Machine) serviceRunLean(events []trace.Event, i int, run *trace.Run, cl
 		}
 		c := &sc[d]
 		if c.rpm != s.rpm || c.bytes != bytes {
-			c.rpm = s.rpm
-			c.bytes = bytes
-			c.pwIdle = m.tbl.IdlePowerAt(s.rpm)
-			c.pwAct = m.tbl.ActivePowerAt(s.rpm)
-			c.svc = m.tbl.ServiceTimeSeekMS(s.rpm, bytes, m.p.AvgSeekMS)
-			c.addActJ = c.pwAct * c.svc / 1e3
-			c.residIdx = m.p.LevelIndex(s.rpm)
-			c.idleLen = -1 // unmatchable: idle memo invalid for new rpm
+			c.refill(m, s.rpm, bytes)
 		}
 		idleLen := t - s.idleFrom
 		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
@@ -303,14 +303,7 @@ func (m *Machine) serviceRunSteady(i int, run *trace.Run, clock float64, sc batc
 	gap, bytes := run.GapMS, run.Bytes
 	c := &sc[d]
 	if c.rpm != s.rpm || c.bytes != bytes {
-		c.rpm = s.rpm
-		c.bytes = bytes
-		c.pwIdle = m.tbl.IdlePowerAt(s.rpm)
-		c.pwAct = m.tbl.ActivePowerAt(s.rpm)
-		c.svc = m.tbl.ServiceTimeSeekMS(s.rpm, bytes, m.p.AvgSeekMS)
-		c.addActJ = c.pwAct * c.svc / 1e3
-		c.residIdx = m.p.LevelIndex(s.rpm)
-		c.idleLen = -1
+		c.refill(m, s.rpm, bytes)
 	}
 	idleFrom := s.idleFrom
 	idles := s.idles
