@@ -26,9 +26,9 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestDebugServerEndpoints(t *testing.T) {
 	coll := obs.New()
-	coll.Add(obs.SimRuns, 1)
-	coll.EnsureDisks(1, 3000, 3000, 1)
-	coll.ObserveRequest(0, 1.5, 0, 10)
+	run := coll.StartRun(1, 3000, 3000, 1)
+	run.ObserveRequest(0, 1.5, 0, 10)
+	run.Publish()
 	addr, shutdown, err := StartDebugServer("127.0.0.1:0", coll, func() any {
 		return map[string]string{"phase": "testing"}
 	})

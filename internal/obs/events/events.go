@@ -16,9 +16,16 @@
 // *Log is a valid sink that records nothing, so the simulator can
 // thread one unconditionally and pay a single predictable branch per
 // emit point.
+//
+// A simulation run does not take the log's lock per event: it writes
+// through a RunLog (see StartRun), which buffers its events in chunks
+// and appends each chunk to the ring under one lock.
 package events
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Event kinds. Decision kinds (spin_down, spin_up, rpm_shift) carry
 // provenance inputs and are later resolved with a measured outcome;
@@ -129,6 +136,10 @@ type Log struct {
 	buf     []Event // ring storage; event seq s lives at (s-1) % cap(buf)
 	seq     uint64  // last assigned sequence number
 	dropped uint64  // events evicted by ring wrap-around
+
+	// spare is the RunLog of the last finished run, kept for the next
+	// StartRun ahead of runLogPool (see runlog.go).
+	spare atomic.Pointer[RunLog]
 }
 
 // NewLog returns a log holding at most capacity events (the oldest
@@ -148,21 +159,36 @@ func (l *Log) Emit(ev Event) uint64 {
 	if l == nil {
 		return 0
 	}
+	evs := [1]Event{ev}
+	return l.append(evs[:])
+}
+
+// append copies evs into the ring under one lock, assigning them
+// consecutive sequence numbers, and returns the first one. It is the
+// ring's only insertion path.
+func (l *Log) append(evs []Event) uint64 {
 	l.mu.Lock()
-	l.seq++
-	ev.Seq = l.seq
-	idx := int((l.seq - 1) % uint64(cap(l.buf)))
-	if idx < len(l.buf) {
-		if l.buf[idx].Seq != 0 {
-			l.dropped++
+	first := l.seq + 1
+	for len(evs) > 0 {
+		// Copy the longest prefix that fits before the ring's end.
+		// Once the ring has filled, every copy overwrites (evicts) as
+		// many events as it adds.
+		idx := int(l.seq % uint64(cap(l.buf)))
+		n := min(len(evs), cap(l.buf)-idx)
+		if idx < len(l.buf) {
+			l.dropped += uint64(n)
+			copy(l.buf[idx:idx+n], evs)
+		} else {
+			l.buf = append(l.buf, evs[:n]...)
 		}
-		l.buf[idx] = ev
-	} else {
-		l.buf = append(l.buf, ev)
+		for j := idx; j < idx+n; j++ {
+			l.seq++
+			l.buf[j].Seq = l.seq
+		}
+		evs = evs[n:]
 	}
-	seq := l.seq
 	l.mu.Unlock()
-	return seq
+	return first
 }
 
 // Resolve fills in the measured outcome of the decision event with
@@ -176,14 +202,18 @@ func (l *Log) Resolve(seq uint64, out Outcome) {
 	l.mu.Lock()
 	idx := int((seq - 1) % uint64(cap(l.buf)))
 	if idx < len(l.buf) && l.buf[idx].Seq == seq {
-		e := &l.buf[idx]
-		e.MeasuredIdleMS = out.MeasuredIdleMS
-		e.WindowMS = out.WindowMS
-		e.ActualJ = out.ActualJ
-		e.OracleJ = out.OracleJ
-		e.RegretJ = out.RegretJ
+		l.buf[idx].resolve(out)
 	}
 	l.mu.Unlock()
+}
+
+// resolve copies out into the event.
+func (e *Event) resolve(out Outcome) {
+	e.MeasuredIdleMS = out.MeasuredIdleMS
+	e.WindowMS = out.WindowMS
+	e.ActualJ = out.ActualJ
+	e.OracleJ = out.OracleJ
+	e.RegretJ = out.RegretJ
 }
 
 // Len returns the number of events currently held.

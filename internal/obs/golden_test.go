@@ -12,27 +12,35 @@ import (
 // every power-op, misprediction and fault kind, two disks (one with
 // off-grid RPM residency), every cache, runner, journal and serving
 // counter and gauge, and every histogram, including its +Inf bucket.
-// The runner busy time is chosen so that dividing by 1e9 and
-// multiplying by 1e-9 give different float64 bits.
+// The simulation families arrive through one run's accumulator and
+// its single publish, as a simulation delivers them. The runner busy
+// time is chosen so that dividing by 1e9 and multiplying by 1e-9 give
+// different float64 bits.
 func goldenCollector() *Collector {
 	c := New()
-	c.EnsureDisks(2, 3000, 1200, 11)
-	c.ObserveRequest(0, 4.2, 0, 100)
-	c.ObserveRequest(0, 0.5, 0.1, 0.2)
-	c.ObserveRequest(1, 7.5, 12000, 60001)
-	c.ObserveRequest(1, 0.3, 1e6, 400000)
-	c.ObserveResidency(0, StateService, 15000, 10.1)
-	c.ObserveResidency(0, StateIdle, 15000, 250.5)
-	c.ObserveResidency(0, StateIdle, 4200, 0.1)
-	c.ObserveResidency(0, StateSpinDown, 0, 6000)
-	c.ObserveResidency(1, StateStandby, 0, 5000)
-	c.ObserveResidency(1, StateSpinUp, 0, 10900)
-	c.ObserveResidency(1, StateRPMShift, 9000, 0.2)
-	c.ObserveResidency(1, StateIdle, 3001, 3)
-	c.ObserveResidency(1, StateService, 3000, 0.7)
+	r := c.StartRun(2, 3000, 1200, 11)
+	r.ObserveRequest(0, 4.2, 0, 100)
+	r.ObserveRequest(0, 0.5, 0.1, 0.2)
+	r.ObserveRequest(1, 7.5, 12000, 60001)
+	r.ObserveRequest(1, 0.3, 1e6, 400000)
+	r.ObserveResidency(0, StateService, 15000, 10.1)
+	r.ObserveResidency(0, StateIdle, 15000, 250.5)
+	r.ObserveResidency(0, StateIdle, 4200, 0.1)
+	r.ObserveResidency(0, StateSpinDown, 0, 6000)
+	r.ObserveResidency(1, StateStandby, 0, 5000)
+	r.ObserveResidency(1, StateSpinUp, 0, 10900)
+	r.ObserveResidency(1, StateRPMShift, 9000, 0.2)
+	r.ObserveResidency(1, StateIdle, 3001, 3)
+	r.ObserveResidency(1, StateService, 3000, 0.7)
 	for m, v := range map[Metric]int64{
-		SimRuns: 2, OpSpinDown: 1, OpSpinUp: 2, OpSetRPM: 3, MissOnDemand: 4, MissInflight: 5,
+		OpSpinDown: 1, OpSpinUp: 2, OpSetRPM: 3, MissOnDemand: 4, MissInflight: 5,
 		FaultSpinUpFail: 6, FaultRetry: 7, FaultTimeout: 8, FaultFallback: 9, FaultRemap: 10, FaultDegraded: 11,
+	} {
+		r.Add(m, v)
+	}
+	r.Publish()
+	c.StartRun(2, 3000, 1200, 11).Publish() // a second, empty run
+	for m, v := range map[Metric]int64{
 		CacheHits: 7, CacheMisses: 8, CacheWaits: 9,
 		RunnerTasks: 2, RunnerBusyNS: 2e9 + 3 + 1e9, RunnerActive: 2, RunnerQueue: 4, CellPanics: 10, CellRetries: 11,
 		JournalHits: 12, JournalMisses: 13,

@@ -95,23 +95,23 @@ func parseSample(t *testing.T, line string) sample {
 
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	c := New()
-	c.EnsureDisks(2, 3000, 1200, 11)
-	c.Add(SimRuns, 1)
+	r := c.StartRun(2, 3000, 1200, 11)
 	for i := 0; i < 5; i++ {
-		c.ObserveRequest(0, 4.2, 0, 100)
+		r.ObserveRequest(0, 4.2, 0, 100)
 	}
-	c.ObserveRequest(1, 7.5, 12000, 60001)
-	c.ObserveResidency(0, StateIdle, 15000, 250.5)
-	c.ObserveResidency(0, StateService, 15000, 10)
-	c.ObserveResidency(1, StateStandby, 0, 5000)
-	c.ObserveResidency(1, StateIdle, 3001, 3) // off-grid -> rpm="other"
-	c.Add(OpSpinDown, 1)
-	c.Add(OpSpinUp, 1)
-	c.Add(OpSetRPM, 1)
-	c.Add(OpSetRPM, 1)
-	c.Add(MissOnDemand, 1)
-	c.Add(MissInflight, 1)
-	c.Add(MissInflight, 1)
+	r.ObserveRequest(1, 7.5, 12000, 60001)
+	r.ObserveResidency(0, StateIdle, 15000, 250.5)
+	r.ObserveResidency(0, StateService, 15000, 10)
+	r.ObserveResidency(1, StateStandby, 0, 5000)
+	r.ObserveResidency(1, StateIdle, 3001, 3) // off-grid -> rpm="other"
+	r.Add(OpSpinDown, 1)
+	r.Add(OpSpinUp, 1)
+	r.Add(OpSetRPM, 1)
+	r.Add(OpSetRPM, 1)
+	r.Add(MissOnDemand, 1)
+	r.Add(MissInflight, 1)
+	r.Add(MissInflight, 1)
+	r.Publish()
 	c.Add(CacheMisses, 1)
 	c.Add(CacheHits, 1)
 	c.Add(CacheHits, 1)

@@ -24,10 +24,14 @@ func TestSnapshotConsistentUnderWriters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				c.ObserveRequest(i%2, float64(i%7), float64(i%3), float64(i%1000))
-				c.ObserveResidency(i%2, StateIdle, 4200+600*(i%8), 1.5)
-				c.Add(OpSpinDown+Metric(i%3), 1)
-				c.Add(FaultSpinUpFail+Metric(i%6), 1)
+				r := c.StartRun(2, 4200, 600, 8)
+				for j := 0; j <= i%5; j++ {
+					r.ObserveRequest(j%2, float64(i%7), float64(j%3), float64(i%1000))
+					r.ObserveResidency(j%2, StateIdle, 4200+600*(i%8), 1.5)
+					r.Add(OpSpinDown+Metric(j%3), 1)
+					r.Add(FaultSpinUpFail+Metric(i%6), 1)
+				}
+				r.Publish()
 			}
 		}(g)
 	}
@@ -83,16 +87,16 @@ func checkExpositionTotals(t *testing.T, text string) {
 
 func TestSnapshotValues(t *testing.T) {
 	c := New()
-	c.EnsureDisks(1, 6000, 1200, 4)
-	c.Add(SimRuns, 1)
-	c.ObserveRequest(0, 3, 0, 120)
-	c.ObserveRequest(0, 4, 50, 9000)
-	c.ObserveResidency(0, StateService, 6000, 7)
-	c.ObserveResidency(0, StateStandby, 0, 300)
-	c.ObserveResidency(0, StateIdle, 4242, 1) // off-grid -> other
-	c.Add(OpSpinDown, 1)
-	c.Add(MissOnDemand, 1)
-	c.Add(FaultRemap, 1)
+	r := c.StartRun(1, 6000, 1200, 4)
+	r.ObserveRequest(0, 3, 0, 120)
+	r.ObserveRequest(0, 4, 50, 9000)
+	r.ObserveResidency(0, StateService, 6000, 7)
+	r.ObserveResidency(0, StateStandby, 0, 300)
+	r.ObserveResidency(0, StateIdle, 4242, 1) // off-grid -> other
+	r.Add(OpSpinDown, 1)
+	r.Add(MissOnDemand, 1)
+	r.Add(FaultRemap, 1)
+	r.Publish()
 	c.Add(CacheHits, 1)
 	c.Add(RunnerTasks, 1)
 	c.Add(RunnerBusyNS, 2e9)
@@ -172,9 +176,10 @@ func TestSnapshotNil(t *testing.T) {
 // to the same shape the pre-snapshot exporter produced.
 func TestPrometheusSnapshotRender(t *testing.T) {
 	c := New()
-	c.EnsureDisks(1, 6000, 1200, 2)
-	c.ObserveRequest(0, 3, 0, 120)
-	c.ObserveResidency(0, StateIdle, 6000, 10)
+	r := c.StartRun(1, 6000, 1200, 2)
+	r.ObserveRequest(0, 3, 0, 120)
+	r.ObserveResidency(0, StateIdle, 6000, 10)
+	r.Publish()
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, c); err != nil {
 		t.Fatal(err)

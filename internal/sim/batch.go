@@ -88,14 +88,25 @@ func (m *Machine) batchScratchFor(n int) batchScratch {
 	return sc
 }
 
+// Reasons serviceRun gives for handing an event to the general path;
+// they are the details of bailout events.
+const (
+	bailTransition = "disk_transition" // a power action or spin-up is in flight on the disk
+	bailPolicy     = "policy_decision" // the policy's horizon says BeforeService may act
+	bailRemap      = "fault_remap"     // the request hits a remapped bad sector
+	bailDegraded   = "fault_degraded"  // the request falls in a degradation window
+)
+
 // serviceRun walks events[run.Start:run.End] — a compiled run of
 // request events — through the steady-state fast path, servicing
 // requests back to back from index i until it reaches the run's end
 // or encounters an event it cannot batch: a disk that is not plainly
 // spinning, a policy decision point (per the horizon), or a
 // fault-plan hit (remap or degradation window). It returns the index
-// of the first unprocessed event and the updated clock; the caller
-// services one event through the general path and re-enters.
+// of the first unprocessed event, the updated clock, and, when it
+// stopped short of the run's end, the reason (one of the bail*
+// constants); the caller services one event through the general path
+// and re-enters.
 //
 // The fast path performs, per request, exactly the floating-point
 // operations of the general path (Machine.advance + ServiceBlock) in
@@ -105,12 +116,14 @@ func (m *Machine) batchScratchFor(n int) batchScratch {
 // time here) and the policy's no-op BeforeService comparisons.
 // Results are therefore bit-identical to the general path, which the
 // differential tests in batch_diff_test.go enforce.
-func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock float64, hz Horizon, pol Policy) (int, float64) {
+func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock float64, hz Horizon, pol Policy) (int, float64, string) {
 	sc := m.batchScratchFor(len(m.disks))
 	if m.obs == nil && m.ev == nil && !m.recTimeline && m.faults == nil && hz.NoOpBefore == nil && !hz.AfterPerRequest {
 		// No per-request instrumentation, faults, or policy horizon to
-		// consult: take the branch-free steady-state loop.
-		return m.serviceRunLean(events, i, run, clock, sc)
+		// consult: take the branch-free steady-state loop, which stops
+		// only at a disk in transition.
+		i, clock = m.serviceRunLean(events, i, run, clock, sc)
+		return i, clock, bailTransition
 	}
 	hi := run.End
 	// Runs compiled as fully uniform let the loop skip the per-event
@@ -135,7 +148,7 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		if s.status != StSpinning || s.accT != s.idleFrom {
 			// A power op or spin-up is in flight on this disk; the
 			// general path resolves it (and pays any wait).
-			return i, clock
+			return i, clock, bailTransition
 		}
 		gap := gapMS
 		if !uniformGap {
@@ -143,14 +156,14 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		}
 		t := clock + gap
 		if checkHorizon && !hz.NoOpBefore(d, s.idleFrom, t, s.rpm) {
-			return i, clock
+			return i, clock, bailPolicy
 		}
 		if checkFaults {
 			if ev.Req.Block >= 0 && m.faults.Remapped(d, ev.Req.Block) {
-				return i, clock
+				return i, clock, bailRemap
 			}
 			if factor, _ := m.faults.Degraded(d, t); factor > 1 {
-				return i, clock
+				return i, clock, bailDegraded
 			}
 		}
 		bytes := runBytes
@@ -218,7 +231,7 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 			}
 		}
 	}
-	return i, clock
+	return i, clock, ""
 }
 
 // serviceRunLean is serviceRun specialized for the common engine

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"sdpm/internal/disk"
+	"sdpm/internal/obs"
+	"sdpm/internal/obs/events"
 	"sdpm/internal/policy"
 	"sdpm/internal/sim"
 	"sdpm/internal/trace"
@@ -129,6 +131,29 @@ func BenchmarkSimHotPathDRPM(b *testing.B) {
 		if _, err := sim.Run(tr, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSimHotPathObserved is BenchmarkSimHotPathDRPM as dpmd runs
+// it: with a metrics collector and an event log attached, both warmed
+// up by one run before the timer starts. Its ratio to
+// BenchmarkSimHotPathDRPM is the cost of observing a run.
+func BenchmarkSimHotPathObserved(b *testing.B) {
+	p := disk.DefaultParams()
+	tr := hotTrace(8, 10000, 40.0)
+	comp := trace.Compile(tr)
+	coll, log := obs.New(), events.NewLog(0)
+	run := func() {
+		cfg := sim.Config{Disk: p, Policy: policy.NewDRPM(p, 8), Compiled: comp, Obs: coll, Events: log}
+		if _, err := sim.Run(tr, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -31,8 +31,8 @@ import (
 
 // evDisk is the per-disk decision-tracking state.
 type evDisk struct {
-	// pending holds the log seqs of decisions awaiting this disk's
-	// current idle period to resolve. Reused across periods.
+	// pending holds the RunLog references of decisions awaiting this
+	// disk's current idle period to resolve. Reused across periods.
 	pending []uint64
 	// baseJ is the disk's accumulated energy at the period start
 	// (maintained at every request completion while a log is
@@ -40,16 +40,12 @@ type evDisk struct {
 	baseJ float64
 }
 
-// AttachEvents threads a decision-provenance log through the machine.
-// program and scheme label every emitted event; trigger is the
-// deciding policy's default decision trigger (events.Trig*);
-// breakEvenMS is the threshold input stamped on decision events. A
-// nil log detaches.
-func (m *Machine) AttachEvents(l *events.Log, program, scheme, trigger string, breakEvenMS float64) {
-	m.ev = l
-	if l == nil {
-		return
-	}
+// attachEvents threads a run's decision-provenance log through the
+// machine. program and scheme label every emitted event; trigger is
+// the deciding policy's default decision trigger (events.Trig*);
+// breakEvenMS is the threshold input stamped on decision events.
+func (m *Machine) attachEvents(w *events.RunLog, program, scheme, trigger string, breakEvenMS float64) {
+	m.ev = w
 	m.evProg = program
 	m.evPolicy = scheme
 	m.evPolTrig = trigger
@@ -77,7 +73,7 @@ func (m *Machine) restoreTrigger() {
 // emitDecision records one power action on disk d effective at time t
 // and marks it pending on d's current idle period.
 func (m *Machine) emitDecision(d int, kind string, rpm int, t float64) {
-	seq := m.ev.Emit(events.Event{
+	ref := m.ev.Emit(events.Event{
 		TMS:             t,
 		Kind:            kind,
 		Program:         m.evProg,
@@ -89,7 +85,7 @@ func (m *Machine) emitDecision(d int, kind string, rpm int, t float64) {
 		BreakEvenMS:     m.evBE,
 	})
 	pd := &m.evd[d]
-	pd.pending = append(pd.pending, seq)
+	pd.pending = append(pd.pending, ref)
 }
 
 // emitMiss records a request that blocked on disk readiness.
@@ -133,7 +129,7 @@ func (m *Machine) oracleIdleJ(idleMS float64) float64 {
 	if s := m.p.StandbyEnergyJ(idleMS); s < e {
 		e = s
 	}
-	if _, dip := m.p.BestRPMForIdle(idleMS); dip < e {
+	if _, dip := m.tbl.BestRPMForIdle(idleMS); dip < e {
 		e = dip
 	}
 	return e
@@ -142,7 +138,7 @@ func (m *Machine) oracleIdleJ(idleMS float64) float64 {
 // oracleTrailJ is oracleIdleJ for a trailing idle period: the disk
 // never needs to return to full speed, so the dips pay no way back.
 func (m *Machine) oracleTrailJ(idleMS float64) float64 {
-	_, e := m.p.BestRPMForTrailingIdle(idleMS)
+	_, e := m.tbl.BestRPMForTrailingIdle(idleMS)
 	if idleMS >= m.p.SpinDownMS {
 		if s := m.p.SpinDownJ + m.p.StandbyW*(idleMS-m.p.SpinDownMS)/1e3; s < e {
 			e = s
@@ -151,14 +147,13 @@ func (m *Machine) oracleTrailJ(idleMS float64) float64 {
 	return e
 }
 
-// emitBailout records why the batched executor dropped event i of a
-// compiled run to the general path, re-deriving the bail condition
-// with the same (pure) checks serviceRun just made. Detail holds the
+// emitBailout records that the batched executor dropped event i of a
+// compiled run to the general path at clock. Detail holds serviceRun's
 // reason: disk_transition (a power action or spin-up is in flight on
 // the disk), policy_decision (the policy's horizon says BeforeService
 // may act), fault_remap / fault_degraded (a fault-plan hit needs the
 // general service path).
-func (m *Machine) emitBailout(evs []trace.Event, i int, run *trace.Run, clock float64, hz Horizon) {
+func (m *Machine) emitBailout(evs []trace.Event, i int, run *trace.Run, clock float64, reason string) {
 	ev := &evs[i]
 	d := run.Disk
 	if run.Disks != nil {
@@ -166,26 +161,12 @@ func (m *Machine) emitBailout(evs []trace.Event, i int, run *trace.Run, clock fl
 	} else if d < 0 {
 		d = ev.Req.Disk
 	}
-	s := &m.disks[d]
 	gap := run.GapMS
 	if gap < 0 {
 		gap = ev.GapMS
 	}
-	t := clock + gap
-	reason := "unknown"
-	if s.status != StSpinning || s.accT != s.idleFrom {
-		reason = "disk_transition"
-	} else if hz.NoOpBefore != nil && !hz.NoOpBefore(d, s.idleFrom, t, s.rpm) {
-		reason = "policy_decision"
-	} else if m.faults != nil {
-		if ev.Req.Block >= 0 && m.faults.Remapped(d, ev.Req.Block) {
-			reason = "fault_remap"
-		} else if factor, _ := m.faults.Degraded(d, t); factor > 1 {
-			reason = "fault_degraded"
-		}
-	}
 	m.ev.Emit(events.Event{
-		TMS:     t,
+		TMS:     clock + gap,
 		Kind:    events.KindBailout,
 		Program: m.evProg,
 		Policy:  m.evPolicy,
@@ -220,8 +201,8 @@ func (m *Machine) resolvePeriod(d int, idleMS, windowMS float64, trailing bool) 
 		OracleJ:        oracle,
 		RegretJ:        actual - oracle,
 	})
-	for _, seq := range pd.pending[1:] {
-		m.ev.Resolve(seq, events.Outcome{MeasuredIdleMS: idleMS, WindowMS: windowMS})
+	for _, ref := range pd.pending[1:] {
+		m.ev.Resolve(ref, events.Outcome{MeasuredIdleMS: idleMS, WindowMS: windowMS})
 	}
 	pd.pending = pd.pending[:0]
 }

@@ -177,17 +177,18 @@ type Machine struct {
 	headPos   []int64
 	// timeline recording (disabled by default).
 	recTimeline bool
-	// obs receives metric events when non-nil; the nil case costs one
-	// branch per emit point (see AttachCollector).
-	obs *obs.Collector
+	// obs accumulates the run's metrics when a collector is attached
+	// (see newRun); the nil case costs one branch per emit point.
+	obs *obs.RunMetrics
 	// faults is the injected-fault schedule; nil (the default) keeps
 	// every fault path disabled and the machine's arithmetic
 	// bit-identical to a fault-free build.
 	faults *faults.Plan
-	// ev is the decision-provenance event log (see AttachEvents in
-	// events.go); nil keeps every event path disabled. The ev* fields
-	// label emitted events and carry the current trigger context.
-	ev        *events.Log
+	// ev buffers the run's decision-provenance events (see
+	// attachEvents in events.go); nil keeps every event path disabled.
+	// The ev* fields label emitted events and carry the current
+	// trigger context.
+	ev        *events.RunLog
 	evProg    string
 	evPolicy  string
 	evPolTrig string
@@ -313,12 +314,6 @@ func (m *Machine) AccountedTo(d int) float64 { return m.disks[d].accT }
 // EnableTimeline turns on per-disk timeline recording; segments are
 // returned by Timelines after Finish.
 func (m *Machine) EnableTimeline() { m.recTimeline = true }
-
-// AttachCollector streams metric events (residency, request
-// latencies, power ops, spin-up mispredictions) into c as the
-// machine runs. A nil c detaches. The caller should size c with
-// EnsureDisks first so the per-event paths never allocate.
-func (m *Machine) AttachCollector(c *obs.Collector) { m.obs = c }
 
 // AttachFaults threads a fault plan through the machine: spin-up
 // attempts may fail and retry per the plan, remapped blocks pay their
