@@ -69,7 +69,7 @@ func TestSimAndLists(t *testing.T) {
 		t.Fatalf("health = exit %d, out %q", code, out)
 	}
 	code, out, _ = ctl(t, "-addr", base, "status")
-	if code != 0 || !strings.Contains(out, `"inflight"`) {
+	if code != 0 || !strings.Contains(out, `"serve_inflight"`) {
 		t.Fatalf("status = exit %d, out %q", code, out)
 	}
 }

@@ -59,8 +59,8 @@ func TestReprobeRecoversAfterHeal(t *testing.T) {
 	if m := do(s, "GET", "/metrics", "", nil); !strings.Contains(m.Body.String(), "sdpm_serve_journal_recoveries_total 1") {
 		t.Fatal("metrics missing the recovery counter")
 	}
-	if st := do(s, "GET", "/status", "", nil); !strings.Contains(st.Body.String(), `"journal_recoveries": 1`) {
-		t.Fatalf("status missing journal_recoveries: %s", st.Body.String())
+	if st := do(s, "GET", "/status", "", nil); !strings.Contains(st.Body.String(), `"serve_journal_recoveries": 1`) {
+		t.Fatalf("status missing serve_journal_recoveries: %s", st.Body.String())
 	}
 
 	// Durability is genuinely back: a durable request succeeds and its

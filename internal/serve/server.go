@@ -280,26 +280,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// status feeds the /status endpoint.
+// status feeds the /status endpoint's app block: the server state
+// the metrics object does not carry. The serve counters and gauges
+// are in the metrics object as serve_*.
 func (s *Server) status() any {
 	st := map[string]any{
 		"tool":        "dpmd",
 		"uptime_s":    time.Since(s.started).Seconds(),
 		"draining":    s.Draining(),
-		"inflight":    s.coll.Value(obs.ServeInflight),
-		"queued":      s.coll.Value(obs.ServeQueued),
-		"accepted":    s.coll.Value(obs.ServeAccepted),
-		"shed":        s.coll.Value(obs.ServeShed),
-		"deadline":    s.coll.Value(obs.ServeDeadline),
-		"canceled":    s.coll.Value(obs.ServeCanceled),
-		"drains":      s.coll.Value(obs.ServeDrains),
 		"cache_len":   s.cache.Len(),
 		"chaos_armed": s.chaos != nil,
 	}
 	if j := s.jrnl(); j != nil {
 		st["journal_cells"] = j.Len()
-		st["journal_errors"] = s.coll.Value(obs.ServeJournalErrors)
-		st["journal_recoveries"] = s.coll.Value(obs.ServeJournalRecoveries)
 	}
 	if deg, reason := s.Degraded(); deg {
 		st["degraded"] = "journal"
