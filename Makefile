@@ -72,9 +72,10 @@ bench:
 # bench-diff re-runs the simulator hot-path benchmarks and compares
 # them against the committed baseline with tools/benchdiff, failing on
 # a >25% ns/op regression — the CI bench-smoke gate. BENCH_SMOKE
-# selects the three guarded hot paths; BENCH_TOLERANCE loosens the
-# threshold for noisy machines.
-BENCH_SMOKE ?= SimHotPath$$|SimHotPathDRPM$$|OpenLoopHotPath$$
+# selects the guarded hot paths: three unobserved ones and the DRPM
+# hot path with a collector and event log attached; BENCH_TOLERANCE
+# loosens the threshold for noisy machines.
+BENCH_SMOKE ?= SimHotPath$$|SimHotPathDRPM$$|OpenLoopHotPath$$|SimHotPathObserved$$
 BENCH_TOLERANCE ?= 25
 bench-diff:
 	$(GO) test -run='^$$' -bench='$(BENCH_SMOKE)' -benchmem ./internal/sim | \
