@@ -271,6 +271,55 @@ func TestEventsBailoutReasons(t *testing.T) {
 	})
 }
 
+// TestEventsFaultBailoutReasons: when the batched executor hands a
+// request to the general path because of a fault-plan hit, the
+// bailout's reason names the fault the general path then reports for
+// that request, on the same disk at the same time.
+func TestEventsFaultBailoutReasons(t *testing.T) {
+	p := disk.DefaultParams()
+	heavy, _ := faults.Preset("heavy")
+	plan, err := faults.New(5, 1, heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := idleTrace(20000, 2)
+	log := events.NewLog(0)
+	cfg := sim.Config{Disk: p, Faults: plan, Events: log, Compiled: trace.Compile(tr)}
+	if _, err := sim.Run(tr, cfg); err != nil {
+		t.Fatal(err)
+	}
+	type at struct {
+		disk int
+		tMS  float64
+	}
+	faulted := map[string]map[at]bool{}
+	for _, e := range log.Events() {
+		if e.Kind == events.KindFault {
+			if faulted[e.Detail] == nil {
+				faulted[e.Detail] = map[at]bool{}
+			}
+			faulted[e.Detail][at{e.Disk, e.TMS}] = true
+		}
+	}
+	seen := map[string]int{}
+	for _, e := range log.Events() {
+		if e.Kind != events.KindBailout {
+			continue
+		}
+		fault := map[string]string{"fault_remap": obs.FaultRemap.Label(), "fault_degraded": obs.FaultDegraded.Label()}[e.Detail]
+		if fault == "" {
+			continue
+		}
+		seen[e.Detail]++
+		if !faulted[fault][at{e.Disk, e.TMS}] {
+			t.Errorf("%s bailout at disk %d t=%v has no %s fault event", e.Detail, e.Disk, e.TMS, fault)
+		}
+	}
+	if seen["fault_remap"] == 0 || seen["fault_degraded"] == 0 {
+		t.Fatalf("fault bailouts = %v, want both kinds", seen)
+	}
+}
+
 // TestEventsResultUnperturbed: attaching a log must not change the
 // Result on the general path either (the batched path is covered by
 // TestBatchDifferential).
