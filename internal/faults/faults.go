@@ -40,11 +40,13 @@ type Config struct {
 	// is served on demand); the on-demand service path instead forces
 	// success after MaxRetries failures, so a request is never stuck
 	// behind an unlucky stream — the degraded-mode no-deadlock
-	// guarantee.
+	// guarantee. At most 64.
 	MaxRetries int
 	// RetryBackoffMS is the delay before the first retry; it doubles
 	// after every failed attempt (exponential backoff). Backoff time
-	// is spent at standby power and is charged to the disk.
+	// is spent at standby power and is charged to the disk. A full
+	// cascade's backoff, RetryBackoffMS·(2^MaxRetries − 1), is at most
+	// one day.
 	RetryBackoffMS float64
 	// SpinUpTimeoutMS caps the total duration of one spin-up call's
 	// retry cascade: when the next backoff + attempt would exceed it,
@@ -89,25 +91,16 @@ func finite(v float64) bool {
 // Validate checks the configuration for NaN/Inf and out-of-range
 // values.
 func (c Config) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"spinup", c.SpinUpFailProb},
-		{"backoff", c.RetryBackoffMS},
-		{"timeout", c.SpinUpTimeoutMS},
-		{"badfrac", c.BadSectorFrac},
-		{"remap", c.RemapPenaltyMS},
-		{"degraded", c.DegradedProb},
-		{"period", c.DegradedPeriodMS},
-		{"duration", c.DegradedDurMS},
-		{"slowdown", c.DegradedFactor},
-	} {
-		if !finite(f.v) {
-			return fmt.Errorf("faults: %s is not finite", f.name)
+	for _, k := range specKeys {
+		v, ok := k.Field(&c).(*float64)
+		if !ok {
+			continue
 		}
-		if f.v < 0 {
-			return fmt.Errorf("faults: %s is negative", f.name)
+		if !finite(*v) {
+			return fmt.Errorf("faults: %s is not finite", k.Name)
+		}
+		if *v < 0 {
+			return fmt.Errorf("faults: %s is negative", k.Name)
 		}
 	}
 	if c.SpinUpFailProb > 1 {
@@ -133,8 +126,23 @@ func (c Config) Validate() error {
 			return fmt.Errorf("faults: window duration %g exceeds period %g", c.DegradedDurMS, c.DegradedPeriodMS)
 		}
 	}
+	// A cascade retries in a loop and doubles its backoff each time,
+	// and dpmd request bodies reach both knobs.
+	if c.MaxRetries > maxRetries {
+		return fmt.Errorf("faults: retry bound %d above %d", c.MaxRetries, maxRetries)
+	}
+	if total := c.RetryBackoffMS * (math.Exp2(float64(c.MaxRetries)) - 1); total > maxCascadeBackoffMS {
+		return fmt.Errorf("faults: backoff %g doubled over %d retries totals %g ms, more than a day", c.RetryBackoffMS, c.MaxRetries, total)
+	}
 	return nil
 }
+
+// Bounds on one spin-up call's retry cascade. The presets retry 3-4
+// times for at most 7.5 s of backoff.
+const (
+	maxRetries          = 64
+	maxCascadeBackoffMS = 8.64e7 // one day
+)
 
 // Preset returns a named severity level. The names are the rows of
 // the fault-sensitivity experiment table:
@@ -172,21 +180,35 @@ func Preset(name string) (Config, bool) {
 // PresetNames returns the preset severities in increasing order.
 func PresetNames() []string { return []string{"off", "light", "moderate", "heavy"} }
 
-// specKeys maps spec keys onto Config fields, in canonical output
-// order (FormatSpec).
-var specKeys = []string{
-	"spinup", "retries", "backoff", "timeout",
-	"badfrac", "remap",
-	"degraded", "period", "duration", "slowdown",
+// SpecKey binds one key of the key=value spec grammar to the field of
+// a C it sets. Field returns a pointer to that field: a *float64 takes
+// a finite number, a *int or *int64 a base-10 integer.
+type SpecKey[C any] struct {
+	Name  string
+	Field func(*C) any
+}
+
+// specKeys is the -faults grammar, in canonical (FormatSpec) order.
+var specKeys = []SpecKey[Config]{
+	{"spinup", func(c *Config) any { return &c.SpinUpFailProb }},
+	{"retries", func(c *Config) any { return &c.MaxRetries }},
+	{"backoff", func(c *Config) any { return &c.RetryBackoffMS }},
+	{"timeout", func(c *Config) any { return &c.SpinUpTimeoutMS }},
+	{"badfrac", func(c *Config) any { return &c.BadSectorFrac }},
+	{"remap", func(c *Config) any { return &c.RemapPenaltyMS }},
+	{"degraded", func(c *Config) any { return &c.DegradedProb }},
+	{"period", func(c *Config) any { return &c.DegradedPeriodMS }},
+	{"duration", func(c *Config) any { return &c.DegradedDurMS }},
+	{"slowdown", func(c *Config) any { return &c.DegradedFactor }},
 }
 
 // ParseSpec parses a fault specification. A spec is either a preset
-// name (see Preset) or a comma/whitespace-separated list of key=value
-// pairs:
+// name (see Preset) or a list of key=value pairs (see ParseKeys):
 //
 //	spinup=P     spin-up failure probability per attempt [0,1]
-//	retries=N    retry bound per spin-up call
-//	backoff=MS   first retry backoff (doubles per retry)
+//	retries=N    retry bound per spin-up call (at most 64)
+//	backoff=MS   first retry backoff (doubles per retry; the
+//	             cascade's total backoff is at most one day)
 //	timeout=MS   cap on one call's retry cascade (0 = none)
 //	badfrac=P    fraction of blocks remapped [0,1]
 //	remap=MS     extra seek per remapped service (average-seek model)
@@ -195,8 +217,7 @@ var specKeys = []string{
 //	duration=MS  degradation window length
 //	slowdown=F   transfer-time multiplier inside a window (>= 1)
 //
-// A spec may also carry '#' comments and newline-separated pairs. It
-// is only ever text: reading a spec from a file ("@path" on the
+// A spec is only ever text: reading a spec from a file ("@path" on the
 // command line) is the caller's job, so no spec can make the parser
 // touch the filesystem. The empty spec is the zero (disabled)
 // configuration.
@@ -208,69 +229,9 @@ func ParseSpec(spec string) (Config, error) {
 	if c, ok := Preset(spec); ok {
 		return c, nil
 	}
-	return parsePairs(spec)
-}
-
-func parsePairs(text string) (Config, error) {
 	var c Config
-	// Strip comments, then split on commas and whitespace alike.
-	var clean strings.Builder
-	for _, line := range strings.Split(text, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		clean.WriteString(line)
-		clean.WriteByte(' ')
-	}
-	fields := strings.FieldsFunc(clean.String(), func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t' || r == '\r'
-	})
-	for _, kv := range fields {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("faults: bad spec entry %q (want key=value)", kv)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		if key == "retries" {
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Config{}, fmt.Errorf("faults: retries: %v", err)
-			}
-			c.MaxRetries = n
-			continue
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return Config{}, fmt.Errorf("faults: %s: %v", key, err)
-		}
-		if !finite(f) {
-			return Config{}, fmt.Errorf("faults: %s is not finite", key)
-		}
-		switch key {
-		case "spinup":
-			c.SpinUpFailProb = f
-		case "backoff":
-			c.RetryBackoffMS = f
-		case "timeout":
-			c.SpinUpTimeoutMS = f
-		case "badfrac":
-			c.BadSectorFrac = f
-		case "remap":
-			c.RemapPenaltyMS = f
-		case "degraded":
-			c.DegradedProb = f
-		case "period":
-			c.DegradedPeriodMS = f
-		case "duration":
-			c.DegradedDurMS = f
-		case "slowdown":
-			c.DegradedFactor = f
-		default:
-			keys := append([]string(nil), specKeys...)
-			sort.Strings(keys)
-			return Config{}, fmt.Errorf("faults: unknown spec key %q (have %v)", key, keys)
-		}
+	if err := ParseKeys(spec, specKeys, &c); err != nil {
+		return Config{}, fmt.Errorf("faults: %w", err)
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err
@@ -278,26 +239,88 @@ func parsePairs(text string) (Config, error) {
 	return c, nil
 }
 
+// ParseKeys sets the fields of dst named by the key=value pairs of
+// spec. Commas and whitespace separate pairs, newlines included; '#'
+// starts a comment that runs to the end of its line; keys match
+// case-insensitively. A key absent from keys is an error, reported
+// once its value parses as a number.
+func ParseKeys[C any](spec string, keys []SpecKey[C], dst *C) error {
+	for _, line := range strings.Split(spec, "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		fields := strings.FieldsFunc(line, func(r rune) bool {
+			return r == ',' || r == ' ' || r == '\t' || r == '\r'
+		})
+		for _, kv := range fields {
+			key, val, ok := strings.Cut(kv, "=")
+			if !ok {
+				return fmt.Errorf("bad spec entry %q (want key=value)", kv)
+			}
+			if err := setKey(keys, dst, strings.ToLower(strings.TrimSpace(key)), strings.TrimSpace(val)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func setKey[C any](keys []SpecKey[C], dst *C, key, val string) error {
+	var field any
+	for _, k := range keys {
+		if k.Name == key {
+			field = k.Field(dst)
+		}
+	}
+	switch p := field.(type) {
+	case *int:
+		n, err := strconv.Atoi(val)
+		if err != nil {
+			return fmt.Errorf("%s: %v", key, err)
+		}
+		*p = n
+		return nil
+	case *int64:
+		n, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			return fmt.Errorf("%s: %v", key, err)
+		}
+		*p = n
+		return nil
+	}
+	f, err := strconv.ParseFloat(val, 64)
+	if err != nil {
+		return fmt.Errorf("%s: %v", key, err)
+	}
+	if !finite(f) {
+		return fmt.Errorf("%s is not finite", key)
+	}
+	p, ok := field.(*float64)
+	if !ok {
+		names := make([]string, len(keys))
+		for i, k := range keys {
+			names[i] = k.Name
+		}
+		sort.Strings(names)
+		return fmt.Errorf("unknown spec key %q (have %v)", key, names)
+	}
+	*p = f
+	return nil
+}
+
 // FormatSpec renders the configuration as a canonical spec string
 // that ParseSpec round-trips. Zero-valued knobs are omitted; the
 // zero configuration renders as "off".
 func FormatSpec(c Config) string {
-	vals := map[string]float64{
-		"spinup": c.SpinUpFailProb, "backoff": c.RetryBackoffMS, "timeout": c.SpinUpTimeoutMS,
-		"badfrac": c.BadSectorFrac, "remap": c.RemapPenaltyMS,
-		"degraded": c.DegradedProb, "period": c.DegradedPeriodMS,
-		"duration": c.DegradedDurMS, "slowdown": c.DegradedFactor,
-	}
 	var parts []string
 	for _, k := range specKeys {
-		if k == "retries" {
-			if c.MaxRetries != 0 {
-				parts = append(parts, fmt.Sprintf("retries=%d", c.MaxRetries))
+		switch v := k.Field(&c).(type) {
+		case *float64:
+			if *v != 0 {
+				parts = append(parts, k.Name+"="+strconv.FormatFloat(*v, 'g', -1, 64))
 			}
-			continue
-		}
-		if v := vals[k]; v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%s", k, strconv.FormatFloat(v, 'g', -1, 64)))
+		case *int:
+			if *v != 0 {
+				parts = append(parts, k.Name+"="+strconv.Itoa(*v))
+			}
 		}
 	}
 	if len(parts) == 0 {

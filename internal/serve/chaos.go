@@ -3,7 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 	"time"
 
@@ -31,42 +31,35 @@ const (
 	chaosPanicStream = 0x7365727665730a02
 )
 
-// ParseChaos parses a -chaos spec: "off" or "" disables; otherwise a
-// comma-separated key=value list with keys seed, stall (probability),
-// stall_ms, and panic (probability).
+// chaosKeys is the -chaos grammar.
+var chaosKeys = []faults.SpecKey[Chaos]{
+	{Name: "seed", Field: func(c *Chaos) any { return &c.Seed }},
+	{Name: "stall", Field: func(c *Chaos) any { return &c.StallProb }},
+	{Name: "stall_ms", Field: func(c *Chaos) any { return &c.StallMS }},
+	{Name: "panic", Field: func(c *Chaos) any { return &c.PanicProb }},
+}
+
+// maxStallMS is the longest stall a time.Duration holds.
+const maxStallMS = float64(math.MaxInt64 / time.Millisecond)
+
+// ParseChaos parses a -chaos spec: "off" or "" disables; otherwise
+// key=value pairs in the -faults grammar (see faults.ParseKeys) with
+// keys seed (an integer), stall (probability), stall_ms, and panic
+// (probability).
 func ParseChaos(spec string) (*Chaos, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "off" {
 		return nil, nil
 	}
 	c := &Chaos{Seed: 1, StallMS: 100}
-	for _, kv := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("serve: chaos spec %q: want key=value", kv)
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("serve: chaos %s=%q: %v", key, val, err)
-		}
-		switch key {
-		case "seed":
-			c.Seed = int64(f)
-		case "stall":
-			c.StallProb = f
-		case "stall_ms":
-			c.StallMS = f
-		case "panic":
-			c.PanicProb = f
-		default:
-			return nil, fmt.Errorf("serve: unknown chaos key %q (seed, stall, stall_ms, panic)", key)
-		}
+	if err := faults.ParseKeys(spec, chaosKeys, c); err != nil {
+		return nil, fmt.Errorf("serve: chaos: %w", err)
 	}
 	if c.StallProb < 0 || c.StallProb > 1 || c.PanicProb < 0 || c.PanicProb > 1 {
 		return nil, fmt.Errorf("serve: chaos probabilities must be in [0,1]")
 	}
-	if c.StallMS < 0 {
-		return nil, fmt.Errorf("serve: chaos stall_ms must be >= 0")
+	if c.StallMS < 0 || c.StallMS > maxStallMS {
+		return nil, fmt.Errorf("serve: chaos stall_ms must be in [0,%.0f]", maxStallMS)
 	}
 	return c, nil
 }

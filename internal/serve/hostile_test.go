@@ -183,6 +183,31 @@ func TestHostileFaultSpecFilePath(t *testing.T) {
 	}
 }
 
+// A faults spec reaches the spin-up retry cascade, a loop whose backoff
+// doubles per retry: an unbounded retry count overflowed the backoff
+// (fig13 failed with a 500) or pinned an admission slot. Both endpoints
+// must refuse it with a 400 before any work is admitted.
+func TestHostileRetryCascade(t *testing.T) {
+	coll := obs.New()
+	s := newTestServer(t, func(c *Config) { c.Obs = coll })
+	bodies := map[string]string{
+		"/v1/sim":        `{"bench":"swim","faults":%q}`,
+		"/v1/experiment": `{"id":"fig13","faults":%q}`,
+	}
+	for target, tmpl := range bodies {
+		for _, spec := range []string{"spinup=1,retries=2000,backoff=500", "spinup=1,retries=10000000"} {
+			w := do(s, "POST", target, fmt.Sprintf(tmpl, spec), nil)
+			var b errBody
+			if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &b) != nil || b.Error.Kind != KindValidation {
+				t.Errorf("%s faults=%s: got %d %s, want a 400 validation error", target, spec, w.Code, w.Body.String())
+			}
+		}
+	}
+	if n := coll.Value(obs.ServeAccepted); n != 0 {
+		t.Fatalf("%d requests admitted, want none", n)
+	}
+}
+
 // Oversized bodies get a typed 413 and do not reach the engine.
 func TestMaxBody413(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.MaxBody = 256 })

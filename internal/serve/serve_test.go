@@ -558,9 +558,32 @@ func TestParseChaos(t *testing.T) {
 	if c.Seed != 9 || c.StallProb != 0.25 || c.StallMS != 50 || c.PanicProb != 0.1 {
 		t.Fatalf("parsed %+v", c)
 	}
-	for _, bad := range []string{"stall", "zap=1", "stall=2", "panic=-0.5", "stall_ms=-1", "seed=x"} {
-		if _, err := ParseChaos(bad); err == nil {
-			t.Fatalf("spec %q accepted", bad)
+	for _, bad := range []string{
+		"stall", "zap=1", "stall=2", "panic=-0.5", "stall_ms=-1", "seed=x",
+		// NaN compares false both ways: every request would stall, or
+		// none would panic.
+		"stall=NaN", "panic=NaN",
+		// Stalls a time.Duration cannot hold.
+		"stall_ms=Inf", "stall_ms=1e300",
+		// The seed is an integer, not a float truncated to one.
+		"seed=1e30", "seed=1.5", "seed=99999999999999999999",
+		"@/etc/hostname",
+	} {
+		if c, err := ParseChaos(bad); err == nil {
+			t.Errorf("spec %q accepted as %+v", bad, c)
+		}
+	}
+	// The -faults grammar: comments, newlines, whitespace separators,
+	// case-folded keys, and an exact 64-bit seed.
+	for spec, want := range map[string]Chaos{
+		"# soak\nseed=3 stall=0.5":  {Seed: 3, StallProb: 0.5, StallMS: 100},
+		"Stall=0.5":                 {Seed: 1, StallProb: 0.5, StallMS: 100},
+		"seed=9007199254740993":     {Seed: 9007199254740993, StallMS: 100},
+		"seed=-7, STALL_MS=2.5e3\n": {Seed: -7, StallMS: 2500},
+	} {
+		c, err := ParseChaos(spec)
+		if err != nil || *c != want {
+			t.Errorf("ParseChaos(%q) = %+v, %v; want %+v", spec, c, err, want)
 		}
 	}
 	// Determinism: the same seed draws the same stall/panic pattern.
