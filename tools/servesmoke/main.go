@@ -7,21 +7,16 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
-	"sdpm/internal/journal"
+	"sdpm/tools/internal/smoke"
 )
 
 func main() {
@@ -49,7 +44,7 @@ func run(bin string) error {
 	// Chaos stalls every request for 1.5s: long enough for a 100ms
 	// deadline to expire and for a second request to overflow the
 	// one-deep queue, short enough for the success path to stay quick.
-	cmd := exec.Command(bin,
+	d, err := smoke.Start(bin,
 		"-addr", "127.0.0.1:0",
 		"-journal", jpath,
 		"-inflight", "1",
@@ -58,49 +53,15 @@ func run(bin string) error {
 		"-drain-timeout", "10s",
 		"-chaos", "seed=1,stall=1,stall_ms=1500",
 	)
-	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return err
 	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	defer cmd.Process.Kill() // no-op after a clean Wait
-
-	// The daemon logs its bound address; scan for it, then keep
-	// draining stderr so the child never blocks on a full pipe.
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(os.Stderr, "  [dpmd]", line)
-			if strings.Contains(line, "dpmd listening") {
-				for _, f := range strings.Fields(line) {
-					if a, ok := strings.CutPrefix(f, "addr="); ok {
-						select {
-						case addrCh <- a:
-						default:
-						}
-					}
-				}
-			}
-		}
-	}()
-	var base string
-	select {
-	case a := <-addrCh:
-		base = "http://" + a
-	case <-time.After(10 * time.Second):
-		return fmt.Errorf("daemon never reported its listen address")
-	}
-	if err := waitHealthy(base); err != nil {
-		return err
-	}
+	defer d.Kill()
+	base := d.URL()
 
 	// 1. Deadline-exceeding request: the chaos stall outlasts the
 	// 100ms budget, so the response must be a typed 504.
-	code, body, err := post(base+"/v1/sim?timeout=100ms", `{"bench":"swim"}`)
+	code, body, err := smoke.Post(base+"/v1/sim?timeout=100ms", `{"bench":"swim"}`)
 	if err != nil {
 		return fmt.Errorf("deadline request: %v", err)
 	}
@@ -117,7 +78,7 @@ func run(bin string) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, _, perr := post(base+"/v1/sim?timeout=10s", `{"bench":"swim"}`)
+			c, _, perr := smoke.Post(base+"/v1/sim?timeout=10s", `{"bench":"swim"}`)
 			if perr == nil {
 				codes[i] = c
 			}
@@ -130,7 +91,7 @@ func run(bin string) error {
 	}
 
 	// 3. Populate the journal through a full experiment request.
-	code, body, err = post(base+"/v1/experiment?timeout=60s", `{"id":"table2"}`)
+	code, body, err = smoke.Post(base+"/v1/experiment?timeout=60s", `{"id":"table2"}`)
 	if err != nil {
 		return fmt.Errorf("experiment request: %v", err)
 	}
@@ -139,69 +100,16 @@ func run(bin string) error {
 	}
 
 	// 4. SIGTERM: graceful drain must exit 0 within the drain budget.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.Drain(); err != nil {
 		return err
-	}
-	waited := make(chan error, 1)
-	go func() { waited <- cmd.Wait() }()
-	select {
-	case err := <-waited:
-		if err != nil {
-			return fmt.Errorf("daemon exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(20 * time.Second):
-		return fmt.Errorf("daemon did not exit within 20s of SIGTERM")
 	}
 
 	// 5. The journal on disk is finalized: every line valid, every
 	// cell unique, and the table2 cells present.
-	data, err := os.ReadFile(jpath)
+	cells, err := smoke.ValidateJournal(jpath)
 	if err != nil {
-		return fmt.Errorf("journal not flushed: %v", err)
+		return err
 	}
-	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
-	seen := map[string]bool{}
-	for _, line := range lines {
-		rec, derr := journal.DecodeLine(line)
-		if derr != nil {
-			return fmt.Errorf("journal record invalid after drain: %v", derr)
-		}
-		if seen[rec.Key] {
-			return fmt.Errorf("journal has duplicate cell %q after finalize", rec.Key)
-		}
-		seen[rec.Key] = true
-	}
-	if len(seen) == 0 {
-		return fmt.Errorf("journal empty after a successful experiment")
-	}
-	fmt.Printf("servesmoke: drain flushed %d unique journal cells\n", len(seen))
+	fmt.Printf("servesmoke: drain flushed %d unique journal cells\n", cells)
 	return nil
-}
-
-func waitHealthy(base string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("daemon never became healthy at %s", base)
-}
-
-func post(url, body string) (int, string, error) {
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, "", err
-	}
-	return resp.StatusCode, string(b), nil
 }

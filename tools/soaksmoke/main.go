@@ -22,24 +22,19 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"sdpm/internal/client"
 	"sdpm/internal/experiments"
-	"sdpm/internal/journal"
 	"sdpm/internal/netx"
+	"sdpm/tools/internal/smoke"
 )
 
 func main() {
@@ -66,28 +61,15 @@ func run(bin string, requests int, seed int64) error {
 	defer os.RemoveAll(dir)
 	jpath := filepath.Join(dir, "soak.journal")
 
-	cmd := exec.Command(bin,
+	d, err := smoke.Start(bin,
 		"-addr", "127.0.0.1:0",
 		"-journal", jpath,
 		"-drain-timeout", "10s",
 	)
-	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return err
 	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	defer cmd.Process.Kill() // no-op after a clean Wait
-
-	upstream, err := scanAddr(stderr)
-	if err != nil {
-		return err
-	}
-	direct := "http://" + upstream
-	if err := waitHealthy(direct); err != nil {
-		return err
-	}
+	defer d.Kill()
 
 	// The offline truth: the bytes every proxied experiment response
 	// must match exactly, rendered in-process with a fresh suite.
@@ -96,22 +78,22 @@ func run(bin string, requests int, seed int64) error {
 		return fmt.Errorf("offline render: %v", err)
 	}
 
-	if err := chaosSoak(upstream, seed, requests, offline.Bytes()); err != nil {
+	if err := chaosSoak(d.Addr, seed, requests, offline.Bytes()); err != nil {
 		return fmt.Errorf("chaos soak: %v", err)
 	}
-	if err := determinism(upstream, seed); err != nil {
+	if err := determinism(d.Addr, seed); err != nil {
 		return fmt.Errorf("determinism: %v", err)
 	}
-	if err := breakerChoreography(upstream); err != nil {
+	if err := breakerChoreography(d.Addr); err != nil {
 		return fmt.Errorf("breaker choreography: %v", err)
 	}
-	if err := hedging(upstream); err != nil {
+	if err := hedging(d.Addr); err != nil {
 		return fmt.Errorf("hedging: %v", err)
 	}
 
 	// The daemon itself never saw a persistence fault: the journal
 	// error counter, read directly (no proxy), must be zero.
-	metrics, err := get(direct + "/metrics")
+	metrics, err := smoke.Get(d.URL() + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -121,20 +103,10 @@ func run(bin string, requests int, seed int64) error {
 
 	// Graceful drain, then the no-duplicate-computation proof: every
 	// journal line valid, every cell unique.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.Drain(); err != nil {
 		return err
 	}
-	waited := make(chan error, 1)
-	go func() { waited <- cmd.Wait() }()
-	select {
-	case werr := <-waited:
-		if werr != nil {
-			return fmt.Errorf("daemon exited non-zero after SIGTERM: %v", werr)
-		}
-	case <-time.After(20 * time.Second):
-		return fmt.Errorf("daemon did not exit within 20s of SIGTERM")
-	}
-	cells, err := validateJournal(jpath)
+	cells, err := smoke.ValidateJournal(jpath)
 	if err != nil {
 		return err
 	}
@@ -163,10 +135,7 @@ func newChaosClient(proxyAddr string, seed int64) *client.Client {
 // experiment body must match the offline render, and the retries the
 // faults force must show up as idempotent replays.
 func chaosSoak(upstream string, seed int64, requests int, offline []byte) error {
-	cfg, err := netx.ParseSpec("reset=0.06,corrupt=0.05,truncate=0.04")
-	if err != nil {
-		return err
-	}
+	cfg := netx.Config{ResetProb: 0.06, CorruptProb: 0.05, TruncateProb: 0.04}
 	p, err := netx.New(upstream, seed, cfg)
 	if err != nil {
 		return err
@@ -225,11 +194,7 @@ func chaosSoak(upstream string, seed int64, requests int, offline []byte) error 
 // couple the two passes.
 func determinism(upstream string, seed int64) error {
 	pass := func() (string, string, error) {
-		cfg, err := netx.ParseSpec("reset=0.08,corrupt=0.08,truncate=0.06")
-		if err != nil {
-			return "", "", err
-		}
-		p, err := netx.New(upstream, seed+1, cfg)
+		p, err := netx.New(upstream, seed+1, netx.Config{ResetProb: 0.08, CorruptProb: 0.08, TruncateProb: 0.06})
 		if err != nil {
 			return "", "", err
 		}
@@ -349,83 +314,4 @@ func hedging(upstream string) error {
 	}
 	fmt.Println("soaksmoke: hedge rescued a blackholed primary connection")
 	return nil
-}
-
-// scanAddr reads the daemon's stderr until it logs its bound address,
-// then keeps draining the pipe so the child never blocks.
-func scanAddr(stderr io.Reader) (string, error) {
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(os.Stderr, "  [dpmd]", line)
-			if strings.Contains(line, "dpmd listening") {
-				for _, f := range strings.Fields(line) {
-					if a, ok := strings.CutPrefix(f, "addr="); ok {
-						select {
-						case addrCh <- a:
-						default:
-						}
-					}
-				}
-			}
-		}
-	}()
-	select {
-	case a := <-addrCh:
-		return a, nil
-	case <-time.After(10 * time.Second):
-		return "", fmt.Errorf("daemon never reported its listen address")
-	}
-}
-
-func waitHealthy(base string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("daemon never became healthy at %s", base)
-}
-
-func get(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
-}
-
-// validateJournal checks every finalized journal line decodes and no
-// cell key repeats — retried requests replayed instead of recomputing
-// and re-appending.
-func validateJournal(path string) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("journal not flushed: %v", err)
-	}
-	seen := map[string]bool{}
-	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		rec, derr := journal.DecodeLine(line)
-		if derr != nil {
-			return 0, fmt.Errorf("journal record invalid after drain: %v", derr)
-		}
-		if seen[rec.Key] {
-			return 0, fmt.Errorf("journal has duplicate cell %q after finalize", rec.Key)
-		}
-		seen[rec.Key] = true
-	}
-	if len(seen) == 0 {
-		return 0, fmt.Errorf("journal empty after successful experiments")
-	}
-	return len(seen), nil
 }
