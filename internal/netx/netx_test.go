@@ -3,10 +3,10 @@ package netx
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -227,63 +227,29 @@ func TestProxyCloseSeversBlackhole(t *testing.T) {
 	}
 }
 
-func TestSpecRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"off", "light", "moderate", "heavy",
-		"latency=5,jitter=10,rate=2000",
-		"reset=0.1,reset_at=1:5:9,reset_after=64",
-		"truncate=0.2,truncate_after=10,corrupt=0.3,blackhole=0.05",
-		"stall=0.5,stall_at=0:2,stall_ms=250,stall_after=128",
+// Validate rejects non-finite, negative and out-of-range knobs, and New
+// refuses such a configuration.
+func TestValidate(t *testing.T) {
+	for name, c := range map[string]Config{
+		"probability above one": {ResetProb: 2},
+		"negative probability":  {CorruptProb: -0.1},
+		"NaN latency":           {LatencyMS: math.NaN()},
+		"infinite blackhole":    {BlackholeProb: math.Inf(1)},
+		"negative stall":        {StallMS: -1},
+		"negative byte offset":  {TruncateAfterBytes: -1},
+		"negative index":        {ResetAt: []int{3, -1}},
 	} {
-		c, err := ParseSpec(spec)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", spec, err)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, c)
 		}
-		out := FormatSpec(c)
-		c2, err := ParseSpec(out)
-		if err != nil {
-			t.Fatalf("ParseSpec(FormatSpec(%q)=%q): %v", spec, out, err)
-		}
-		if FormatSpec(c2) != out {
-			t.Fatalf("round trip unstable: %q -> %q -> %q", spec, out, FormatSpec(c2))
+		if _, err := New("127.0.0.1:1", 1, c); err == nil {
+			t.Errorf("%s: New accepted %+v", name, c)
 		}
 	}
-}
-
-func TestSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"nope=1", "reset=2", "corrupt=-0.1", "latency=NaN", "reset_at=", "reset_at=-1",
-		"stall", "=5", "blackhole=1e999",
-	} {
-		if _, err := ParseSpec(spec); err == nil {
-			t.Errorf("ParseSpec(%q): expected an error", spec)
-		}
+	ok := Config{LatencyMS: 5, ResetProb: 1, ResetAt: []int{0, 9}, StallMS: 250, StallAfterBytes: 128}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("Validate(%+v): %v", ok, err)
 	}
-}
-
-// A spec file's text (comments, newline-separated pairs) parses as a
-// spec, but "@path" is not read: the parser never touches files.
-func TestSpecFile(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/net.spec"
-	content := "# chaos for the soak\nreset=0.1, truncate=0.05\nstall=0.2 stall_ms=50\n"
-	if err := writeFile(path, content); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ParseSpec(content)
-	if err != nil {
-		t.Fatalf("ParseSpec(file text): %v", err)
-	}
-	if c.ResetProb != 0.1 || c.TruncateProb != 0.05 || c.StallProb != 0.2 || c.StallMS != 50 {
-		t.Fatalf("parsed config %+v", c)
-	}
-	if _, err := ParseSpec("@" + path); err == nil || strings.Contains(err.Error(), "soak") {
-		t.Fatalf("ParseSpec(@file) = %v, want a rejection that does not read the file", err)
-	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }
 
 // An upstream that dribbles the response one byte at a time must not
