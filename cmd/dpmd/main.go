@@ -38,7 +38,10 @@
 //	-chaos SPEC         deterministic self-fault injection for testing:
 //	                    "seed=1,stall=0.3,stall_ms=200,panic=0.05"
 //	                    stalls/panics that fraction of requests; panics
-//	                    are isolated per request (500), never fatal
+//	                    are isolated per request (500), never fatal.
+//	                    The spec uses the -faults grammar (commas or
+//	                    whitespace, '#' comments, case-insensitive
+//	                    keys); seed is an integer
 //
 // Degraded mode: dpmd survives persistence faults. If a journal
 // append keeps failing past its retry budget — or tears the file or
@@ -88,7 +91,7 @@ func main() {
 	journalBackoff := flag.Duration("journal-backoff", 0, "initial sleep between journal append retries, doubling per attempt (0 = 10ms)")
 	journalReprobe := flag.Duration("journal-reprobe", 0, "while degraded, re-probe the journal at this interval and auto-recover when the filesystem heals (0 = never)")
 	maxBody := flag.Int64("max-body", 0, "max request body bytes; larger bodies get a typed 413 (0 = 1 MiB)")
-	chaosSpec := flag.String("chaos", "", "deterministic self-fault injection spec: seed=N,stall=P,stall_ms=MS,panic=P (empty or 'off' disables)")
+	chaosSpec := flag.String("chaos", "", "deterministic self-fault injection spec in the -faults key=value grammar: seed=INT,stall=P,stall_ms=MS,panic=P (empty or 'off' disables)")
 	verbose, quiet := cli.LogFlags(flag.CommandLine)
 	flag.Parse()
 	cli.SetupLogging("dpmd", *verbose, *quiet)
