@@ -31,47 +31,21 @@ func (s *Suite) AblationPreactivation() (*stats.Table, error) {
 		Title:   "Ablation: pre-activation (normalized energy | time)",
 		Columns: []string{"CMDRPM-E", "CMDRPM-T", "noPre-E", "noPre-T"},
 	}
-	rows := make([][]float64, len(s.Benchmarks))
-	err := s.pool().Map(len(s.Benchmarks), func(i int) error {
-		b := s.Benchmarks[i]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("preact", &cfg, b.Name), 4, func() ([]float64, error) {
-			in, err := s.memo().Prepare(b.Name, b.Program, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			base, err := in.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			on, err := in.Run(core.CMDRPM)
-			if err != nil {
-				return nil, err
-			}
-			cfgOff := cfg
-			cfgOff.DisablePreactivation = true
-			inOff, err := s.memo().Prepare(b.Name, b.Program, cfgOff, nil)
-			if err != nil {
-				return nil, err
-			}
-			off, err := inOff.Run(core.CMDRPM)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{
-				on.EnergyJ / base.EnergyJ, on.ExecMS / base.ExecMS,
-				off.EnergyJ / base.EnergyJ, off.ExecMS / base.ExecMS}, nil
-		})
-		rows[i] = vals
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range s.Benchmarks {
-		t.Add(b.Name, rows[i][0], rows[i][1], rows[i][2], rows[i][3])
-	}
-	return t.WithMeanRow(), nil
+	return withMean(s.benchTable(t, "preact", s.Benchmarks, 4, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		_, on, err := s.run(b, cfg, core.Base, core.CMDRPM)
+		if err != nil {
+			return nil, err
+		}
+		cfg.DisablePreactivation = true
+		_, off, err := s.run(b, cfg, core.CMDRPM)
+		if err != nil {
+			return nil, err
+		}
+		base := on[0]
+		return []float64{
+			on[1].EnergyJ / base.EnergyJ, on[1].ExecMS / base.ExecMS,
+			off[0].EnergyJ / base.EnergyJ, off[0].ExecMS / base.ExecMS}, nil
+	}))
 }
 
 // AblationNoise sweeps the cycle-estimation bias on one benchmark and
@@ -81,7 +55,7 @@ func (s *Suite) AblationNoise(benchName string, biasLevels []float64) (*stats.Ta
 	if len(biasLevels) == 0 {
 		biasLevels = []float64{0, 10, 20, 40}
 	}
-	b, err := workloads.ByName(benchName)
+	b, err := s.bench(benchName)
 	if err != nil {
 		return nil, err
 	}
@@ -90,22 +64,13 @@ func (s *Suite) AblationNoise(benchName string, biasLevels []float64) (*stats.Ta
 		Columns:   []string{"mispredict%", "CMDRPM-E", "CMDRPM-T"},
 		Precision: 3,
 	}
-	rows := make([][]float64, len(biasLevels))
-	err = s.pool().Map(len(biasLevels), func(i int) error {
+	rows, err := s.grid("noise", len(biasLevels), 3, func(i int) (core.Config, []string, func() ([]float64, error)) {
 		cfg := s.configFor(b)
 		m := b.Model()
 		m.BiasPct = biasLevels[i]
 		cfg.Model = m
-		vals, err := s.cell(s.cellKey("noise", &cfg, b.Name), 3, func() ([]float64, error) {
-			in, err := s.memo().Prepare(b.Name, b.Program, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			base, err := in.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			cm, err := in.Run(core.CMDRPM)
+		return cfg, []string{b.Name}, func() ([]float64, error) {
+			in, r, err := s.run(b, cfg, core.Base, core.CMDRPM)
 			if err != nil {
 				return nil, err
 			}
@@ -113,16 +78,14 @@ func (s *Suite) AblationNoise(benchName string, biasLevels []float64) (*stats.Ta
 			if err != nil {
 				return nil, err
 			}
-			return []float64{st.Pct, cm.EnergyJ / base.EnergyJ, cm.ExecMS / base.ExecMS}, nil
-		})
-		rows[i] = vals
-		return err
+			return []float64{st.Pct, r[1].EnergyJ / r[0].EnergyJ, r[1].ExecMS / r[0].ExecMS}, nil
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, bias := range biasLevels {
-		t.Add(fmt.Sprintf("bias %g%%", bias), rows[i][0], rows[i][1], rows[i][2])
+		t.Add(fmt.Sprintf("bias %g%%", bias), rows[i]...)
 	}
 	return t, nil
 }
@@ -141,41 +104,18 @@ func (s *Suite) AblationCache() (*stats.Table, error) {
 	benches := s.selected(func(b *workloads.Benchmark) bool {
 		return b.Name != "wupwise" && b.Name != "mgrid"
 	})
-	rows := make([][]float64, len(benches))
-	err := s.pool().Map(len(benches), func(i int) error {
-		b := benches[i]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("cache", &cfg, b.Name), 4, func() ([]float64, error) {
-			in, err := s.memo().Prepare(b.Name, b.Program, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			res, err := in.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			cfgNC := cfg
-			cfgNC.NoCache = true
-			inNC, err := s.memo().Prepare(b.Name, b.Program, cfgNC, nil)
-			if err != nil {
-				return nil, err
-			}
-			resNC, err := inNC.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{float64(len(in.Sites)), float64(len(inNC.Sites)), res.EnergyJ, resNC.EnergyJ}, nil
-		})
-		rows[i] = vals
-		return err
+	return s.benchTable(t, "cache", benches, 4, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		in, res, err := s.run(b, cfg, core.Base)
+		if err != nil {
+			return nil, err
+		}
+		cfg.NoCache = true
+		inNC, resNC, err := s.run(b, cfg, core.Base)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{float64(len(in.Sites)), float64(len(inNC.Sites)), res[0].EnergyJ, resNC[0].EnergyJ}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		t.Add(b.Name, rows[i][0], rows[i][1], rows[i][2], rows[i][3])
-	}
-	return t, nil
 }
 
 // AblationClustering isolates the nest-clustering step of LF+DL:
@@ -187,39 +127,21 @@ func (s *Suite) AblationClustering() (*stats.Table, error) {
 		Columns: []string{"LF+DL", "LF+DL-nocluster"},
 	}
 	benches := s.selected(func(b *workloads.Benchmark) bool { return b.Fissionable })
-	rows := make([][]float64, len(benches))
-	err := s.pool().Map(len(benches), func(i int) error {
-		b := benches[i]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("clustering", &cfg, b.Name), 2, func() ([]float64, error) {
-			orig, err := s.memo().Prepare(b.Name, b.Program, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			base, err := orig.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			with, err := s.lfdlEnergy(b, cfg, true)
-			if err != nil {
-				return nil, err
-			}
-			without, err := s.lfdlEnergy(b, cfg, false)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{with / base.EnergyJ, without / base.EnergyJ}, nil
-		})
-		rows[i] = vals
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		t.Add(b.Name, rows[i][0], rows[i][1])
-	}
-	return t.WithMeanRow(), nil
+	return withMean(s.benchTable(t, "clustering", benches, 2, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		_, base, err := s.run(b, cfg, core.Base)
+		if err != nil {
+			return nil, err
+		}
+		with, err := s.lfdlEnergy(b, cfg, true)
+		if err != nil {
+			return nil, err
+		}
+		without, err := s.lfdlEnergy(b, cfg, false)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{with / base[0].EnergyJ, without / base[0].EnergyJ}, nil
+	}))
 }
 
 // lfdlEnergy runs CMDRPM on the LF+DL version of a benchmark,
@@ -260,50 +182,36 @@ func (s *Suite) AblationOpenLoop() (*stats.Table, error) {
 	benches := s.selected(func(b *workloads.Benchmark) bool {
 		return b.Name != "wupwise" && b.Name != "mgrid" // keep the ablation quick; the others suffice
 	})
-	rows := make([][]float64, len(benches))
-	err := s.pool().Map(len(benches), func(i int) error {
-		b := benches[i]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("openloop", &cfg, b.Name), 5, func() ([]float64, error) {
-			in, err := s.instance(b)
-			if err != nil {
-				return nil, err
-			}
-			base, err := in.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			openBase, err := in.RunOpen(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			dr, err := in.Run(core.DRPM)
-			if err != nil {
-				return nil, err
-			}
-			openDr, err := in.RunOpen(core.DRPM)
-			if err != nil {
-				return nil, err
-			}
-			openId, err := in.RunOpen(core.IDRPM)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{
-				dr.EnergyJ / base.EnergyJ, dr.ExecMS / base.ExecMS,
-				openDr.EnergyJ / openBase.EnergyJ, openDr.ExecMS / openBase.ExecMS,
-				openId.EnergyJ / openBase.EnergyJ}, nil
-		})
-		rows[i] = vals
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		t.Add(b.Name, rows[i][0], rows[i][1], rows[i][2], rows[i][3], rows[i][4])
-	}
-	return t.WithMeanRow(), nil
+	return withMean(s.benchTable(t, "openloop", benches, 5, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		in, err := s.prepare(b, cfg)
+		if err != nil {
+			return nil, err
+		}
+		base, err := in.Run(core.Base)
+		if err != nil {
+			return nil, err
+		}
+		openBase, err := in.RunOpen(core.Base)
+		if err != nil {
+			return nil, err
+		}
+		dr, err := in.Run(core.DRPM)
+		if err != nil {
+			return nil, err
+		}
+		openDr, err := in.RunOpen(core.DRPM)
+		if err != nil {
+			return nil, err
+		}
+		openId, err := in.RunOpen(core.IDRPM)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{
+			dr.EnergyJ / base.EnergyJ, dr.ExecMS / base.ExecMS,
+			openDr.EnergyJ / openBase.EnergyJ, openDr.ExecMS / openBase.ExecMS,
+			openId.EnergyJ / openBase.EnergyJ}, nil
+	}))
 }
 
 // AblationSeekModel contrasts the datasheet average-seek model with
@@ -316,41 +224,18 @@ func (s *Suite) AblationSeekModel() (*stats.Table, error) {
 		Columns: []string{"E-avg", "E-dist", "T-avg", "T-dist"},
 	}
 	benches := s.selected(func(b *workloads.Benchmark) bool { return b.Name != "wupwise" })
-	rows := make([][]float64, len(benches))
-	err := s.pool().Map(len(benches), func(i int) error {
-		b := benches[i]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("seekmodel", &cfg, b.Name), 4, func() ([]float64, error) {
-			in, err := s.memo().Prepare(b.Name, b.Program, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			avg, err := in.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			cfgD := cfg
-			cfgD.DistanceAwareSeek = true
-			inD, err := s.memo().Prepare(b.Name, b.Program, cfgD, nil)
-			if err != nil {
-				return nil, err
-			}
-			dist, err := inD.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{avg.EnergyJ, dist.EnergyJ, avg.ExecMS, dist.ExecMS}, nil
-		})
-		rows[i] = vals
-		return err
+	return s.benchTable(t, "seekmodel", benches, 4, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		_, avg, err := s.run(b, cfg, core.Base)
+		if err != nil {
+			return nil, err
+		}
+		cfg.DistanceAwareSeek = true
+		_, dist, err := s.run(b, cfg, core.Base)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{avg[0].EnergyJ, dist[0].EnergyJ, avg[0].ExecMS, dist[0].ExecMS}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		t.Add(b.Name, rows[i][0], rows[i][1], rows[i][2], rows[i][3])
-	}
-	return t, nil
 }
 
 // EnergyBreakdown reports where each scheme's energy goes (active /
@@ -368,44 +253,22 @@ func (s *Suite) EnergyBreakdown() (*stats.Table, error) {
 		},
 		Precision: 1,
 	}
-	rows := make([][]float64, len(s.Benchmarks))
-	err := s.pool().Map(len(s.Benchmarks), func(i int) error {
-		b := s.Benchmarks[i]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("breakdown", &cfg, b.Name), 6, func() ([]float64, error) {
-			in, err := s.instance(b)
-			if err != nil {
-				return nil, err
+	return s.benchTable(t, "breakdown", s.Benchmarks, 6, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		_, r, err := s.run(b, cfg, core.Base, core.CMDRPM)
+		if err != nil {
+			return nil, err
+		}
+		sum := func(r *sim.Result) (a, i, tr, sb float64) {
+			for _, st := range r.Disks {
+				a += st.ActiveEnergyJ
+				i += st.IdleEnergyJ
+				tr += st.TransitionEnergyJ
+				sb += st.StandbyEnergyJ
 			}
-			base, err := in.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			cm, err := in.Run(core.CMDRPM)
-			if err != nil {
-				return nil, err
-			}
-			sum := func(r *sim.Result) (a, i, tr, sb float64) {
-				for _, st := range r.Disks {
-					a += st.ActiveEnergyJ
-					i += st.IdleEnergyJ
-					tr += st.TransitionEnergyJ
-					sb += st.StandbyEnergyJ
-				}
-				return
-			}
-			ba, bi, _, _ := sum(base)
-			ca, ci, ct, cs := sum(cm)
-			return []float64{ba, bi, ca, ci, ct, cs}, nil
-		})
-		rows[i] = vals
-		return err
+			return
+		}
+		ba, bi, _, _ := sum(r[0])
+		ca, ci, ct, cs := sum(r[1])
+		return []float64{ba, bi, ca, ci, ct, cs}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range s.Benchmarks {
-		t.Add(b.Name, rows[i][0], rows[i][1], rows[i][2], rows[i][3], rows[i][4], rows[i][5])
-	}
-	return t, nil
 }

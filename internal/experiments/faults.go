@@ -21,63 +21,21 @@ import (
 // The fault schedule is derived from (seed, nDisks, severity) only,
 // so one seed produces byte-identical tables at any worker count.
 func (s *Suite) FaultImpact(benchName string, seed int64) (*stats.Table, *stats.Table, error) {
-	b, err := workloads.ByName(benchName)
+	b, err := s.bench(benchName)
 	if err != nil {
 		return nil, nil, err
 	}
 	severities := faults.PresetNames()
-	schemes := core.AllSchemes()
-	cols := make([]string, 0, len(schemes))
-	for _, sc := range schemes {
-		cols = append(cols, string(sc))
-	}
-	energy := &stats.Table{
-		Title:     "Fault impact: normalized energy (" + b.Name + " LF+DL, vs fault-free Base)",
-		Columns:   cols,
-		Precision: 3,
-	}
-	times := &stats.Table{
-		Title:     "Fault impact: normalized execution time (" + b.Name + " LF+DL, vs fault-free Base)",
-		Columns:   cols,
-		Precision: 3,
-	}
-	ns := len(schemes)
-	cells := make([][]float64, len(severities)*ns)
-	err = s.pool().Map(len(cells), func(i int) error {
-		severity, sc := severities[i/ns], schemes[i%ns]
+	return s.schemeGrid("faultimpact", severities, core.AllSchemes(), [2]string{
+		"Fault impact: normalized energy (" + b.Name + " LF+DL, vs fault-free Base)",
+		"Fault impact: normalized execution time (" + b.Name + " LF+DL, vs fault-free Base)",
+	}, true, func(b *workloads.Benchmark, cfg core.Config) (*core.Instance, error) {
+		in, _, err := s.memo().PrepareVersion(b.Name, b.Program, core.VLFDL, cfg)
+		return in, err
+	}, func(i int) (*workloads.Benchmark, core.Config, []string) {
 		cfg := s.configFor(b)
-		cfg.Faults, _ = faults.Preset(severity)
+		cfg.Faults, _ = faults.Preset(severities[i])
 		cfg.FaultSeed = seed
-		vals, err := s.cell(s.cellKey("faultimpact", &cfg, b.Name, severity, string(sc)), 2, func() ([]float64, error) {
-			in, _, err := s.memo().PrepareVersion(b.Name, b.Program, core.VLFDL, cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := in.Run(sc)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{res.EnergyJ, res.ExecMS}, nil
-		})
-		cells[i] = vals
-		return err
+		return b, cfg, []string{b.Name, severities[i]}
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Normalize every cell to the fault-free Base run (severity row 0,
-	// scheme column 0).
-	ref := cells[0]
-	for si, severity := range severities {
-		evals := make([]float64, 0, ns)
-		tvals := make([]float64, 0, ns)
-		for ci := range schemes {
-			c := cells[si*ns+ci]
-			evals = append(evals, c[0]/ref[0])
-			tvals = append(tvals, c[1]/ref[1])
-		}
-		energy.Add(severity, evals...)
-		times.Add(severity, tvals...)
-	}
-	return energy, times, nil
 }

@@ -4,22 +4,62 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 
 	"sdpm/internal/stats"
 )
 
+// experiment is one registry entry: an id and how a suite builds it.
+// Table 1 is preformatted text; every other experiment is a table.
+type experiment struct {
+	id    string
+	text  func(*Suite) string
+	table func(*Suite) (*stats.Table, error)
+}
+
+// registry lists every experiment, in the paper's order.
+var registry = []experiment{
+	{id: "table1", text: (*Suite).Table1},
+	{id: "table2", table: (*Suite).Table2},
+	{id: "fig3", table: half(0, (*Suite).Figures34)},
+	{id: "fig4", table: half(1, (*Suite).Figures34)},
+	{id: "table3", table: (*Suite).Table3},
+	{id: "fig5", table: half(0, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.Figures56(nil) })},
+	{id: "fig6", table: half(1, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.Figures56(nil) })},
+	{id: "fig7", table: half(0, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.Figures78(nil) })},
+	{id: "fig8", table: half(1, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.Figures78(nil) })},
+	{id: "fig13", table: (*Suite).Figure13},
+	{id: "applicability", table: (*Suite).VersionApplicability},
+	{id: "ext-interchange", table: (*Suite).ExtensionInterchange},
+	{id: "ext-multiprogram", table: (*Suite).ExtensionMultiprogram},
+	{id: "ablation-preactivation", table: (*Suite).AblationPreactivation},
+	{id: "ablation-noise", table: func(s *Suite) (*stats.Table, error) { return s.AblationNoise("mesa", nil) }},
+	{id: "ablation-cache", table: (*Suite).AblationCache},
+	{id: "ablation-clustering", table: (*Suite).AblationClustering},
+	{id: "ablation-openloop", table: (*Suite).AblationOpenLoop},
+	{id: "ablation-seek", table: (*Suite).AblationSeekModel},
+	{id: "breakdown", table: (*Suite).EnergyBreakdown},
+	{id: "faults-energy", table: half(0, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.FaultImpact("swim", s.FaultSeed) })},
+	{id: "faults-time", table: half(1, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.FaultImpact("swim", s.FaultSeed) })},
+}
+
+// half builds a two-table experiment and keeps table i (0 or 1).
+func half(i int, build func(*Suite) (*stats.Table, *stats.Table, error)) func(*Suite) (*stats.Table, error) {
+	return func(s *Suite) (*stats.Table, error) {
+		a, b, err := build(s)
+		return [2]*stats.Table{a, b}[i], err
+	}
+}
+
 // IDs returns the experiment identifiers accepted by Render, in the
 // paper's order.
 func IDs() []string {
-	return []string{
-		"table1", "table2", "fig3", "fig4", "table3",
-		"fig5", "fig6", "fig7", "fig8", "fig13",
-		"applicability", "ext-interchange", "ext-multiprogram",
-		"ablation-preactivation", "ablation-noise", "ablation-cache", "ablation-clustering",
-		"ablation-openloop", "ablation-seek", "breakdown",
-		"faults-energy", "faults-time",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Render regenerates one experiment id on a prepared suite and
@@ -28,90 +68,26 @@ func IDs() []string {
 // the serving layer; the id "all" is the caller's concern (loop over
 // IDs) so that per-experiment cancellation points stay visible.
 func Render(s *Suite, id string, out io.Writer, format string) error {
+	i := slices.IndexFunc(registry, func(e experiment) bool { return e.id == id })
+	if i < 0 {
+		ids := append([]string{"all"}, IDs()...)
+		sort.Strings(ids)
+		return fmt.Errorf("sdpm: unknown experiment %q (have %v)", id, ids)
+	}
+	e := registry[i]
 	slog.Debug("experiment start", "id", id, "workers", s.Workers)
-	text, table, err := build(s, id)
+	if e.text != nil {
+		_, err := io.WriteString(out, e.text(s))
+		return err
+	}
+	table, err := e.table(s)
 	if err != nil {
 		return err
 	}
 	slog.Debug("experiment done", "id", id)
-	if table != nil {
-		if format == "csv" {
-			return table.RenderCSV(out)
-		}
-		table.Render(out)
-		return nil
+	if format == "csv" {
+		return table.RenderCSV(out)
 	}
-	_, err = io.WriteString(out, text)
-	return err
-}
-
-// build produces one experiment's output: either preformatted text
-// (Table 1) or a numeric table.
-func build(s *Suite, id string) (string, *stats.Table, error) {
-	one := func(t *stats.Table, err error) (string, *stats.Table, error) { return "", t, err }
-	pair := func(a, b *stats.Table, err error, first bool) (string, *stats.Table, error) {
-		if err != nil {
-			return "", nil, err
-		}
-		if first {
-			return "", a, nil
-		}
-		return "", b, nil
-	}
-	switch id {
-	case "table1":
-		return s.Table1(), nil, nil
-	case "table2":
-		return one(s.Table2())
-	case "fig3":
-		return one(s.Figure3())
-	case "fig4":
-		return one(s.Figure4())
-	case "table3":
-		return one(s.Table3())
-	case "fig5":
-		a, b, err := s.Figures56(nil)
-		return pair(a, b, err, true)
-	case "fig6":
-		a, b, err := s.Figures56(nil)
-		return pair(a, b, err, false)
-	case "fig7":
-		a, b, err := s.Figures78(nil)
-		return pair(a, b, err, true)
-	case "fig8":
-		a, b, err := s.Figures78(nil)
-		return pair(a, b, err, false)
-	case "fig13":
-		return one(s.Figure13())
-	case "applicability":
-		return one(s.VersionApplicability())
-	case "ext-interchange":
-		return one(s.ExtensionInterchange())
-	case "ext-multiprogram":
-		return one(s.ExtensionMultiprogram())
-	case "ablation-preactivation":
-		return one(s.AblationPreactivation())
-	case "ablation-noise":
-		return one(s.AblationNoise("mesa", nil))
-	case "ablation-cache":
-		return one(s.AblationCache())
-	case "ablation-clustering":
-		return one(s.AblationClustering())
-	case "ablation-openloop":
-		return one(s.AblationOpenLoop())
-	case "ablation-seek":
-		return one(s.AblationSeekModel())
-	case "breakdown":
-		return one(s.EnergyBreakdown())
-	case "faults-energy":
-		a, b, err := s.FaultImpact("swim", s.FaultSeed)
-		return pair(a, b, err, true)
-	case "faults-time":
-		a, b, err := s.FaultImpact("swim", s.FaultSeed)
-		return pair(a, b, err, false)
-	default:
-		ids := append([]string{"all"}, IDs()...)
-		sort.Strings(ids)
-		return "", nil, fmt.Errorf("sdpm: unknown experiment %q (have %v)", id, ids)
-	}
+	table.Render(out)
+	return nil
 }

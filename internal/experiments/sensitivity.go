@@ -17,82 +17,22 @@ var DefaultStripeFactors = []int{2, 4, 8, 12, 16}
 // sensitivitySchemes are the schemes the sensitivity figures track.
 var sensitivitySchemes = []core.Scheme{core.DRPM, core.IDRPM, core.CMDRPM}
 
-// sensitivityBench returns the benchmark the paper uses for the
-// sensitivity analysis (swim).
-func (s *Suite) sensitivityBench() (*workloads.Benchmark, error) {
-	for _, b := range s.Benchmarks {
-		if b.Name == "swim" {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: sensitivity analysis needs the swim benchmark")
-}
-
-// sweep runs swim under one configuration variant per point — one
-// worker cell per (point, scheme) pair, every scheme at a point
-// sharing the point's prepared instance through the memo — and
-// returns raw energy and execution-time tables (rows: points; cols:
-// Base + sensitivitySchemes).
-func (s *Suite) sweep(labels []string, vary func(cfg *core.Config, point int), wrap func(point int, sc core.Scheme, err error) error) (*stats.Table, *stats.Table, error) {
-	b, err := s.sensitivityBench()
+// sweep runs swim, the paper's sensitivity benchmark, under one
+// configuration variant per label — every scheme at a point sharing
+// the point's prepared instance through the memo — and returns the
+// energy and execution-time tables (rows: points; cols: Base +
+// sensitivitySchemes), normalized to the base scheme at each point.
+func (s *Suite) sweep(labels []string, titles [2]string, vary func(cfg *core.Config, point int)) (*stats.Table, *stats.Table, error) {
+	b, err := s.bench("swim")
 	if err != nil {
 		return nil, nil, err
 	}
 	schemes := append([]core.Scheme{core.Base}, sensitivitySchemes...)
-	cols := make([]string, 0, len(schemes))
-	for _, sc := range schemes {
-		cols = append(cols, string(sc))
-	}
-	energy := &stats.Table{Columns: cols, Precision: 1}
-	times := &stats.Table{Columns: cols, Precision: 1}
-	ns := len(schemes)
-	cells := make([][]float64, len(labels)*ns)
-	err = s.pool().Map(len(cells), func(i int) error {
-		point, sc := i/ns, schemes[i%ns]
-		cfg := s.configFor(b)
-		vary(&cfg, point)
-		vals, err := s.cell(s.cellKey("sweep", &cfg, b.Name, labels[point], string(sc)), 2, func() ([]float64, error) {
-			in, err := s.memo().Prepare(b.Name, b.Program, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			res, err := in.Run(sc)
-			if err != nil {
-				return nil, wrap(point, sc, err)
-			}
-			return []float64{res.EnergyJ, res.ExecMS}, nil
-		})
-		cells[i] = vals
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for p, label := range labels {
-		evals := make([]float64, 0, ns)
-		tvals := make([]float64, 0, ns)
-		for si := 0; si < ns; si++ {
-			c := cells[p*ns+si]
-			evals = append(evals, c[0])
-			tvals = append(tvals, c[1])
-		}
-		energy.Add(label, evals...)
-		times.Add(label, tvals...)
-	}
-	return energy, times, nil
-}
-
-// stripeSweep runs swim at each stripe size and returns raw energy
-// and execution-time tables (rows: sizes; cols: Base + schemes).
-func (s *Suite) stripeSweep(sizes []int64) (*stats.Table, *stats.Table, error) {
-	labels := make([]string, len(sizes))
-	for i, size := range sizes {
-		labels[i] = fmt.Sprintf("%dKB", size/1024)
-	}
-	return s.sweep(labels,
-		func(cfg *core.Config, p int) { cfg.UnitBytes = sizes[p] },
-		func(p int, sc core.Scheme, err error) error {
-			return fmt.Errorf("stripe %dKB/%s: %w", sizes[p]/1024, sc, err)
+	return s.schemeGrid("sweep", labels, schemes, titles, false, s.prepare,
+		func(p int) (*workloads.Benchmark, core.Config, []string) {
+			cfg := s.configFor(b)
+			vary(&cfg, p)
+			return b, cfg, []string{b.Name, labels[p]}
 		})
 }
 
@@ -103,59 +43,28 @@ func (s *Suite) Figures56(sizes []int64) (*stats.Table, *stats.Table, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultStripeSizes
 	}
-	energy, times, err := s.stripeSweep(sizes)
-	if err != nil {
-		return nil, nil, err
+	labels := make([]string, len(sizes))
+	for i, size := range sizes {
+		labels[i] = fmt.Sprintf("%dKB", size/1024)
 	}
-	ne, err := energy.Normalized(string(core.Base))
-	if err != nil {
-		return nil, nil, err
-	}
-	nt, err := times.Normalized(string(core.Base))
-	if err != nil {
-		return nil, nil, err
-	}
-	ne.Precision = 3
-	ne.Title = "Figure 5: Energy consumption with different stripe sizes (swim)"
-	nt.Precision = 3
-	nt.Title = "Figure 6: Execution time with different stripe sizes (swim)"
-	return ne, nt, nil
-}
-
-// factorSweep runs swim at each stripe factor (= subsystem size).
-func (s *Suite) factorSweep(factors []int) (*stats.Table, *stats.Table, error) {
-	labels := make([]string, len(factors))
-	for i, f := range factors {
-		labels[i] = fmt.Sprintf("%d disks", f)
-	}
-	return s.sweep(labels,
-		func(cfg *core.Config, p int) { cfg.NumDisks = factors[p] },
-		func(p int, sc core.Scheme, err error) error {
-			return fmt.Errorf("factor %d/%s: %w", factors[p], sc, err)
-		})
+	return s.sweep(labels, [2]string{
+		"Figure 5: Energy consumption with different stripe sizes (swim)",
+		"Figure 6: Execution time with different stripe sizes (swim)",
+	}, func(cfg *core.Config, p int) { cfg.UnitBytes = sizes[p] })
 }
 
 // Figures78 computes Figures 7 and 8: swim's normalized energy and
-// execution time across stripe factors.
+// execution time across stripe factors (= subsystem sizes).
 func (s *Suite) Figures78(factors []int) (*stats.Table, *stats.Table, error) {
 	if len(factors) == 0 {
 		factors = DefaultStripeFactors
 	}
-	energy, times, err := s.factorSweep(factors)
-	if err != nil {
-		return nil, nil, err
+	labels := make([]string, len(factors))
+	for i, f := range factors {
+		labels[i] = fmt.Sprintf("%d disks", f)
 	}
-	ne, err := energy.Normalized(string(core.Base))
-	if err != nil {
-		return nil, nil, err
-	}
-	nt, err := times.Normalized(string(core.Base))
-	if err != nil {
-		return nil, nil, err
-	}
-	ne.Precision = 3
-	ne.Title = "Figure 7: Energy consumption with different stripe factors (swim)"
-	nt.Precision = 3
-	nt.Title = "Figure 8: Execution time with different stripe factors (swim)"
-	return ne, nt, nil
+	return s.sweep(labels, [2]string{
+		"Figure 7: Energy consumption with different stripe factors (swim)",
+		"Figure 8: Execution time with different stripe factors (swim)",
+	}, func(cfg *core.Config, p int) { cfg.NumDisks = factors[p] })
 }

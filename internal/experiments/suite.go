@@ -7,13 +7,14 @@
 // versions), plus the ablation studies DESIGN.md calls out.
 //
 // Every experiment is an embarrassingly parallel grid of independent
-// (benchmark, configuration, scheme) cells. The suite fans those
-// cells out on a bounded worker pool (internal/runner) and reassembles
-// results in canonical order, so rendered output is byte-identical
-// for any worker count; a shared instance memo (core.Cache) ensures
-// the compile→analysis→trace pipeline runs once per (workload,
-// configuration) no matter how many schemes or experiments ask for
-// it. See docs/performance.md.
+// (benchmark, configuration, scheme) cells, run through one journaled
+// Suite.grid, and one registry maps each experiment id to its builder.
+// The grid fans the cells out on a bounded worker pool
+// (internal/runner) and reassembles results in canonical order, so
+// rendered output is byte-identical for any worker count; a shared
+// instance memo (core.Cache) ensures the compile→analysis→trace
+// pipeline runs once per (workload, configuration) no matter how many
+// schemes or experiments ask for it. See docs/performance.md.
 package experiments
 
 import (
@@ -27,6 +28,7 @@ import (
 	"sdpm/internal/obs"
 	"sdpm/internal/obs/events"
 	"sdpm/internal/runner"
+	"sdpm/internal/sim"
 	"sdpm/internal/stats"
 	"sdpm/internal/workloads"
 )
@@ -186,6 +188,105 @@ func (s *Suite) cell(key string, n int, compute func() ([]float64, error)) ([]fl
 	return vals, nil
 }
 
+// grid runs an experiment's n cells on the worker pool, each through
+// the journal, and returns their values in cell order. at describes
+// cell i: the configuration and parts of its key, and the computation
+// of its width values.
+func (s *Suite) grid(exp string, n, width int, at func(i int) (core.Config, []string, func() ([]float64, error))) ([][]float64, error) {
+	out := make([][]float64, n)
+	err := s.pool().Map(n, func(i int) error {
+		cfg, parts, compute := at(i)
+		vals, err := s.cell(s.cellKey(exp, &cfg, parts...), width, compute)
+		out[i] = vals
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// perBench runs one cell per benchmark, under the benchmark's own
+// configuration and keyed by its name, and returns the cells in
+// benchmark order.
+func (s *Suite) perBench(exp string, benches []*workloads.Benchmark, width int, compute func(*workloads.Benchmark, core.Config) ([]float64, error)) ([][]float64, error) {
+	return s.grid(exp, len(benches), width, func(i int) (core.Config, []string, func() ([]float64, error)) {
+		b := benches[i]
+		cfg := s.configFor(b)
+		return cfg, []string{b.Name}, func() ([]float64, error) { return compute(b, cfg) }
+	})
+}
+
+// benchTable fills t with perBench's cells, one row per benchmark.
+func (s *Suite) benchTable(t *stats.Table, exp string, benches []*workloads.Benchmark, width int, compute func(*workloads.Benchmark, core.Config) ([]float64, error)) (*stats.Table, error) {
+	rows, err := s.perBench(exp, benches, width, compute)
+	if err != nil {
+		return nil, err
+	}
+	for i, b := range benches {
+		t.Add(b.Name, rows[i]...)
+	}
+	return t, nil
+}
+
+// withMean appends the cross-benchmark "average" row to a built table.
+func withMean(t *stats.Table, err error) (*stats.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return t.WithMeanRow(), nil
+}
+
+// schemeGrid runs every scheme on every row: one cell per (row,
+// scheme) pair, keyed by the row's parts and the scheme and valued
+// [EnergyJ, ExecMS], each on the instance prepare builds for the row.
+// row returns row i's benchmark, configuration and key parts. The
+// energy and execution-time tables it returns are titled titles and
+// divide every value by a Base run (schemes[0] must be Base): the
+// row's own, or with fixedRef row 0's.
+func (s *Suite) schemeGrid(exp string, labels []string, schemes []core.Scheme, titles [2]string, fixedRef bool,
+	prepare func(*workloads.Benchmark, core.Config) (*core.Instance, error),
+	row func(i int) (*workloads.Benchmark, core.Config, []string)) (*stats.Table, *stats.Table, error) {
+	ns := len(schemes)
+	cells, err := s.grid(exp, len(labels)*ns, 2, func(i int) (core.Config, []string, func() ([]float64, error)) {
+		b, cfg, parts := row(i / ns)
+		parts = append(parts, string(schemes[i%ns]))
+		return cfg, parts, func() ([]float64, error) {
+			in, err := prepare(b, cfg)
+			if err != nil {
+				return nil, err
+			}
+			res, err := in.Run(schemes[i%ns])
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", strings.Join(parts, "/"), err)
+			}
+			return []float64{res.EnergyJ, res.ExecMS}, nil
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cols := make([]string, ns)
+	for i, sc := range schemes {
+		cols[i] = string(sc)
+	}
+	energy := &stats.Table{Title: titles[0], Columns: cols, Precision: 3}
+	times := &stats.Table{Title: titles[1], Columns: cols, Precision: 3}
+	for r, label := range labels {
+		ref := cells[r*ns]
+		if fixedRef {
+			ref = cells[0]
+		}
+		evals, tvals := make([]float64, ns), make([]float64, ns)
+		for c, v := range cells[r*ns : (r+1)*ns] {
+			evals[c], tvals[c] = v[0]/ref[0], v[1]/ref[1]
+		}
+		energy.Add(label, evals...)
+		times.Add(label, tvals...)
+	}
+	return energy, times, nil
+}
+
 // configFor specializes the suite configuration for one benchmark.
 func (s *Suite) configFor(b *workloads.Benchmark) core.Config {
 	cfg := s.Cfg
@@ -196,10 +297,38 @@ func (s *Suite) configFor(b *workloads.Benchmark) core.Config {
 	return cfg
 }
 
-// instance prepares one benchmark under the suite configuration,
-// sharing the preparation across schemes, experiments, and workers.
-func (s *Suite) instance(b *workloads.Benchmark) (*core.Instance, error) {
-	return s.memo().Prepare(b.Name, b.Program, s.configFor(b), nil)
+// prepare prepares one benchmark under cfg, sharing the preparation
+// across schemes, experiments, and workers.
+func (s *Suite) prepare(b *workloads.Benchmark, cfg core.Config) (*core.Instance, error) {
+	return s.memo().Prepare(b.Name, b.Program, cfg, nil)
+}
+
+// run prepares b under cfg and runs the schemes on it in order.
+func (s *Suite) run(b *workloads.Benchmark, cfg core.Config, schemes ...core.Scheme) (*core.Instance, []*sim.Result, error) {
+	in, err := s.prepare(b, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := make([]*sim.Result, len(schemes))
+	for i, sc := range schemes {
+		if res[i], err = in.Run(sc); err != nil {
+			return nil, nil, err
+		}
+	}
+	return in, res, nil
+}
+
+// bench returns the suite's benchmark of that name. Experiments never
+// build their own: the memo keys on program identity, so a fresh
+// program would prepare again, and pin another entry in a shared
+// Cache, on every call.
+func (s *Suite) bench(name string) (*workloads.Benchmark, error) {
+	for _, b := range s.Benchmarks {
+		if b.Name == name {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: the suite has no benchmark %q", name)
 }
 
 // Table1 renders the simulation parameters (the paper's Table 1).
@@ -243,23 +372,12 @@ func (s *Suite) Table2() (*stats.Table, error) {
 		},
 		Precision: 1,
 	}
-	rows := make([][]float64, len(s.Benchmarks))
-	err := s.pool().Map(len(s.Benchmarks), func(i int) error {
-		b := s.Benchmarks[i]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("table2", &cfg, b.Name), 3, func() ([]float64, error) {
-			in, err := s.instance(b)
-			if err != nil {
-				return nil, err
-			}
-			res, err := in.Run(core.Base)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{float64(len(in.Sites)), res.EnergyJ, res.ExecMS}, nil
-		})
-		rows[i] = vals
-		return err
+	rows, err := s.perBench("table2", s.Benchmarks, 3, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		in, res, err := s.run(b, cfg, core.Base)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{float64(len(in.Sites)), res[0].EnergyJ, res[0].ExecMS}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -273,104 +391,24 @@ func (s *Suite) Table2() (*stats.Table, error) {
 	return t, nil
 }
 
-// schemeMatrix runs every scheme on every benchmark — one worker cell
-// per (benchmark, scheme) pair — and returns the raw energy and
-// execution-time tables.
-func (s *Suite) schemeMatrix() (*stats.Table, *stats.Table, error) {
-	schemes := core.AllSchemes()
-	cols := make([]string, 0, len(schemes))
-	for _, sc := range schemes {
-		cols = append(cols, string(sc))
-	}
-	energy := &stats.Table{Title: "Energy (J)", Columns: cols, Precision: 1}
-	times := &stats.Table{Title: "Execution time (ms)", Columns: cols, Precision: 1}
-	ns := len(schemes)
-	cells := make([][]float64, len(s.Benchmarks)*ns)
-	err := s.pool().Map(len(cells), func(i int) error {
-		b, sc := s.Benchmarks[i/ns], schemes[i%ns]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("schemematrix", &cfg, b.Name, string(sc)), 2, func() ([]float64, error) {
-			in, err := s.instance(b)
-			if err != nil {
-				return nil, err
-			}
-			res, err := in.Run(sc)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", b.Name, sc, err)
-			}
-			return []float64{res.EnergyJ, res.ExecMS}, nil
-		})
-		cells[i] = vals
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for bi, b := range s.Benchmarks {
-		evals := make([]float64, 0, ns)
-		tvals := make([]float64, 0, ns)
-		for si := range schemes {
-			c := cells[bi*ns+si]
-			evals = append(evals, c[0])
-			tvals = append(tvals, c[1])
-		}
-		energy.Add(b.Name, evals...)
-		times.Add(b.Name, tvals...)
-	}
-	return energy, times, nil
-}
-
-// Figure3 reports the normalized energy consumption of the seven
-// schemes (the paper's Figure 3), with the cross-benchmark average.
-func (s *Suite) Figure3() (*stats.Table, error) {
-	energy, _, err := s.schemeMatrix()
-	if err != nil {
-		return nil, err
-	}
-	n, err := energy.Normalized(string(core.Base))
-	if err != nil {
-		return nil, err
-	}
-	n.Precision = 3
-	n.Title = "Figure 3: Normalized energy consumption"
-	return n.WithMeanRow(), nil
-}
-
-// Figure4 reports the normalized execution times (the paper's
-// Figure 4).
-func (s *Suite) Figure4() (*stats.Table, error) {
-	_, times, err := s.schemeMatrix()
-	if err != nil {
-		return nil, err
-	}
-	n, err := times.Normalized(string(core.Base))
-	if err != nil {
-		return nil, err
-	}
-	n.Precision = 3
-	n.Title = "Figure 4: Normalized execution time"
-	return n.WithMeanRow(), nil
-}
-
-// Figures34 computes Figures 3 and 4 from a single scheme-matrix run.
+// Figures34 computes Figures 3 and 4: the energy consumption and
+// execution time of the seven schemes on every benchmark, normalized
+// to Base, with the cross-benchmark averages.
 func (s *Suite) Figures34() (*stats.Table, *stats.Table, error) {
-	energy, times, err := s.schemeMatrix()
+	labels := make([]string, len(s.Benchmarks))
+	for i, b := range s.Benchmarks {
+		labels[i] = b.Name
+	}
+	energy, times, err := s.schemeGrid("schemematrix", labels, core.AllSchemes(),
+		[2]string{"Figure 3: Normalized energy consumption", "Figure 4: Normalized execution time"}, false,
+		s.prepare, func(i int) (*workloads.Benchmark, core.Config, []string) {
+			b := s.Benchmarks[i]
+			return b, s.configFor(b), []string{b.Name}
+		})
 	if err != nil {
 		return nil, nil, err
 	}
-	ne, err := energy.Normalized(string(core.Base))
-	if err != nil {
-		return nil, nil, err
-	}
-	nt, err := times.Normalized(string(core.Base))
-	if err != nil {
-		return nil, nil, err
-	}
-	ne.Precision = 3
-	ne.Title = "Figure 3: Normalized energy consumption"
-	nt.Precision = 3
-	nt.Title = "Figure 4: Normalized execution time"
-	return ne.WithMeanRow(), nt.WithMeanRow(), nil
+	return energy.WithMeanRow(), times.WithMeanRow(), nil
 }
 
 // Table3 reports the percentage of mispredicted disk speeds of
@@ -385,32 +423,22 @@ func (s *Suite) Table3() (*stats.Table, error) {
 		"wupwise": 6.78, "swim": 5.14, "mgrid": 13.02,
 		"applu": 18.97, "mesa": 27.35, "galgel": 15.9,
 	}
-	pcts := make([]float64, len(s.Benchmarks))
-	err := s.pool().Map(len(s.Benchmarks), func(i int) error {
-		b := s.Benchmarks[i]
-		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("table3", &cfg, b.Name), 1, func() ([]float64, error) {
-			in, err := s.instance(b)
-			if err != nil {
-				return nil, err
-			}
-			st, err := in.Mispredictions()
-			if err != nil {
-				return nil, err
-			}
-			return []float64{st.Pct}, nil
-		})
+	rows, err := s.perBench("table3", s.Benchmarks, 1, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		in, err := s.prepare(b, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		pcts[i] = vals[0]
-		return nil
+		st, err := in.Mispredictions()
+		if err != nil {
+			return nil, err
+		}
+		return []float64{st.Pct}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range s.Benchmarks {
-		t.Add(b.Name, pcts[i], paper[b.Name])
+		t.Add(b.Name, rows[i][0], paper[b.Name])
 	}
 	return t, nil
 }

@@ -40,32 +40,22 @@ func (s *Suite) Figure13() (*stats.Table, error) {
 	}
 	// Per benchmark: cell 0 is the base denominator, then one cell per
 	// version/scheme pair.
-	perB := 1 + len(versions)*len(figure13Schemes)
-	energies := make([]float64, len(s.Benchmarks)*perB)
-	err := s.pool().Map(len(energies), func(i int) error {
+	perB := 1 + len(cols)
+	energies, err := s.grid("figure13", len(s.Benchmarks)*perB, 1, func(i int) (core.Config, []string, func() ([]float64, error)) {
 		b, j := s.Benchmarks[i/perB], i%perB
 		cfg := s.configFor(b)
 		if j == 0 {
-			vals, err := s.cell(s.cellKey("figure13", &cfg, b.Name, "base"), 1, func() ([]float64, error) {
-				orig, err := s.memo().Prepare(b.Name, b.Program, cfg, nil)
+			return cfg, []string{b.Name, "base"}, func() ([]float64, error) {
+				_, r, err := s.run(b, cfg, core.Base)
 				if err != nil {
 					return nil, err
 				}
-				baseRes, err := orig.Run(core.Base)
-				if err != nil {
-					return nil, err
-				}
-				return []float64{baseRes.EnergyJ}, nil
-			})
-			if err != nil {
-				return err
+				return []float64{r[0].EnergyJ}, nil
 			}
-			energies[i] = vals[0]
-			return nil
 		}
 		v := versions[(j-1)/len(figure13Schemes)]
 		sc := figure13Schemes[(j-1)%len(figure13Schemes)]
-		vals, err := s.cell(s.cellKey("figure13", &cfg, b.Name, string(v), string(sc)), 1, func() ([]float64, error) {
+		return cfg, []string{b.Name, string(v), string(sc)}, func() ([]float64, error) {
 			in, _, err := s.memo().PrepareVersion(b.Name, b.Program, v, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", b.Name, v, err)
@@ -75,21 +65,16 @@ func (s *Suite) Figure13() (*stats.Table, error) {
 				return nil, fmt.Errorf("%s/%s/%s: %w", b.Name, v, sc, err)
 			}
 			return []float64{res.EnergyJ}, nil
-		})
-		if err != nil {
-			return err
 		}
-		energies[i] = vals[0]
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for bi, b := range s.Benchmarks {
-		base := energies[bi*perB]
+		base := energies[bi*perB][0]
 		vals := make([]float64, 0, perB-1)
-		for j := 1; j < perB; j++ {
-			vals = append(vals, energies[bi*perB+j]/base)
+		for _, e := range energies[bi*perB+1 : (bi+1)*perB] {
+			vals = append(vals, e[0]/base)
 		}
 		t.Add(b.Name, vals...)
 	}
@@ -107,47 +92,29 @@ func (s *Suite) ExtensionInterchange() (*stats.Table, error) {
 		Title:   "Extension: loop interchange vs TL+DL (normalized CMDRPM energy)",
 		Columns: []string{"orig", "IC", "TL+DL", "IC-requests", "orig-requests"},
 	}
-	rows := make([][]float64, len(s.Benchmarks))
-	err := s.pool().Map(len(s.Benchmarks), func(i int) error {
-		b := s.Benchmarks[i]
-		cfg := s.configFor(b)
-		cell, err := s.cell(s.cellKey("interchange", &cfg, b.Name), 5, func() ([]float64, error) {
-			orig, err := s.memo().Prepare(b.Name, b.Program, cfg, nil)
+	return s.benchTable(t, "interchange", s.Benchmarks, 5, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
+		orig, base, err := s.run(b, cfg, core.Base)
+		if err != nil {
+			return nil, err
+		}
+		var vals []float64
+		var icReqs float64
+		for _, v := range []core.Version{core.VOrig, core.VIC, core.VTLDL} {
+			in, _, err := s.memo().PrepareVersion(b.Name, b.Program, v, cfg)
 			if err != nil {
 				return nil, err
 			}
-			baseRes, err := orig.Run(core.Base)
+			res, err := in.Run(core.CMDRPM)
 			if err != nil {
 				return nil, err
 			}
-			var vals []float64
-			var icReqs float64
-			for _, v := range []core.Version{core.VOrig, core.VIC, core.VTLDL} {
-				in, _, err := s.memo().PrepareVersion(b.Name, b.Program, v, cfg)
-				if err != nil {
-					return nil, err
-				}
-				res, err := in.Run(core.CMDRPM)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, res.EnergyJ/baseRes.EnergyJ)
-				if v == core.VIC {
-					icReqs = float64(len(in.Sites))
-				}
+			vals = append(vals, res.EnergyJ/base[0].EnergyJ)
+			if v == core.VIC {
+				icReqs = float64(len(in.Sites))
 			}
-			return append(vals, icReqs, float64(len(orig.Sites))), nil
-		})
-		rows[i] = cell
-		return err
+		}
+		return append(vals, icReqs, float64(len(orig.Sites))), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range s.Benchmarks {
-		t.Add(b.Name, rows[i]...)
-	}
-	return t, nil
 }
 
 // ExtensionMultiprogram evaluates the server scenario the paper sets
@@ -170,22 +137,15 @@ func (s *Suite) ExtensionMultiprogram() (*stats.Table, error) {
 	// A journal cell encodes the row as [ok, DRPM-E, IDRPM-E, DRPM-T]:
 	// the leading flag distinguishes "combo skipped, benchmark missing"
 	// from a computed row, so a resumed run skips the same rows.
-	rows := make([][]float64, len(combos))
-	err := s.pool().Map(len(combos), func(ci int) error {
-		cfg := s.Cfg
-		vals, err := s.cell(s.cellKey("multiprog", &cfg, strings.Join(combos[ci], "+")), 4, func() ([]float64, error) {
+	rows, err := s.grid("multiprog", len(combos), 4, func(ci int) (core.Config, []string, func() ([]float64, error)) {
+		return s.Cfg, []string{strings.Join(combos[ci], "+")}, func() ([]float64, error) {
 			var traces []*trace.Trace
 			for _, name := range combos[ci] {
-				var b *workloads.Benchmark
-				for _, x := range s.Benchmarks {
-					if x.Name == name {
-						b = x
-					}
-				}
-				if b == nil {
+				b, err := s.bench(name)
+				if err != nil {
 					return []float64{0, 0, 0, 0}, nil // combo needs a benchmark the suite lacks; skip the row
 				}
-				in, err := s.instance(b)
+				in, err := s.prepare(b, s.configFor(b))
 				if err != nil {
 					return nil, err
 				}
@@ -210,16 +170,14 @@ func (s *Suite) ExtensionMultiprogram() (*stats.Table, error) {
 			}
 			return []float64{1,
 				dr.EnergyJ / base.EnergyJ, id.EnergyJ / base.EnergyJ, dr.ExecMS / base.ExecMS}, nil
-		})
-		rows[ci] = vals
-		return err
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	for ci, r := range rows {
 		if r[0] != 0 {
-			t.Add(strings.Join(combos[ci], "+"), r[1], r[2], r[3])
+			t.Add(strings.Join(combos[ci], "+"), r[1:]...)
 		}
 	}
 	return t, nil
@@ -241,11 +199,10 @@ func (s *Suite) VersionApplicability() (*stats.Table, error) {
 		Precision: 0,
 	}
 	nv := len(versions)
-	cells := make([]float64, len(s.Benchmarks)*nv)
-	err := s.pool().Map(len(cells), func(i int) error {
+	cells, err := s.grid("applicability", len(s.Benchmarks)*nv, 1, func(i int) (core.Config, []string, func() ([]float64, error)) {
 		b, v := s.Benchmarks[i/nv], versions[i%nv]
 		cfg := s.configFor(b)
-		vals, err := s.cell(s.cellKey("applicability", &cfg, b.Name, string(v)), 1, func() ([]float64, error) {
+		return cfg, []string{b.Name, string(v)}, func() ([]float64, error) {
 			_, applied, err := s.memo().PrepareVersion(b.Name, b.Program, v, cfg)
 			if err != nil {
 				return nil, err
@@ -254,18 +211,17 @@ func (s *Suite) VersionApplicability() (*stats.Table, error) {
 				return []float64{1}, nil
 			}
 			return []float64{0}, nil
-		})
-		if err != nil {
-			return err
 		}
-		cells[i] = vals[0]
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for bi, b := range s.Benchmarks {
-		t.Add(b.Name, cells[bi*nv:(bi+1)*nv]...)
+		row := make([]float64, nv)
+		for j, c := range cells[bi*nv : (bi+1)*nv] {
+			row[j] = c[0]
+		}
+		t.Add(b.Name, row...)
 	}
 	return t, nil
 }

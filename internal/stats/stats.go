@@ -1,8 +1,7 @@
 // Package stats provides the result-table machinery the experiment
 // drivers use: numeric tables with labelled rows and columns,
-// normalization against a base column, aggregate helpers, and plain
-// text rendering of the kind the paper's tables and bar charts
-// report.
+// aggregate helpers, and plain text rendering of the kind the paper's
+// tables and bar charts report.
 package stats
 
 import (
@@ -89,28 +88,6 @@ func (t *Table) WithMeanRow() *Table {
 	}
 	cp.Add("average", means...)
 	return cp
-}
-
-// Normalized returns a copy with every row divided by the row's value
-// in the named base column (the paper's "normalized with respect to
-// the base version").
-func (t *Table) Normalized(baseCol string) (*Table, error) {
-	ci := t.Col(baseCol)
-	if ci < 0 {
-		return nil, fmt.Errorf("stats: no column %q", baseCol)
-	}
-	cp := &Table{Title: t.Title + " (normalized)", Columns: t.Columns, Precision: t.Precision}
-	for _, r := range t.Rows {
-		if ci >= len(r.Values) || r.Values[ci] == 0 {
-			return nil, fmt.Errorf("stats: row %q has no usable base value", r.Label)
-		}
-		nv := make([]float64, len(r.Values))
-		for i, v := range r.Values {
-			nv[i] = v / r.Values[ci]
-		}
-		cp.Add(r.Label, nv...)
-	}
-	return cp, nil
 }
 
 // Render writes the table as aligned plain text.

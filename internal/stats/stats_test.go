@@ -52,28 +52,6 @@ func TestColumnMeanAndMeanRow(t *testing.T) {
 	}
 }
 
-func TestNormalized(t *testing.T) {
-	tb := sample()
-	n, err := tb.Normalized("Base")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Rows[0].Values[0] != 1 || n.Rows[0].Values[1] != 0.5 || n.Rows[0].Values[2] != 2 {
-		t.Errorf("normalized row = %v", n.Rows[0].Values)
-	}
-	if n.Rows[1].Values[2] != 2 {
-		t.Errorf("row y = %v", n.Rows[1].Values)
-	}
-	if _, err := tb.Normalized("nope"); err == nil {
-		t.Error("missing base accepted")
-	}
-	bad := &Table{Columns: []string{"Base"}}
-	bad.Add("x", 0)
-	if _, err := bad.Normalized("Base"); err == nil {
-		t.Error("zero base accepted")
-	}
-}
-
 func TestRender(t *testing.T) {
 	tb := sample()
 	out := tb.String()
