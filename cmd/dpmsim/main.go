@@ -54,11 +54,11 @@ import (
 	"strings"
 
 	"sdpm/internal/cli"
+	"sdpm/internal/core"
 	"sdpm/internal/disk"
 	"sdpm/internal/faults"
 	"sdpm/internal/obs"
 	"sdpm/internal/obs/events"
-	"sdpm/internal/policy"
 	"sdpm/internal/runner"
 	"sdpm/internal/sim"
 	"sdpm/internal/trace"
@@ -325,27 +325,21 @@ func writeTraceFile(path string, res *sim.Result, log *events.Log) {
 	slog.Debug("trace timeline written", "path", path)
 }
 
-// policyFor builds the named policy; the second result says whether
-// the trace's embedded power ops must be dropped (true for every
-// reactive policy, false for "embedded").
+// policyFor builds the named policy (a reactive or oracle scheme,
+// matched case-insensitively); the second result says whether the
+// trace's embedded power ops must be dropped (true for every reactive
+// policy, false for "embedded").
 func policyFor(name string, p disk.Params, numDisks int) (sim.Policy, bool, error) {
-	switch strings.ToLower(name) {
-	case "base":
-		return policy.NewBase(), true, nil
-	case "tpm":
-		return policy.NewTPM(p, 0), true, nil
-	case "itpm":
-		return policy.NewITPM(p), true, nil
-	case "drpm":
-		return policy.NewDRPM(p, numDisks), true, nil
-	case "idrpm":
-		return policy.NewIDRPM(p), true, nil
-	case "embedded":
+	if strings.EqualFold(name, "embedded") {
 		// No policy: the trace's explicit power ops drive the disks.
 		return nil, false, nil
-	default:
-		return nil, false, fmt.Errorf("unknown policy %q", name)
 	}
+	if s, ok := core.ParseScheme(name); ok {
+		if pol, ok := s.Policy(p, numDisks); ok {
+			return pol, true, nil
+		}
+	}
+	return nil, false, fmt.Errorf("unknown policy %q", name)
 }
 
 // runOnce executes one simulation in the selected loop mode.

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"sdpm/internal/cycles"
@@ -41,9 +42,72 @@ const (
 	CMDRPM Scheme = "CMDRPM"
 )
 
+// schemeRun says how one scheme runs. A reactive or oracle scheme
+// runs the base trace under its simulator policy; a compiler-managed
+// scheme (nil policy) runs the trace its instrumentation mode fills
+// with power calls, which then drive the disks.
+type schemeRun struct {
+	scheme Scheme
+	policy func(p disk.Params, numDisks int) sim.Policy
+	mode   insert.Mode
+}
+
+// schemeTable lists every scheme in the paper's Figure 3 order.
+var schemeTable = []schemeRun{
+	{Base, func(disk.Params, int) sim.Policy { return policy.NewBase() }, 0},
+	{TPM, func(p disk.Params, _ int) sim.Policy { return policy.NewTPM(p, 0) }, 0},
+	{ITPM, func(p disk.Params, _ int) sim.Policy { return policy.NewITPM(p) }, 0},
+	{DRPM, func(p disk.Params, n int) sim.Policy { return policy.NewDRPM(p, n) }, 0},
+	{IDRPM, func(p disk.Params, _ int) sim.Policy { return policy.NewIDRPM(p) }, 0},
+	{CMTPM, nil, insert.ModeTPM},
+	{CMDRPM, nil, insert.ModeDRPM},
+}
+
 // AllSchemes returns the schemes in the paper's Figure 3 order.
 func AllSchemes() []Scheme {
-	return []Scheme{Base, TPM, ITPM, DRPM, IDRPM, CMTPM, CMDRPM}
+	out := make([]Scheme, len(schemeTable))
+	for i, r := range schemeTable {
+		out[i] = r.scheme
+	}
+	return out
+}
+
+// ParseScheme resolves a scheme name case-insensitively.
+func ParseScheme(name string) (Scheme, bool) {
+	for _, r := range schemeTable {
+		if strings.EqualFold(string(r.scheme), name) {
+			return r.scheme, true
+		}
+	}
+	return "", false
+}
+
+func (s Scheme) run() (schemeRun, bool) {
+	for _, r := range schemeTable {
+		if r.scheme == s {
+			return r, true
+		}
+	}
+	return schemeRun{}, false
+}
+
+// Policy builds the simulator policy of a reactive or oracle scheme
+// on numDisks disks; ok is false for a compiler-managed or unknown
+// scheme.
+func (s Scheme) Policy(p disk.Params, numDisks int) (sim.Policy, bool) {
+	if r, ok := s.run(); ok && r.policy != nil {
+		return r.policy(p, numDisks), true
+	}
+	return nil, false
+}
+
+// Mode returns the instrumentation mode of a compiler-managed scheme;
+// ok is false for every other scheme.
+func (s Scheme) Mode() (insert.Mode, bool) {
+	if r, ok := s.run(); ok && r.policy == nil {
+		return r.mode, true
+	}
+	return 0, false
 }
 
 // Version names a code/layout version of Section 6.
@@ -311,8 +375,27 @@ func (in *Instance) Compiled(tr *trace.Trace) *trace.Compiled {
 	return c
 }
 
+// Trace returns the trace a scheme runs on: the instrumented trace of
+// a compiler-managed scheme, the base trace of any other. Like
+// BaseTrace, it is shared and read-only.
+func (in *Instance) Trace(s Scheme) (*trace.Trace, error) {
+	r, ok := s.run()
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("core: unknown scheme %q", s)
+	case r.policy != nil:
+		return in.BaseTrace(), nil
+	}
+	tr, _, err := in.Instrumented(r.mode)
+	return tr, err
+}
+
 // Run simulates the instance under the given scheme.
 func (in *Instance) Run(s Scheme) (*sim.Result, error) {
+	tr, err := in.Trace(s)
+	if err != nil {
+		return nil, err
+	}
 	cfg := sim.Config{
 		Disk:                in.Cfg.Disk,
 		PowerCallOverheadMS: in.Cfg.PowerCallOverheadMS,
@@ -323,31 +406,9 @@ func (in *Instance) Run(s Scheme) (*sim.Result, error) {
 		Faults:              in.faultPlan,
 		Audit:               in.Cfg.Audit,
 	}
-	tr := in.BaseTrace()
-	switch s {
-	case Base:
-		cfg.Policy = policy.NewBase()
-	case TPM:
-		cfg.Policy = policy.NewTPM(in.Cfg.Disk, 0)
-	case ITPM:
-		cfg.Policy = policy.NewITPM(in.Cfg.Disk)
-	case DRPM:
-		cfg.Policy = policy.NewDRPM(in.Cfg.Disk, in.Cfg.NumDisks)
-	case IDRPM:
-		cfg.Policy = policy.NewIDRPM(in.Cfg.Disk)
-	case CMTPM, CMDRPM:
-		mode := insert.ModeTPM
-		if s == CMDRPM {
-			mode = insert.ModeDRPM
-		}
-		itr, _, err := in.Instrumented(mode)
-		if err != nil {
-			return nil, err
-		}
-		tr = itr
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %q", s)
-	}
+	// A compiler-managed scheme gets no policy: its trace's power
+	// calls drive the disks.
+	cfg.Policy, _ = s.Policy(in.Cfg.Disk, in.Cfg.NumDisks)
 	if in.Cfg.DisableBatch {
 		cfg.DisableBatch = true
 	} else {
@@ -367,7 +428,11 @@ func (in *Instance) Run(s Scheme) (*sim.Result, error) {
 // compiler-managed schemes are closed-loop by construction (their
 // power calls are program-order events), so they are rejected here.
 func (in *Instance) RunOpen(s Scheme) (*sim.Result, error) {
-	cfg := sim.Config{
+	pol, ok := s.Policy(in.Cfg.Disk, in.Cfg.NumDisks)
+	if !ok {
+		return nil, fmt.Errorf("core: open-loop replay supports reactive/oracle schemes, not %q", s)
+	}
+	res, err := sim.RunOpenLoop(in.BaseTrace(), sim.Config{
 		Disk:              in.Cfg.Disk,
 		DistanceAwareSeek: in.Cfg.DistanceAwareSeek,
 		Obs:               in.Obs,
@@ -375,22 +440,8 @@ func (in *Instance) RunOpen(s Scheme) (*sim.Result, error) {
 		SchemeLabel:       string(s) + "/open",
 		Faults:            in.faultPlan,
 		Audit:             in.Cfg.Audit,
-	}
-	switch s {
-	case Base:
-		cfg.Policy = policy.NewBase()
-	case TPM:
-		cfg.Policy = policy.NewTPM(in.Cfg.Disk, 0)
-	case ITPM:
-		cfg.Policy = policy.NewITPM(in.Cfg.Disk)
-	case DRPM:
-		cfg.Policy = policy.NewDRPM(in.Cfg.Disk, in.Cfg.NumDisks)
-	case IDRPM:
-		cfg.Policy = policy.NewIDRPM(in.Cfg.Disk)
-	default:
-		return nil, fmt.Errorf("core: open-loop replay supports reactive/oracle schemes, not %q", s)
-	}
-	res, err := sim.RunOpenLoop(in.BaseTrace(), cfg)
+		Policy:            pol,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -416,26 +467,22 @@ func (in *Instance) Mispredictions() (oracle.MispredictStats, error) {
 // EstimateEnergy returns the compiler's energy prediction for the
 // given scheme (Base, CMTPM, or CMDRPM) on the predicted timeline.
 func (in *Instance) EstimateEnergy(s Scheme) (float64, error) {
-	switch s {
-	case Base:
+	if s == Base {
 		_, plan, err := in.Instrumented(insert.ModeDRPM)
 		if err != nil {
 			return 0, err
 		}
 		return plan.EstimateBaseEnergyJ(in.Cfg.Disk, in.Sites), nil
-	case CMTPM, CMDRPM:
-		mode := insert.ModeTPM
-		if s == CMDRPM {
-			mode = insert.ModeDRPM
-		}
-		_, plan, err := in.Instrumented(mode)
-		if err != nil {
-			return 0, err
-		}
-		return plan.EstimateEnergyJ(in.Cfg.Disk, in.Sites), nil
-	default:
+	}
+	mode, ok := s.Mode()
+	if !ok {
 		return 0, fmt.Errorf("core: no compiler estimate for scheme %q", s)
 	}
+	_, plan, err := in.Instrumented(mode)
+	if err != nil {
+		return 0, err
+	}
+	return plan.EstimateEnergyJ(in.Cfg.Disk, in.Sites), nil
 }
 
 // SelectScheme performs the paper's strategy selection: the compiler

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"sdpm/internal/core"
-	"sdpm/internal/policy"
 	"sdpm/internal/sim"
 	"sdpm/internal/stats"
 	"sdpm/internal/trace"
@@ -155,19 +154,14 @@ func (s *Suite) ExtensionMultiprogram() (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := s.Cfg.Disk
-			base, err := sim.RunOpenLoop(merged, sim.Config{Disk: p, Policy: policy.NewBase()})
-			if err != nil {
-				return nil, err
+			var r [3]*sim.Result
+			for i, sc := range []core.Scheme{core.Base, core.DRPM, core.IDRPM} {
+				pol, _ := sc.Policy(s.Cfg.Disk, s.Cfg.NumDisks)
+				if r[i], err = sim.RunOpenLoop(merged, sim.Config{Disk: s.Cfg.Disk, Policy: pol}); err != nil {
+					return nil, err
+				}
 			}
-			dr, err := sim.RunOpenLoop(merged, sim.Config{Disk: p, Policy: policy.NewDRPM(p, s.Cfg.NumDisks)})
-			if err != nil {
-				return nil, err
-			}
-			id, err := sim.RunOpenLoop(merged, sim.Config{Disk: p, Policy: policy.NewIDRPM(p)})
-			if err != nil {
-				return nil, err
-			}
+			base, dr, id := r[0], r[1], r[2]
 			return []float64{1,
 				dr.EnergyJ / base.EnergyJ, id.EnergyJ / base.EnergyJ, dr.ExecMS / base.ExecMS}, nil
 		}

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -797,10 +796,8 @@ func schemeByName(name string) (core.Scheme, *Error) {
 	if name == "" {
 		return core.Base, nil
 	}
-	for _, sc := range core.AllSchemes() {
-		if strings.EqualFold(string(sc), name) {
-			return sc, nil
-		}
+	if sc, ok := core.ParseScheme(name); ok {
+		return sc, nil
 	}
 	return "", validationf("unknown scheme %q (have %v)", name, core.AllSchemes())
 }

@@ -31,7 +31,6 @@ import (
 	"sdpm/internal/cycles"
 	"sdpm/internal/dsl"
 	"sdpm/internal/faults"
-	"sdpm/internal/insert"
 	"sdpm/internal/ir"
 	"sdpm/internal/layout"
 	"sdpm/internal/workloads"
@@ -383,17 +382,13 @@ func (w *Workload) Transform(v Version, cfg Config) (*Workload, bool, error) {
 // paper's Figure 2(d) view of the modified code. The scheme must be
 // CMTPM or CMDRPM.
 func (w *Workload) AnnotatedDSL(s Scheme, cfg Config) (string, error) {
+	mode, ok := s.Mode()
+	if !ok {
+		return "", fmt.Errorf("sdpm: annotated listing needs CMTPM or CMDRPM, not %q", s)
+	}
 	in, err := w.instance(cfg)
 	if err != nil {
 		return "", err
-	}
-	mode := insert.ModeTPM
-	switch s {
-	case CMTPM:
-	case CMDRPM:
-		mode = insert.ModeDRPM
-	default:
-		return "", fmt.Errorf("sdpm: annotated listing needs CMTPM or CMDRPM, not %q", s)
 	}
 	_, plan, err := in.Instrumented(mode)
 	if err != nil {
@@ -452,27 +447,19 @@ func (w *Workload) DAP(cfg Config) (string, error) {
 }
 
 // WriteTrace writes the workload's I/O trace in the textual trace
-// format: the base trace for reactive schemes, or the instrumented
-// trace (with power-management calls) for CMTPM/CMDRPM.
+// format: the instrumented trace (with power-management calls) for
+// CMTPM/CMDRPM, the base trace for every other scheme. An unknown
+// scheme is an error.
 func (w *Workload) WriteTrace(out io.Writer, s Scheme, cfg Config) error {
 	in, err := w.instance(cfg)
 	if err != nil {
 		return err
 	}
-	switch s {
-	case CMTPM, CMDRPM:
-		mode := insert.ModeTPM
-		if s == CMDRPM {
-			mode = insert.ModeDRPM
-		}
-		tr, _, err := in.Instrumented(mode)
-		if err != nil {
-			return err
-		}
-		return tr.Encode(out)
-	default:
-		return in.BaseTrace().Encode(out)
+	tr, err := in.Trace(s)
+	if err != nil {
+		return err
 	}
+	return tr.Encode(out)
 }
 
 // Requests returns the number of disk requests the workload makes

@@ -151,6 +151,13 @@ func TestWriteTraceAndDAP(t *testing.T) {
 	if !strings.Contains(buf.String(), "set_rpm") {
 		t.Error("instrumented trace missing power ops")
 	}
+	// A scheme outside the seven is an error, not the base trace.
+	for _, s := range []Scheme{"cmdrpm", "bogus"} {
+		buf.Reset()
+		if err := w.WriteTrace(&buf, s, cfg); err == nil || buf.Len() != 0 {
+			t.Errorf("WriteTrace(%q) = %v after %d bytes, want an error and no output", s, err, buf.Len())
+		}
+	}
 	d, err := w.DAP(cfg)
 	if err != nil {
 		t.Fatal(err)
