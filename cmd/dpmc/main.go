@@ -1,12 +1,14 @@
 // Command dpmc is the compiler front end: it parses a DSL program
 // (or loads a built-in benchmark), optionally applies one of the
 // Section 6 code/layout transformations, and either prints the disk
-// access pattern, prints the transformed program, or emits the
-// power-management-instrumented trace.
+// access pattern, prints the transformed program, or emits the I/O
+// trace the simulator consumes: plain (-mode base) or instrumented
+// with power-management calls (-mode tpm or drpm).
 //
 // Usage:
 //
 //	dpmc -bench swim -dap                      # print the DAP
+//	dpmc -bench swim -mode base > swim.trace    # plain trace
 //	dpmc -dsl prog.sdpm -mode drpm -o out.trace # instrument
 //	dpmc -bench mesa -version TL+DL -print      # show transformed code
 //
@@ -28,11 +30,11 @@ func main() {
 	bench := flag.String("bench", "", "built-in benchmark name")
 	dslFile := flag.String("dsl", "", "DSL program file")
 	version := flag.String("version", "orig", "code version: orig, LF, TL, LF+DL, TL+DL")
-	mode := flag.String("mode", "drpm", "instrumentation mode: tpm or drpm")
+	mode := flag.String("mode", "drpm", "trace mode: base (no power calls), tpm or drpm")
 	dap := flag.Bool("dap", false, "print the disk access pattern and exit")
 	show := flag.Bool("print", false, "print the (transformed) program in DSL form and exit")
 	annotate := flag.Bool("calls", false, "print the program with the inserted power calls as comments and exit")
-	out := flag.String("o", "", "write the instrumented trace to this file (default stdout)")
+	out := flag.String("o", "", "write the trace to this file (default stdout)")
 	disks := flag.Int("disks", 8, "number of disks")
 	unit := flag.Int64("unit", 64<<10, "stripe unit bytes")
 	layoutSpecs := flag.String("layout", "", "per-array layouts: array=start:factor:unitKB,...")
@@ -40,6 +42,11 @@ func main() {
 	flag.Parse()
 	cli.SetupLogging("dpmc", *verbose, *quiet)
 
+	modes := map[string]sdpm.Scheme{"base": sdpm.Base, "tpm": sdpm.CMTPM, "drpm": sdpm.CMDRPM}
+	scheme, ok := modes[*mode]
+	if !ok {
+		cli.Fatal(fmt.Errorf("unknown mode %q (base, tpm or drpm)", *mode))
+	}
 	w, err := cli.LoadWorkload(*bench, *dslFile)
 	if err != nil {
 		cli.Fatal(err)
@@ -64,10 +71,6 @@ func main() {
 
 	switch {
 	case *annotate:
-		scheme := sdpm.CMDRPM
-		if *mode == "tpm" {
-			scheme = sdpm.CMTPM
-		}
 		out, err := w.AnnotatedDSL(scheme, cfg)
 		if err != nil {
 			cli.Fatal(err)
@@ -82,12 +85,6 @@ func main() {
 		}
 		fmt.Print(d)
 	default:
-		scheme := sdpm.CMDRPM
-		if *mode == "tpm" {
-			scheme = sdpm.CMTPM
-		} else if *mode != "drpm" {
-			cli.Fatal(fmt.Errorf("unknown mode %q", *mode))
-		}
 		dst := os.Stdout
 		if *out != "" {
 			f, err := os.Create(*out)

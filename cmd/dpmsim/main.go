@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dpmtrace -bench swim > swim.trace
+//	dpmc -bench swim -mode base > swim.trace
 //	dpmsim -trace swim.trace -policy drpm
 //	dpmsim -trace swim.trace -policy embedded   # honor trace power ops
 //	dpmsim -trace swim.trace -policy all        # compare every policy
