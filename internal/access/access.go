@@ -337,17 +337,6 @@ func collectRunTouchesBlocked(pl *refPlan, ivRun, scratch []int64, inner ir.Loop
 	return nil
 }
 
-// Touches collects the full touch sequence (convenience for tests
-// and small programs; prefer Walk for large workloads).
-func Touches(p *ir.Program, sub *layout.Subsystem) ([]Touch, error) {
-	var out []Touch
-	err := Walk(p, sub, func(t Touch) error {
-		out = append(out, t)
-		return nil
-	})
-	return out, err
-}
-
 // PlaceArrays places every array of the program on the subsystem
 // with the given default striping (each array in its own file). It
 // is a convenience used when no transformation has assigned custom
@@ -361,30 +350,19 @@ func PlaceArrays(p *ir.Program, sub *layout.Subsystem, st layout.Striping) error
 	return nil
 }
 
-// PlaceArraysWith places every array using the striping from the
-// overrides map where present, falling back to the default striping.
-func PlaceArraysWith(p *ir.Program, sub *layout.Subsystem, def layout.Striping, overrides map[string]layout.Striping) error {
-	for _, a := range p.Arrays {
-		st := def
-		if o, ok := overrides[a.Name]; ok {
-			st = o
-		}
-		if err := sub.Place(a.Name, a.SizeBytes(), st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PlaceArraysStaggered places every array with the given stripe
 // factor and unit but staggers the starting disks (array i starts at
-// disk i mod factor), the usual load-balancing placement. This
-// avoids the degenerate alignment where unit k of every file lands
-// on the same disk.
-func PlaceArraysStaggered(p *ir.Program, sub *layout.Subsystem, factor int, unitBytes int64) error {
+// disk i mod the subsystem size), the usual load-balancing placement.
+// This avoids the degenerate alignment where unit k of every file
+// lands on the same disk. An array named in overrides takes that
+// striping instead (a layout-aware transformation's choice).
+func PlaceArraysStaggered(p *ir.Program, sub *layout.Subsystem, factor int, unitBytes int64, overrides map[string]layout.Striping) error {
 	nd := sub.NumDisks()
 	for i, a := range p.Arrays {
 		st := layout.Striping{StartDisk: i % nd, Factor: factor, UnitBytes: unitBytes}
+		if o, ok := overrides[a.Name]; ok {
+			st = o
+		}
 		if err := sub.Place(a.Name, a.SizeBytes(), st); err != nil {
 			return err
 		}

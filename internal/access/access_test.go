@@ -9,6 +9,16 @@ import (
 	"sdpm/internal/layout"
 )
 
+// Touches collects the full touch sequence of a (small) program.
+func Touches(p *ir.Program, sub *layout.Subsystem) ([]Touch, error) {
+	var out []Touch
+	err := Walk(p, sub, func(t Touch) error {
+		out = append(out, t)
+		return nil
+	})
+	return out, err
+}
+
 // bruteTouches is a reference implementation that visits every
 // iteration and every reference, emitting a touch whenever a
 // reference enters a different stripe unit within an innermost run.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"sdpm/internal/access"
 	"sdpm/internal/cycles"
 	"sdpm/internal/dap"
 	"sdpm/internal/disk"
@@ -297,14 +298,8 @@ func Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range p.Arrays {
-		st := layout.Striping{StartDisk: i % cfg.NumDisks, Factor: cfg.NumDisks, UnitBytes: cfg.UnitBytes}
-		if o, ok := overrides[a.Name]; ok {
-			st = o
-		}
-		if err := sub.Place(a.Name, a.SizeBytes(), st); err != nil {
-			return nil, err
-		}
+	if err := access.PlaceArraysStaggered(p, sub, cfg.NumDisks, cfg.UnitBytes, overrides); err != nil {
+		return nil, err
 	}
 	var sites []tracegen.Site
 	if cfg.NoCache {

@@ -164,11 +164,11 @@ func TestMachineResetReuse(t *testing.T) {
 	p := disk.DefaultParams()
 	run := func(m *sim.Machine) ([]sim.DiskStats, [][]sim.IdlePeriod) {
 		m.SetRPMAt(0, 0, 3000)
-		end, err := m.Service(0, 500, 65536)
+		end, err := m.ServiceBlock(0, 500, 65536, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		end, err = m.Service(1, end+200, 65536)
+		end, err = m.ServiceBlock(1, end+200, 65536, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -198,7 +198,7 @@ func TestDegradedWindowStretchesTransfer(t *testing.T) {
 	fc := faults.Config{DegradedProb: 1, DegradedPeriodMS: 1e6, DegradedDurMS: 1e6, DegradedFactor: 3}
 	m := NewMachine(1, p)
 	m.AttachFaults(plan(t, 7, 1, fc))
-	end, err := m.Service(0, 0, 65536)
+	end, err := m.ServiceBlock(0, 0, 65536, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestNotSpinningErrorTyped(t *testing.T) {
 	// never resolved cannot reach the service path legitimately.
 	m.disks[0].status = StDown
 	m.disks[0].statusUntil = 0
-	_, err := m.Service(0, 0, 65536)
+	_, err := m.ServiceBlock(0, 0, 65536, -1)
 	var nse *NotSpinningError
 	if !errors.As(err, &nse) {
 		t.Fatalf("err = %v, want *NotSpinningError", err)

@@ -307,10 +307,6 @@ func (m *Machine) StatusOf(d int) Status { return m.disks[d].status }
 // (zero if the disk has not been accessed).
 func (m *Machine) IdleFrom(d int) float64 { return m.disks[d].idleFrom }
 
-// AccountedTo returns the time up to which disk d's energy has been
-// committed; policy actions must not be scheduled before it.
-func (m *Machine) AccountedTo(d int) float64 { return m.disks[d].accT }
-
 // EnableTimeline turns on per-disk timeline recording; segments are
 // returned by Timelines after Finish.
 func (m *Machine) EnableTimeline() { m.recTimeline = true }
@@ -572,21 +568,15 @@ func (m *Machine) SetRPMAt(d int, t float64, rpm int) {
 	}
 }
 
-// Service issues a request of the given size to disk d at time t. It
-// records the idle period that ends at t, waits out any spin-up or
-// shift in progress (spinning the disk up from standby on demand),
-// services the request, and returns the completion time. The seek
-// component uses the average seek time; use ServiceBlock for
-// distance-aware seeks. A non-nil error (*NotSpinningError) reports a
+// ServiceBlock issues a request of the given size, starting at the
+// given block, to disk d at time t. It records the idle period that
+// ends at t, waits out any spin-up or shift in progress (spinning the
+// disk up from standby on demand), services the request, and returns
+// the completion time. When distance-aware seeking is enabled, the
+// seek time follows the head movement from the previous request's end
+// position; a negative block keeps the average-seek model for this
+// request. A non-nil error (*NotSpinningError) reports a
 // machine-invariant violation: the disk failed to reach full speed.
-func (m *Machine) Service(d int, t float64, bytes int64) (float64, error) {
-	return m.ServiceBlock(d, t, bytes, -1)
-}
-
-// ServiceBlock is Service with the request's start block: when
-// distance-aware seeking is enabled, the seek time follows the head
-// movement from the previous request's end position (a negative
-// block keeps the average-seek model for this request).
 func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, error) {
 	s := &m.disks[d]
 	idleLen := t - s.idleFrom

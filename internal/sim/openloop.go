@@ -30,7 +30,7 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 	// stable-sorting an arrival queue (as earlier revisions did) was a
 	// per-run allocation that could never change the order.
 	m := e.m
-	m.ReserveIdles(requestsPerDisk(tr))
+	m.ReserveIdles(tr.PerDiskRequests())
 	lastCompletion := make([]float64, tr.NumDisks)
 	for i := range tr.Events {
 		if tr.Events[i].Kind != trace.EvRequest {

@@ -217,17 +217,6 @@ func newRun(tr *trace.Trace, cfg *Config, open, validated bool) (runExec, error)
 	return runExec{m: m, tr: tr, cfg: *cfg, scheme: scheme}, nil
 }
 
-// requestsPerDisk counts the trace's requests on each disk.
-func requestsPerDisk(tr *trace.Trace) []int {
-	perDisk := make([]int, tr.NumDisks)
-	for i := range tr.Events {
-		if tr.Events[i].Kind == trace.EvRequest {
-			perDisk[tr.Events[i].Req.Disk]++
-		}
-	}
-	return perDisk
-}
-
 // finish ends the run at e.clock, or abandons it when err is non-nil.
 // A completed run first runs the policy's Finish and closes the
 // disks' accounts. Either way the run's metrics are then published
@@ -421,7 +410,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if comp != nil {
 		e.m.ReserveIdles(comp.PerDisk)
 	} else {
-		e.m.ReserveIdles(requestsPerDisk(tr))
+		e.m.ReserveIdles(tr.PerDiskRequests())
 	}
 	return e.finish(e.walk(comp, batching, hz))
 }

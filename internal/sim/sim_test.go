@@ -393,7 +393,7 @@ func TestMachineAccessors(t *testing.T) {
 	if m.StatusOf(1) != StSpinning {
 		t.Error("initial status")
 	}
-	if m.IdleFrom(0) != 0 || m.AccountedTo(0) != 0 {
+	if m.IdleFrom(0) != 0 || m.disks[0].accT != 0 {
 		t.Error("initial times")
 	}
 	if m.Params().MaxRPM != p.MaxRPM {

@@ -174,26 +174,6 @@ func (t *Trace) PerDiskRequests() []int {
 	return out
 }
 
-// WithoutPowerOps returns a copy of the trace with all power-
-// management calls removed (their program positions' compute gaps are
-// folded into the following event), for running a compiler-
-// instrumented trace under a reactive or base policy.
-func (t *Trace) WithoutPowerOps() *Trace {
-	out := &Trace{Program: t.Program, NumDisks: t.NumDisks}
-	var carry float64
-	for i := range t.Events {
-		ev := t.Events[i]
-		if ev.Kind == EvPowerOp {
-			carry += ev.GapMS
-			continue
-		}
-		ev.GapMS += carry
-		carry = 0
-		out.Events = append(out.Events, ev)
-	}
-	return out
-}
-
 // MergeOpen merges several traces into one multiprogrammed workload
 // on a shared subsystem, interleaving their requests by nominal
 // arrival time. Power-op events are dropped (their program-order

@@ -149,44 +149,6 @@ func TestDecodeSkipsCommentsAndBlank(t *testing.T) {
 	}
 }
 
-func TestWithoutPowerOps(t *testing.T) {
-	tr := sampleTrace()
-	plain := tr.WithoutPowerOps()
-	if plain.NumPowerOps() != 0 {
-		t.Fatal("power ops survived")
-	}
-	if plain.NumRequests() != tr.NumRequests() {
-		t.Fatal("requests lost")
-	}
-	// The removed ops' gaps fold into the next request's gap so the
-	// total compute time is preserved.
-	var before, after float64
-	for _, e := range tr.Events {
-		before += e.GapMS
-	}
-	for _, e := range plain.Events {
-		after += e.GapMS
-	}
-	if math.Abs(before-after) > 1e-9 {
-		t.Errorf("total gap changed: %g -> %g", before, after)
-	}
-	// Specifically the op gap of 1.0 folded into the second request.
-	if math.Abs(plain.Events[1].GapMS-3.44) > 1e-9 {
-		t.Errorf("second request gap = %g, want 3.44", plain.Events[1].GapMS)
-	}
-}
-
-func TestWithoutPowerOpsTrailingOps(t *testing.T) {
-	tr := &Trace{Program: "p", NumDisks: 1, Events: []Event{
-		{Kind: EvRequest, GapMS: 1, Req: Request{Bytes: 512}},
-		{Kind: EvPowerOp, GapMS: 5, Op: PowerOp{Kind: OpSpinDown}},
-	}}
-	plain := tr.WithoutPowerOps()
-	if len(plain.Events) != 1 {
-		t.Fatalf("events = %d", len(plain.Events))
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	if Read.String() != "r" || Write.String() != "w" {
 		t.Error("ReqKind strings")

@@ -19,7 +19,7 @@ func baseRun(t *testing.T, b *Benchmark) (*sim.Result, []tracegen.Site) {
 	t.Helper()
 	p := disk.DefaultParams()
 	sub := layout.MustSubsystem(DefaultDisks)
-	if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes); err != nil {
+	if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes, nil); err != nil {
 		t.Fatal(err)
 	}
 	sites, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
@@ -155,7 +155,7 @@ func TestTransposedBenchmarksAreTileable(t *testing.T) {
 func nestRequestCounts(t *testing.T, b *Benchmark) []float64 {
 	t.Helper()
 	sub := layout.MustSubsystem(DefaultDisks)
-	if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes); err != nil {
+	if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes, nil); err != nil {
 		t.Fatal(err)
 	}
 	sites, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
@@ -235,7 +235,7 @@ func TestRequestsSpreadAcrossDisks(t *testing.T) {
 	// behind the paper's per-disk idle-period lengths.
 	for _, b := range All() {
 		sub := layout.MustSubsystem(DefaultDisks)
-		if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes); err != nil {
+		if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes, nil); err != nil {
 			t.Fatal(err)
 		}
 		sites, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
