@@ -83,6 +83,7 @@ func ParseScheme(name string) (Scheme, bool) {
 	return "", false
 }
 
+// run returns the scheme's table entry.
 func (s Scheme) run() (schemeRun, bool) {
 	for _, r := range schemeTable {
 		if r.scheme == s {

@@ -32,19 +32,19 @@ func (s *Suite) AblationPreactivation() (*stats.Table, error) {
 		Columns: []string{"CMDRPM-E", "CMDRPM-T", "noPre-E", "noPre-T"},
 	}
 	return withMean(s.benchTable(t, "preact", s.Benchmarks, 4, func(b *workloads.Benchmark, cfg core.Config) ([]float64, error) {
-		_, on, err := s.run(b, cfg, core.Base, core.CMDRPM)
+		_, r, err := s.run(b, cfg, core.Base, core.CMDRPM)
 		if err != nil {
 			return nil, err
 		}
 		cfg.DisablePreactivation = true
-		_, off, err := s.run(b, cfg, core.CMDRPM)
+		_, rOff, err := s.run(b, cfg, core.CMDRPM)
 		if err != nil {
 			return nil, err
 		}
-		base := on[0]
+		base, on, off := r[0], r[1], rOff[0]
 		return []float64{
-			on[1].EnergyJ / base.EnergyJ, on[1].ExecMS / base.ExecMS,
-			off[0].EnergyJ / base.EnergyJ, off[0].ExecMS / base.ExecMS}, nil
+			on.EnergyJ / base.EnergyJ, on.ExecMS / base.ExecMS,
+			off.EnergyJ / base.EnergyJ, off.ExecMS / base.ExecMS}, nil
 	}))
 }
 
@@ -78,7 +78,8 @@ func (s *Suite) AblationNoise(benchName string, biasLevels []float64) (*stats.Ta
 			if err != nil {
 				return nil, err
 			}
-			return []float64{st.Pct, r[1].EnergyJ / r[0].EnergyJ, r[1].ExecMS / r[0].ExecMS}, nil
+			base, cm := r[0], r[1]
+			return []float64{st.Pct, cm.EnergyJ / base.EnergyJ, cm.ExecMS / base.ExecMS}, nil
 		}
 	})
 	if err != nil {
