@@ -28,6 +28,9 @@ type Touch struct {
 	// Iter is the linearized iteration (program execution order
 	// within the nest) at which the unit is first entered.
 	Iter int64
+	// Array is the array's index in the program's Arrays (an array
+	// the program does not list is numbered after them, by name).
+	Array int
 	// File is the array (file) name; Unit the stripe unit index.
 	File string
 	Unit int64
@@ -43,8 +46,14 @@ type Touch struct {
 // lexicographic order; within an iteration, statements then
 // references in declaration order.
 func Walk(p *ir.Program, sub *layout.Subsystem, fn func(Touch) error) error {
+	ids := make(map[string]int, len(p.Arrays))
+	for i, a := range p.Arrays {
+		if _, dup := ids[a.Name]; !dup {
+			ids[a.Name] = i
+		}
+	}
 	for ni, nest := range p.Nests {
-		if err := walkNest(ni, nest, sub, fn); err != nil {
+		if err := walkNest(ni, nest, sub, len(p.Arrays), ids, fn); err != nil {
 			return err
 		}
 	}
@@ -60,6 +69,11 @@ type refPlan struct {
 	unitBytes int64
 	fileSize  int64
 	file      string
+	array     int // Touch.Array
+	// Linear layouts: the byte offset at iteration vector iv is
+	// constB plus the sum of loopB[l]*iv[l].
+	constB int64
+	loopB  []int64
 	// Blocked-layout handling: when the referenced array has a
 	// blocked (tiled) layout, runs are only piecewise linear.
 	blocked bool
@@ -82,7 +96,7 @@ type pendingTouch struct {
 	plan    *refPlan
 }
 
-func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error) error {
+func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, numArrays int, ids map[string]int, fn func(Touch) error) error {
 	depth := nest.Depth()
 	inner := nest.Loops[depth-1]
 	innerTrip := inner.Trip()
@@ -101,10 +115,15 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 				return fmt.Errorf("access: array %q not placed on subsystem", r.Array.Name)
 			}
 			size, _ := sub.SizeOf(r.Array.Name)
+			id, ok := ids[r.Array.Name]
+			if !ok {
+				id = numArrays + len(ids)
+				ids[r.Array.Name] = id
+			}
 			pl := refPlan{
 				ref: r, stmtIdx: si, refIdx: ri,
 				unitBytes: st.UnitBytes,
-				fileSize:  size, file: r.Array.Name,
+				fileSize:  size, file: r.Array.Name, array: id,
 				drivenDim: -1,
 			}
 			driven := 0
@@ -124,26 +143,45 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 					pl.withinStride = withinTileStride(r.Array, pl.drivenDim)
 				}
 			} else {
-				var stride int64
+				pl.loopB = make([]int64, depth)
 				for dim, e := range r.Index {
-					stride += e.CoeffAt(depth-1) * inner.Step * r.Array.InnerStride(dim)
+					dimB := r.Array.InnerStride(dim)
+					pl.constB += e.Const * dimB
+					for l := range pl.loopB {
+						pl.loopB[l] += e.CoeffAt(l) * dimB
+					}
 				}
-				pl.strideB = stride
+				pl.strideB = pl.loopB[depth-1] * inner.Step
 			}
 			plans = append(plans, pl)
 		}
 	}
 
+	// iv is the iteration vector at the start of the current
+	// innermost run; last holds each loop's final index value.
 	iv := make([]int64, depth)
+	last := make([]int64, depth)
+	for l, lp := range nest.Loops {
+		iv[l] = lp.Lo
+		last[l] = lp.Lo + (lp.Trip()-1)*lp.Step
+	}
 	// scratch is the blocked walker's private iteration vector; it is
 	// allocated once per nest and overwritten per (run, reference)
 	// rather than copied afresh, keeping the outer loop allocation-free.
 	scratch := make([]int64, depth)
 	var touches []pendingTouch
 	for outer := int64(0); outer < outerTrips; outer++ {
-		// Build the iteration vector for this innermost run.
+		if outer > 0 {
+			// Step the outer loops to the next run, like an odometer.
+			for l := depth - 2; l >= 0; l-- {
+				if iv[l] != last[l] {
+					iv[l] += nest.Loops[l].Step
+					break
+				}
+				iv[l] = nest.Loops[l].Lo
+			}
+		}
 		baseIter := outer * innerTrip
-		copy(iv, nest.IndexOf(baseIter))
 		touches = touches[:0]
 
 		for pi := range plans {
@@ -152,7 +190,11 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 			if pl.blocked {
 				err = collectRunTouchesBlocked(pl, iv, scratch, inner, innerTrip, &touches)
 			} else {
-				err = collectRunTouches(pl, pl.ref.OffsetAt(iv), innerTrip, &touches)
+				base := pl.constB
+				for l, b := range pl.loopB {
+					base += b * iv[l]
+				}
+				err = collectRunTouches(pl, base, innerTrip, &touches)
 			}
 			if err != nil {
 				return fmt.Errorf("access: nest %d (%q) stmt %d ref %d: %w",
@@ -182,7 +224,7 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 				b = tc.plan.fileSize - unitStart
 			}
 			if err := fn(Touch{
-				Nest: ni, Iter: baseIter + tc.k,
+				Nest: ni, Iter: baseIter + tc.k, Array: tc.plan.array,
 				File: tc.plan.file, Unit: tc.unit, Bytes: b,
 				Kind: tc.plan.ref.Kind,
 			}); err != nil {

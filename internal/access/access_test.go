@@ -3,6 +3,7 @@ package access
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sdpm/internal/ir"
@@ -50,7 +51,8 @@ func bruteTouches(t *testing.T, p *ir.Program, sub *layout.Subsystem) []Touch {
 						if unit*st.UnitBytes+b > size {
 							b = size - unit*st.UnitBytes
 						}
-						out = append(out, Touch{Nest: ni, Iter: it, File: r.Array.Name, Unit: unit, Bytes: b, Kind: r.Kind})
+						array := slices.IndexFunc(p.Arrays, func(a *ir.Array) bool { return a.Name == r.Array.Name })
+						out = append(out, Touch{Nest: ni, Iter: it, Array: array, File: r.Array.Name, Unit: unit, Bytes: b, Kind: r.Kind})
 					}
 				}
 			}
@@ -161,6 +163,37 @@ func TestWalkMatchesBruteForceRandomized(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d diverged (unit=%d factor=%d)", trial, unit, factor)
 		}
+	}
+}
+
+func TestWalkOuterLoopsOffsetAndStrided(t *testing.T) {
+	// Outer loops that start off zero and step by more than one: the
+	// walker steps them in place and derives each run's start offset
+	// from per-loop byte strides, which generated programs (all loops
+	// from zero) never exercise. The blocked array takes the walker's
+	// other path from the same iteration vector.
+	b := ir.NewBuilder("p")
+	u := b.Array3D("u", 12, 10, 16)
+	v := b.Array2D("v", 48, 48)
+	v.RowMajor = false
+	w := b.Array2D("w", 16, 24)
+	w.Block = []int64{4, 8}
+	b.Nest("n0", ir.LRange("i", 3, 12, 4), ir.LRange("j", 1, 10, 3), ir.LRange("k", 2, 16, 3)).
+		Stmt(7,
+			ir.R(u, ir.Var(0), ir.Var(1), ir.Var(2)),
+			ir.W(v, ir.Var(0).Times(3).Add(ir.Var(1)).Plus(1), ir.Var(2).Times(2).Add(ir.Var(1))),
+			ir.R(w, ir.Var(2), ir.Var(0).Add(ir.Var(1))))
+	b.Nest("n1", ir.LRange("i", 2, 9, 2), ir.LRange("j", 5, 16, 5)).
+		Stmt(3, ir.R(u, ir.Var(0), ir.Cnst(4), ir.Var(1)), ir.R(w, ir.Var(1), ir.Var(0)))
+	p := b.MustBuild()
+	sub := placeAll(t, p, 3, 512, 3)
+	got, err := Touches(p, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bruteTouches(t, p, sub)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("offset/strided outer loops diverged:\n got %v\nwant %v", got, want)
 	}
 }
 

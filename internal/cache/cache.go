@@ -6,77 +6,121 @@
 // one request per stripe unit per sweep.
 package cache
 
-import "container/list"
-
-// Key identifies one stripe unit of one array file.
+// Key identifies one stripe unit of one array file: the array's
+// (non-negative) index in its program and the unit's index in the
+// file.
 type Key struct {
-	File string
-	Unit int64
+	Array int
+	Unit  int64
 }
 
 // LRU is a fixed-capacity least-recently-used cache of stripe units.
-// The zero value is not usable; use New.
+// Its entries live in one slice, linked in recency order by index and
+// found through one unit-keyed map per array. The slice grows as
+// units arrive, up to the capacity; a miss on a full cache reuses the
+// least recently used entry. The zero value is not usable; use New.
 type LRU struct {
 	capacity int
-	ll       *list.List
-	m        map[Key]*list.Element
-	hits     int64
-	misses   int64
+	// slot[a][u] is the entry of unit u of array a.
+	slot    []map[int64]int
+	entries []entry
+	// head and tail index the most and least recently used entries.
+	head, tail int
+	hits       int64
+	misses     int64
+}
+
+// entry is one cached unit; prev points toward the head, next toward
+// the tail, and -1 ends the list.
+type entry struct {
+	key        Key
+	prev, next int
 }
 
 // New returns an LRU holding at most capUnits stripe units. A
-// capacity of zero disables caching (every touch misses).
+// capacity of zero disables caching (every touch misses). Memory grows
+// with the units touched, not with the capacity.
 func New(capUnits int) *LRU {
-	if capUnits < 0 {
-		capUnits = 0
-	}
-	return &LRU{
-		capacity: capUnits,
-		ll:       list.New(),
-		m:        make(map[Key]*list.Element, capUnits),
-	}
+	return &LRU{capacity: max(capUnits, 0), head: -1, tail: -1}
 }
 
 // Touch records an access to the given unit. It reports whether the
 // unit was present (a cache hit); on a miss the unit is inserted,
 // evicting the least recently used unit if the cache is full.
 func (c *LRU) Touch(k Key) bool {
-	if e, ok := c.m[k]; ok {
-		c.ll.MoveToFront(e)
+	if i, ok := c.lookup(k); ok {
 		c.hits++
+		if i != c.head {
+			c.unlink(i)
+			c.pushFront(i)
+		}
 		return true
 	}
 	c.misses++
 	if c.capacity == 0 {
 		return false
 	}
-	if c.ll.Len() >= c.capacity {
-		back := c.ll.Back()
-		delete(c.m, back.Value.(Key))
-		c.ll.Remove(back)
+	i := len(c.entries)
+	if i < c.capacity {
+		c.entries = append(c.entries, entry{key: k})
+	} else {
+		i = c.tail
+		c.unlink(i)
+		old := c.entries[i].key
+		delete(c.slot[old.Array], old.Unit)
+		c.entries[i].key = k
 	}
-	c.m[k] = c.ll.PushFront(k)
+	for len(c.slot) <= k.Array {
+		c.slot = append(c.slot, make(map[int64]int))
+	}
+	c.slot[k.Array][k.Unit] = i
+	c.pushFront(i)
 	return false
+}
+
+func (c *LRU) unlink(i int) {
+	e := &c.entries[i]
+	if e.prev >= 0 {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+func (c *LRU) pushFront(i int) {
+	c.entries[i].prev, c.entries[i].next = -1, c.head
+	if c.head >= 0 {
+		c.entries[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *LRU) lookup(k Key) (int, bool) {
+	if k.Array >= len(c.slot) {
+		return 0, false
+	}
+	i, ok := c.slot[k.Array][k.Unit]
+	return i, ok
 }
 
 // Contains reports whether the unit is cached, without touching it.
 func (c *LRU) Contains(k Key) bool {
-	_, ok := c.m[k]
+	_, ok := c.lookup(k)
 	return ok
 }
 
 // Len returns the number of cached units.
-func (c *LRU) Len() int { return c.ll.Len() }
+func (c *LRU) Len() int { return len(c.entries) }
 
 // Cap returns the capacity in units.
 func (c *LRU) Cap() int { return c.capacity }
 
 // Stats returns the cumulative hit and miss counts.
 func (c *LRU) Stats() (hits, misses int64) { return c.hits, c.misses }
-
-// Reset empties the cache and clears the statistics.
-func (c *LRU) Reset() {
-	c.ll.Init()
-	c.m = make(map[Key]*list.Element, c.capacity)
-	c.hits, c.misses = 0, 0
-}

@@ -73,7 +73,7 @@ func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error)
 	bc := cache.New(cacheUnits)
 	var out []Site
 	err := access.Walk(p, sub, func(t access.Touch) error {
-		if bc.Touch(cache.Key{File: t.File, Unit: t.Unit}) {
+		if bc.Touch(cache.Key{Array: t.Array, Unit: t.Unit}) {
 			return nil
 		}
 		ext, err := sub.MapUnit(t.File, t.Unit)
