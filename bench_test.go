@@ -105,8 +105,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(res.Requests*b.N)/b.Elapsed().Seconds(), "reqs/s")
 }
 
-// BenchmarkCompilerInstrumentation measures the full compiler path
-// (analysis + power-call insertion) on the largest workload.
+// BenchmarkCompilerInstrumentation measures one CMDRPM run of the
+// largest workload from scratch: Prepare (placement and the access
+// walk), power-call insertion, trace compilation and simulation.
+// BenchmarkPrepare and BenchmarkInstrument in internal/core time the
+// compiler layers alone.
 func BenchmarkCompilerInstrumentation(b *testing.B) {
 	w, err := Benchmark("wupwise")
 	if err != nil {

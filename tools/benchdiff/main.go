@@ -10,7 +10,9 @@
 //   - the benchjson JSON document (results/BENCH_sim.json)
 //
 // Benchmarks are matched by name with the "Benchmark" prefix and
-// GOMAXPROCS suffix stripped, exactly as benchjson keys them. For
+// GOMAXPROCS suffix stripped, exactly as benchjson keys them; a name
+// repeated in one file (go test -count, or the alternating pairs of
+// `make bench-diff-rev`) stands for the median of its lines. For
 // every name present in both sets the ns/op delta is printed; the
 // exit status is 1 if any compared benchmark is slower than OLD by
 // more than -tolerance percent (default 25). Names present on only
@@ -19,7 +21,8 @@
 // one should.
 //
 // Used by `make bench-diff` and the CI bench-smoke job to guard the
-// simulator hot paths against performance regressions.
+// simulator hot paths against performance regressions, and by `make
+// bench-diff-rev` to compare a revision with the working tree.
 package main
 
 import (

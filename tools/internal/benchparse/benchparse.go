@@ -6,6 +6,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -22,10 +23,10 @@ type Result struct {
 // Parse reads `go test -bench` output and returns the results keyed
 // by benchmark name with the "Benchmark" prefix and "-N" GOMAXPROCS
 // suffix stripped (so "BenchmarkSimHotPath-8" becomes "SimHotPath").
-// Non-benchmark lines are skipped. A duplicate name (e.g. from
-// -count>1) keeps the first occurrence.
+// Non-benchmark lines are skipped. A name repeated (by -count>1 or by
+// alternating runs) gets the median of each field over its lines.
 func Parse(r io.Reader) (map[string]Result, error) {
-	results := map[string]Result{}
+	lines := map[string][]Result{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
@@ -53,11 +54,33 @@ func Parse(r io.Reader) (map[string]Result, error) {
 				res.AllocsPerOp = int64(v)
 			}
 		}
-		if _, dup := results[name]; !dup {
-			results[name] = res
+		lines[name] = append(lines[name], res)
+	}
+	results := make(map[string]Result, len(lines))
+	for name, rs := range lines {
+		results[name] = Result{
+			Iterations:  int64(median(rs, func(r Result) float64 { return float64(r.Iterations) })),
+			NSPerOp:     median(rs, func(r Result) float64 { return r.NSPerOp }),
+			BytesPerOp:  int64(median(rs, func(r Result) float64 { return float64(r.BytesPerOp) })),
+			AllocsPerOp: int64(median(rs, func(r Result) float64 { return float64(r.AllocsPerOp) })),
 		}
 	}
 	return results, sc.Err()
+}
+
+// median returns the median of field over rs: the middle value, or
+// the mean of the two middle values of an even count.
+func median(rs []Result, field func(Result) float64) float64 {
+	vs := make([]float64, len(rs))
+	for i, r := range rs {
+		vs[i] = field(r)
+	}
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // CleanName strips the "Benchmark" prefix and the trailing

@@ -45,6 +45,27 @@ func TestParse(t *testing.T) {
 	}
 }
 
+func TestParseRepeatedNamesTakeTheMedian(t *testing.T) {
+	got, err := Parse(strings.NewReader(`BenchmarkA-2   10   500 ns/op   64 B/op   3 allocs/op
+BenchmarkA-2   12   100 ns/op   32 B/op   1 allocs/op
+BenchmarkA-2   11   300 ns/op   48 B/op   2 allocs/op
+BenchmarkB-2    5    10 ns/op
+BenchmarkB-2    7    40 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Result{
+		"A": {Iterations: 11, NSPerOp: 300, BytesPerOp: 48, AllocsPerOp: 2},
+		"B": {Iterations: 6, NSPerOp: 25, BytesPerOp: -1, AllocsPerOp: -1},
+	}
+	for name, w := range want {
+		if g := got[name]; g != w {
+			t.Errorf("%s = %+v, want %+v", name, g, w)
+		}
+	}
+}
+
 func TestParseSkipsNoise(t *testing.T) {
 	got, err := Parse(strings.NewReader("PASS\nok \tsdpm\t0.1s\nBenchmarkFoo results pending\n"))
 	if err != nil {
