@@ -77,7 +77,6 @@ func main() {
 	audit := flag.Bool("audit", false, "verify conservation invariants after every simulation; fail on any violation")
 	retries := flag.Int("retries", 0, "extra attempts for a failing or panicking experiment cell")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the run (e.g. 90s, 5m); on expiry in-flight cells cancel cleanly and partial metrics/events/journal records are still flushed before the non-zero exit (0 = no limit)")
-	batch := flag.Bool("batch", true, "batched steady-state simulation over compiled traces; -batch=false forces the general per-request path (output is byte-identical)")
 	verbose, quiet := cli.LogFlags(flag.CommandLine)
 	flag.Parse()
 	cli.SetupLogging("dpmexp", *verbose, *quiet)
@@ -105,7 +104,6 @@ func main() {
 		FaultSpec: spec, FaultSeed: *faultSeed,
 		Journal: *journalPath, Resume: *resume,
 		Audit: *audit, Retries: *retries,
-		DisableBatch: !*batch,
 	}
 	var metricsBuf *bytes.Buffer
 	if *metricsOut != "" {

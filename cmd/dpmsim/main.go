@@ -83,7 +83,6 @@ func main() {
 	faultSpec := flag.String("faults", "", "fault-injection spec: preset (off/light/moderate/heavy), key=value list, or @file (read here; dpmd rejects @file); empty = fault-free")
 	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed; the same seed reproduces the exact fault pattern")
 	audit := flag.Bool("audit", false, "verify conservation invariants (energy/time bookkeeping, state-machine legality) after the run; fail on any violation")
-	batch := flag.Bool("batch", true, "batched steady-state executor over the trace's compiled runs; -batch=false forces the general per-request path (results are bit-identical)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the run (e.g. 90s); on expiry in-flight comparison runs cancel cleanly and partial metrics/events are still flushed before the non-zero exit (0 = no limit)")
 	verbose, quiet := cli.LogFlags(flag.CommandLine)
 	flag.Parse()
@@ -133,7 +132,6 @@ func main() {
 		Audit:               *audit,
 		Obs:                 coll,
 		Events:              evLog,
-		DisableBatch:        !*batch,
 	}
 	if *httpAddr != "" {
 		prog, pol := tr.Program, *pol

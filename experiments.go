@@ -92,10 +92,6 @@ type Options struct {
 	// this many extra times before reporting its error. 0 disables
 	// retries; panics still surface as typed errors either way.
 	Retries int
-	// DisableBatch forces the simulator's general per-request path
-	// instead of the batched steady-state executor (the -batch=off
-	// escape hatch). Output is byte-identical either way.
-	DisableBatch bool
 }
 
 // RunExperiment regenerates one of the paper's tables or figures (or
@@ -137,7 +133,6 @@ func RunExperiments(id string, out io.Writer, opts Options) error {
 	}
 	s.FaultSeed = opts.FaultSeed
 	s.Cfg.Audit = opts.Audit
-	s.Cfg.DisableBatch = opts.DisableBatch
 	s.Retries = opts.Retries
 	if opts.Collector != nil {
 		s.Obs = opts.Collector

@@ -27,7 +27,8 @@ func get(t *testing.T, url string) (int, string) {
 func TestDebugServerEndpoints(t *testing.T) {
 	coll := obs.New()
 	run := coll.StartRun(1, 3000, 3000, 1)
-	run.ObserveRequest(0, 1.5, 0, 10)
+	run.ObserveRequest(1.5, 0, 10)
+	run.AddDisk(0, &obs.DiskAccount{Requests: 1})
 	run.Publish()
 	addr, shutdown, err := StartDebugServer("127.0.0.1:0", coll, func() any {
 		return map[string]string{"phase": "testing"}

@@ -44,12 +44,14 @@ func TestCollectorMatchesResult(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, batch := range []bool{true, false} {
-				in.Cfg.DisableBatch = !batch
 				for _, s := range AllSchemes() {
 					run := func(open bool) {
 						c := obs.New()
 						in.Obs = c
 						run, label := in.Run, string(s)
+						if !batch {
+							run = func(s Scheme) (*sim.Result, error) { return runUnbatched(in, s) }
+						}
 						if open {
 							run, label = in.RunOpen, label+"/open"
 						}
@@ -74,6 +76,17 @@ func TestCollectorMatchesResult(t *testing.T) {
 	if faulted == 0 {
 		t.Error("no run saw an injected fault; the fault-series checks are vacuous")
 	}
+}
+
+// runUnbatched is Instance.Run through the simulator's general
+// per-request path.
+func runUnbatched(in *Instance, s Scheme) (*sim.Result, error) {
+	tr, cfg, err := in.simConfig(s)
+	if err != nil {
+		return nil, err
+	}
+	cfg.DisableBatch = true
+	return sim.Run(tr, cfg)
 }
 
 // checkCollector asserts that c, fed by the single run res, agrees

@@ -173,12 +173,6 @@ type Config struct {
 	// flag is deliberately excluded from Fingerprint — audited and
 	// unaudited runs share cache entries and journal records.
 	Audit bool
-	// DisableBatch forces the simulator's general per-request path
-	// instead of the batched steady-state executor (the -batch=off
-	// escape hatch). Results are bit-identical either way, so — like
-	// Audit — the flag is excluded from Fingerprint: batched and
-	// unbatched runs share cache entries and journal records.
-	DisableBatch bool
 }
 
 // DefaultConfig returns the Table 1 configuration.
@@ -388,9 +382,27 @@ func (in *Instance) Trace(s Scheme) (*trace.Trace, error) {
 
 // Run simulates the instance under the given scheme.
 func (in *Instance) Run(s Scheme) (*sim.Result, error) {
-	tr, err := in.Trace(s)
+	tr, cfg, err := in.simConfig(s)
 	if err != nil {
 		return nil, err
+	}
+	cfg.Compiled = in.Compiled(tr)
+	res, err := sim.Run(tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Scheme = string(s)
+	res.Program = in.Name
+	return res, nil
+}
+
+// simConfig returns the trace Run simulates under the given scheme
+// and the simulator configuration it runs with, short of the
+// compiled form.
+func (in *Instance) simConfig(s Scheme) (*trace.Trace, sim.Config, error) {
+	tr, err := in.Trace(s)
+	if err != nil {
+		return nil, sim.Config{}, err
 	}
 	cfg := sim.Config{
 		Disk:                in.Cfg.Disk,
@@ -405,18 +417,7 @@ func (in *Instance) Run(s Scheme) (*sim.Result, error) {
 	// A compiler-managed scheme gets no policy: its trace's power
 	// calls drive the disks.
 	cfg.Policy, _ = s.Policy(in.Cfg.Disk, in.Cfg.NumDisks)
-	if in.Cfg.DisableBatch {
-		cfg.DisableBatch = true
-	} else {
-		cfg.Compiled = in.Compiled(tr)
-	}
-	res, err := sim.Run(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Scheme = string(s)
-	res.Program = in.Name
-	return res, nil
+	return tr, cfg, nil
 }
 
 // RunOpen replays the instance's trace in open-loop (arrival-driven,

@@ -12,34 +12,39 @@ import (
 // every power-op, misprediction and fault kind, two disks (one with
 // off-grid RPM residency), every cache, runner, journal and serving
 // counter and gauge, and every histogram, including its +Inf bucket.
-// The simulation families arrive through one run's accumulator and
-// its single publish, as a simulation delivers them. The runner busy
-// time is chosen so that dividing by 1e9 and multiplying by 1e-9 give
-// different float64 bits.
+// The simulation families arrive through one run's accumulator, its
+// two disk accounts and its single publish, as a simulation delivers
+// them. The run's RPM grid (3000 to 15000 by 600) is finer than the
+// collector's disks' (by 1200), so its 3600 rpm level lands in
+// rpm="other". The runner busy time is chosen so that dividing by 1e9
+// and multiplying by 1e-9 give different float64 bits.
 func goldenCollector() *Collector {
 	c := New()
-	r := c.StartRun(2, 3000, 1200, 11)
-	r.ObserveRequest(0, 4.2, 0, 100)
-	r.ObserveRequest(0, 0.5, 0.1, 0.2)
-	r.ObserveRequest(1, 7.5, 12000, 60001)
-	r.ObserveRequest(1, 0.3, 1e6, 400000)
-	r.ObserveResidency(0, StateService, 15000, 10.1)
-	r.ObserveResidency(0, StateIdle, 15000, 250.5)
-	r.ObserveResidency(0, StateIdle, 4200, 0.1)
-	r.ObserveResidency(0, StateSpinDown, 0, 6000)
-	r.ObserveResidency(1, StateStandby, 0, 5000)
-	r.ObserveResidency(1, StateSpinUp, 0, 10900)
-	r.ObserveResidency(1, StateRPMShift, 9000, 0.2)
-	r.ObserveResidency(1, StateIdle, 3001, 3)
-	r.ObserveResidency(1, StateService, 3000, 0.7)
-	for m, v := range map[Metric]int64{
-		OpSpinDown: 1, OpSpinUp: 2, OpSetRPM: 3, MissOnDemand: 4, MissInflight: 5,
-		FaultSpinUpFail: 6, FaultRetry: 7, FaultTimeout: 8, FaultFallback: 9, FaultRemap: 10, FaultDegraded: 11,
-	} {
-		r.Add(m, v)
-	}
+	c.EnsureDisks(2, 3000, 1200, 11)
+	r := c.StartRun(2, 3000, 600, 21)
+	r.ObserveRequest(4.2, 0, 100)
+	r.ObserveRequest(0.5, 0.1, 0.2)
+	r.ObserveRequest(7.5, 12000, 60001)
+	r.ObserveRequest(0.3, 1e6, 400000)
+	r.AddDisk(0, &DiskAccount{
+		Requests: 2,
+		StateMS:  [numDiskStates]float64{StateService: 10.1, StateIdle: 250.6, StateSpinDown: 6000},
+		RPMMS:    levels(3000, 600, 21, map[int]float64{4200: 0.1, 15000: 260.6}),
+		Ops:      [...]int{1, 0, 3},
+		Faults:   [...]int{6, 0, 8, 0, 10, 0},
+	})
+	r.AddDisk(1, &DiskAccount{
+		Requests: 2,
+		StateMS:  [numDiskStates]float64{StateService: 0.7, StateIdle: 3, StateStandby: 5000, StateSpinUp: 10900, StateRPMShift: 0.2},
+		RPMMS:    levels(3000, 600, 21, map[int]float64{3000: 0.7, 3600: 3}),
+		Ops:      [...]int{0, 2, 0},
+		Faults:   [...]int{0, 7, 0, 9, 0, 11},
+	})
+	r.Add(MissOnDemand, 4)
+	r.Add(MissInflight, 5)
 	r.Publish()
-	c.StartRun(2, 3000, 1200, 11).Publish() // a second, empty run
+	r = c.StartRun(2, 3000, 600, 21) // a second, empty run
+	r.Publish()
 	for m, v := range map[Metric]int64{
 		CacheHits: 7, CacheMisses: 8, CacheWaits: 9,
 		RunnerTasks: 2, RunnerBusyNS: 2e9 + 3 + 1e9, RunnerActive: 2, RunnerQueue: 4, CellPanics: 10, CellRetries: 11,
@@ -55,6 +60,17 @@ func goldenCollector() *Collector {
 	c.Observe(ServeMS, 12)
 	c.Observe(ServeMS, 0.25)
 	return c
+}
+
+// levels returns a run's per-level residency on the grid of n levels
+// from minRPM in steps of step, with ms (rpm to milliseconds) filled
+// in.
+func levels(minRPM, step, n int, ms map[int]float64) []float64 {
+	out := make([]float64, n)
+	for rpm, v := range ms {
+		out[(rpm-minRPM)/step] = v
+	}
+	return out
 }
 
 // TestPrometheusGolden pins the exact /metrics bytes of the golden

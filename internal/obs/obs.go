@@ -21,9 +21,10 @@
 // a CAS loop), and per-disk storage is preallocated by EnsureDisks.
 //
 // Simulations do not write the shared collector per event. Each run
-// takes a pooled RunMetrics from StartRun, accumulates its requests,
-// residency, power ops and faults there with plain adds, and
-// publishes the totals once when it ends (see run.go).
+// takes a RunMetrics from StartRun, accumulates its latency histograms
+// and spin-up mispredictions there with plain adds, hands over each
+// disk's account of requests, residency, power ops and faults when it
+// ends, and publishes the totals once (see run.go).
 package obs
 
 import (
@@ -317,10 +318,6 @@ type Collector struct {
 
 	mu    sync.Mutex // serializes EnsureDisks growth
 	disks atomic.Pointer[[]*diskMetrics]
-
-	// spare is the accumulator of the last finished run, kept for the
-	// next StartRun ahead of runPool (see run.go).
-	spare atomic.Pointer[RunMetrics]
 }
 
 // New returns an empty collector.

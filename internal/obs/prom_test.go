@@ -95,19 +95,24 @@ func parseSample(t *testing.T, line string) sample {
 
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	c := New()
-	r := c.StartRun(2, 3000, 1200, 11)
+	// The run's grid (by 600) is finer than the collector's (by 1200).
+	c.EnsureDisks(2, 3000, 1200, 11)
+	r := c.StartRun(2, 3000, 600, 21)
 	for i := 0; i < 5; i++ {
-		r.ObserveRequest(0, 4.2, 0, 100)
+		r.ObserveRequest(4.2, 0, 100)
 	}
-	r.ObserveRequest(1, 7.5, 12000, 60001)
-	r.ObserveResidency(0, StateIdle, 15000, 250.5)
-	r.ObserveResidency(0, StateService, 15000, 10)
-	r.ObserveResidency(1, StateStandby, 0, 5000)
-	r.ObserveResidency(1, StateIdle, 3001, 3) // off-grid -> rpm="other"
-	r.Add(OpSpinDown, 1)
-	r.Add(OpSpinUp, 1)
-	r.Add(OpSetRPM, 1)
-	r.Add(OpSetRPM, 1)
+	r.ObserveRequest(7.5, 12000, 60001)
+	r.AddDisk(0, &DiskAccount{
+		Requests: 5,
+		StateMS:  [numDiskStates]float64{StateService: 10, StateIdle: 250.5},
+		RPMMS:    levels(3000, 600, 21, map[int]float64{15000: 260.5}),
+		Ops:      [...]int{1, 1, 2},
+	})
+	r.AddDisk(1, &DiskAccount{
+		Requests: 1,
+		StateMS:  [numDiskStates]float64{StateIdle: 3, StateStandby: 5000},
+		RPMMS:    levels(3000, 600, 21, map[int]float64{3600: 3}), // off-grid -> rpm="other"
+	})
 	r.Add(MissOnDemand, 1)
 	r.Add(MissInflight, 1)
 	r.Add(MissInflight, 1)

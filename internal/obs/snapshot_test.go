@@ -26,11 +26,14 @@ func TestSnapshotConsistentUnderWriters(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				r := c.StartRun(2, 4200, 600, 8)
 				for j := 0; j <= i%5; j++ {
-					r.ObserveRequest(j%2, float64(i%7), float64(j%3), float64(i%1000))
-					r.ObserveResidency(j%2, StateIdle, 4200+600*(i%8), 1.5)
-					r.Add(OpSpinDown+Metric(j%3), 1)
-					r.Add(FaultSpinUpFail+Metric(i%6), 1)
+					r.ObserveRequest(float64(i%7), float64(j%3), float64(i%1000))
+					r.Add(MissOnDemand+Metric(j%2), 1)
 				}
+				a := DiskAccount{Requests: i%5 + 1, StateMS: [numDiskStates]float64{StateIdle: 1.5}, RPMMS: make([]float64, 8)}
+				a.RPMMS[i%8] = 1.5
+				a.Ops[i%3]++
+				a.Faults[i%6]++
+				r.AddDisk(i%2, &a)
 				r.Publish()
 			}
 		}(g)
@@ -87,15 +90,18 @@ func checkExpositionTotals(t *testing.T, text string) {
 
 func TestSnapshotValues(t *testing.T) {
 	c := New()
-	r := c.StartRun(1, 6000, 1200, 4)
-	r.ObserveRequest(0, 3, 0, 120)
-	r.ObserveRequest(0, 4, 50, 9000)
-	r.ObserveResidency(0, StateService, 6000, 7)
-	r.ObserveResidency(0, StateStandby, 0, 300)
-	r.ObserveResidency(0, StateIdle, 4242, 1) // off-grid -> other
-	r.Add(OpSpinDown, 1)
+	c.EnsureDisks(1, 6000, 1200, 4)
+	r := c.StartRun(1, 6000, 600, 7)
+	r.ObserveRequest(3, 0, 120)
+	r.ObserveRequest(4, 50, 9000)
+	r.AddDisk(0, &DiskAccount{
+		Requests: 2,
+		StateMS:  [numDiskStates]float64{StateService: 7, StateIdle: 1, StateStandby: 300},
+		RPMMS:    []float64{7, 1}, // 6600 rpm is off the collector's grid -> other
+		Ops:      [...]int{1, 0, 0},
+		Faults:   [...]int{0, 0, 0, 0, 1, 0},
+	})
 	r.Add(MissOnDemand, 1)
-	r.Add(FaultRemap, 1)
 	r.Publish()
 	c.Add(CacheHits, 1)
 	c.Add(RunnerTasks, 1)
@@ -177,8 +183,8 @@ func TestSnapshotNil(t *testing.T) {
 func TestPrometheusSnapshotRender(t *testing.T) {
 	c := New()
 	r := c.StartRun(1, 6000, 1200, 2)
-	r.ObserveRequest(0, 3, 0, 120)
-	r.ObserveResidency(0, StateIdle, 6000, 10)
+	r.ObserveRequest(3, 0, 120)
+	r.AddDisk(0, &DiskAccount{Requests: 1, StateMS: [numDiskStates]float64{StateIdle: 10}, RPMMS: []float64{10, 0}})
 	r.Publish()
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, c); err != nil {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sdpm/internal/obs"
 	evpkg "sdpm/internal/obs/events"
 	"sdpm/internal/trace"
 )
@@ -118,7 +117,7 @@ const (
 // differential tests in batch_diff_test.go enforce.
 func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock float64, hz Horizon, pol Policy) (int, float64, string) {
 	sc := m.batchScratchFor(len(m.disks))
-	if m.obs == nil && m.ev == nil && !m.recTimeline && m.faults == nil && hz.NoOpBefore == nil && !hz.AfterPerRequest {
+	if !m.obs.Attached() && m.ev == nil && !m.recTimeline && m.faults == nil && hz.NoOpBefore == nil && !hz.AfterPerRequest {
 		// No per-request instrumentation, faults, or policy horizon to
 		// consult: take the branch-free steady-state loop, which stops
 		// only at a disk in transition.
@@ -190,9 +189,6 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 			if recTL {
 				s.record(true, s.accT, t, StSpinning, s.rpm, c.pwIdle, false)
 			}
-			if m.obs != nil {
-				m.obs.ObserveResidency(d, obs.StateIdle, s.rpm, idleLen)
-			}
 		}
 		// ServiceBlock's spinning steady state: start == t, no wait.
 		svc := c.svc
@@ -202,9 +198,8 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		s.resid[c.residIdx] += svc
 		s.stats.Requests++
 		end := t + svc
-		if m.obs != nil {
-			m.obs.ObserveResidency(d, obs.StateService, s.rpm, svc)
-			m.obs.ObserveRequest(d, svc, 0, idleLen)
+		if m.obs.Attached() {
+			m.obs.ObserveRequest(svc, 0, idleLen)
 		}
 		if recTL {
 			s.record(true, t, end, StSpinning, s.rpm, c.pwAct, true)
@@ -222,13 +217,9 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 			// The controller may act on any disk (e.g. DRPM's restore
 			// sweep); the per-disk status and cache checks above pick
 			// that up on the next iteration.
-			if m.ev != nil {
-				m.setTrigger(evpkg.TrigController, 0)
-				pol.AfterService(m, d, end, end-t)
-				m.restoreTrigger()
-			} else {
-				pol.AfterService(m, d, end, end-t)
-			}
+			m.setTrigger(evpkg.TrigController, 0)
+			pol.AfterService(m, d, end, end-t)
+			m.restoreTrigger()
 		}
 	}
 	return i, clock, ""
@@ -240,11 +231,6 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 // per-request AfterService. The arithmetic is identical to serviceRun;
 // only the always-false instrumentation branches are gone.
 func (m *Machine) serviceRunLean(events []trace.Event, i int, run *trace.Run, clock float64, sc batchScratch) (int, float64) {
-	if run.Disk >= 0 && run.GapMS >= 0 && run.Bytes != 0 {
-		// Fully homogeneous run on one disk: the steady-state loop
-		// below keeps the disk's accumulators in locals.
-		return m.serviceRunSteady(i, run, clock, sc)
-	}
 	hi := run.End
 	uniformGap, gapMS := run.GapMS >= 0, run.GapMS
 	uniformBytes, runBytes := run.Bytes != 0, run.Bytes
@@ -298,65 +284,5 @@ func (m *Machine) serviceRunLean(events []trace.Event, i int, run *trace.Run, cl
 		clock = end
 		i++
 	}
-	return i, clock
-}
-
-// serviceRunSteady services a fully homogeneous run — one disk, one
-// request size, one gap — with the disk's accumulators held in
-// locals and written back once. No state outside this disk can change
-// inside the loop (no policy, faults, or instrumentation on this
-// path), so hoisting is safe; the accumulation order over the locals
-// is exactly the per-request order, so the results are bit-identical.
-func (m *Machine) serviceRunSteady(i int, run *trace.Run, clock float64, sc batchScratch) (int, float64) {
-	d := run.Disk
-	s := &m.disks[d]
-	if s.status != StSpinning || s.accT != s.idleFrom {
-		return i, clock
-	}
-	gap, bytes := run.GapMS, run.Bytes
-	c := &sc[d]
-	if c.rpm != s.rpm || c.bytes != bytes {
-		c.refill(m, s.rpm, bytes)
-	}
-	idleFrom := s.idleFrom
-	idles := s.idles
-	energyJ, idleEJ, idleMS := s.stats.EnergyJ, s.stats.IdleEnergyJ, s.stats.IdleMS
-	actEJ, actMS := s.stats.ActiveEnergyJ, s.stats.ActiveMS
-	reqs := s.stats.Requests
-	resid := s.resid[c.residIdx]
-	svc, addActJ, pwIdle := c.svc, c.addActJ, c.pwIdle
-	memoLen, memoE := c.idleLen, c.idleE
-	for ; i < run.End; i++ {
-		t := clock + gap
-		idleLen := t - idleFrom
-		idles = append(idles, IdlePeriod{StartMS: idleFrom, LenMS: idleLen})
-		if idleLen > 0 {
-			e := memoE
-			if idleLen != memoLen {
-				e = pwIdle * idleLen / 1e3
-				memoLen, memoE = idleLen, e
-			}
-			energyJ += e
-			idleEJ += e
-			idleMS += idleLen
-			resid += idleLen
-		}
-		energyJ += addActJ
-		actEJ += addActJ
-		actMS += svc
-		resid += svc
-		reqs++
-		end := t + svc
-		idleFrom = end
-		clock = end
-	}
-	s.idles = idles
-	s.accT = idleFrom
-	s.idleFrom = idleFrom
-	s.stats.EnergyJ, s.stats.IdleEnergyJ, s.stats.IdleMS = energyJ, idleEJ, idleMS
-	s.stats.ActiveEnergyJ, s.stats.ActiveMS = actEJ, actMS
-	s.stats.Requests = reqs
-	s.resid[c.residIdx] = resid
-	c.idleLen, c.idleE = memoLen, memoE
 	return i, clock
 }

@@ -91,22 +91,6 @@ type DiskStats struct {
 	RPMResidencyMS map[int]float64
 }
 
-// addResidency accumulates spinning time at an RPM level. The hot
-// path uses the dense per-level slice (one backing array for the
-// whole machine, allocated once); the map in DiskStats is only
-// materialized at Finish. The overflow map handles RPMs outside the
-// disk's level grid, which no current caller produces.
-func (s *dstate) addResidency(p *disk.Params, rpm int, ms float64) {
-	if idx := p.LevelIndex(rpm); idx >= 0 {
-		s.resid[idx] += ms
-		return
-	}
-	if s.residOverflow == nil {
-		s.residOverflow = make(map[int]float64)
-	}
-	s.residOverflow[rpm] += ms
-}
-
 // Segment is one piece of a disk's recorded timeline: a maximal span
 // during which the disk stayed in one state at one power draw.
 type Segment struct {
@@ -131,11 +115,15 @@ type dstate struct {
 	stats       DiskStats
 	idles       []IdlePeriod
 	timeline    []Segment
-	// resid is the dense per-RPM-level spinning-time accumulator
-	// (index = disk.Params.LevelIndex); residOverflow catches
-	// non-level RPMs.
-	resid         []float64
-	residOverflow map[int]float64
+	// resid accumulates spinning time by RPM level (index =
+	// disk.Params.LevelIndex; one backing array for the whole
+	// machine); Finish materializes DiskStats.RPMResidencyMS from it.
+	// Every speed is a level: newRun validates the disk model, and
+	// SetRPMAt clamps.
+	resid []float64
+	// transMS splits stats.TransitionMS by status: StDown, StUp and
+	// StShift, in that order.
+	transMS [3]float64
 	// Fault-injection state (untouched when no plan is attached).
 	// upAttempts indexes this disk's spin-up attempts into the fault
 	// plan's decision stream; upAborted marks an in-progress StUp that
@@ -177,9 +165,10 @@ type Machine struct {
 	headPos   []int64
 	// timeline recording (disabled by default).
 	recTimeline bool
-	// obs accumulates the run's metrics when a collector is attached
-	// (see newRun); the nil case costs one branch per emit point.
-	obs *obs.RunMetrics
+	// obs accumulates the run's per-request metrics when a collector
+	// is attached (see newRun); a detached one costs one branch per
+	// emit point. publishMetrics hands it the disks' accounts.
+	obs obs.RunMetrics
 	// faults is the injected-fault schedule; nil (the default) keeps
 	// every fault path disabled and the machine's arithmetic
 	// bit-identical to a fault-free build.
@@ -198,27 +187,8 @@ type Machine struct {
 	evd       []evDisk
 	// batch is the batched executor's per-disk constant cache,
 	// allocated on first use (see batchScratchFor). Cached entries
-	// depend only on the disk model, so they survive Reset.
+	// depend only on the disk model.
 	batch batchScratch
-}
-
-// obsState maps a power state (plus the active flag) onto the
-// collector's residency labels.
-func obsState(st Status, active bool) obs.DiskState {
-	switch {
-	case active:
-		return obs.StateService
-	case st == StStandby:
-		return obs.StateStandby
-	case st == StDown:
-		return obs.StateSpinDown
-	case st == StUp:
-		return obs.StateSpinUp
-	case st == StShift:
-		return obs.StateRPMShift
-	default:
-		return obs.StateIdle
-	}
 }
 
 // NewMachine returns a machine of n disks, all spinning at full speed
@@ -255,29 +225,6 @@ func (m *Machine) ReserveIdles(perDisk []int) {
 		c := perDisk[d] + 1
 		m.disks[d].idles = buf[off : off : off+c]
 		off += c
-	}
-}
-
-// Reset returns the machine to its initial state (all disks spinning
-// at full speed at time zero) while keeping every per-disk allocation
-// — idle lists, residency accumulators, timelines — for reuse, so a
-// simulation loop over many traces of the same shape allocates only
-// on its first iteration.
-func (m *Machine) Reset() {
-	for d := range m.disks {
-		s := &m.disks[d]
-		idles, timeline, resid := s.idles[:0], s.timeline[:0], s.resid
-		*s = dstate{status: StSpinning, rpm: m.p.MaxRPM, idles: idles, timeline: timeline, resid: resid}
-		for i := range resid {
-			resid[i] = 0
-		}
-	}
-	for d := range m.evd {
-		m.evd[d].pending = m.evd[d].pending[:0]
-		m.evd[d].baseJ = 0
-	}
-	for i := range m.headPos {
-		m.headPos[i] = 0
 	}
 }
 
@@ -340,11 +287,8 @@ func (m *Machine) advance(d int, t float64) {
 			s.stats.EnergyJ += pw * dt / 1e3
 			s.stats.IdleEnergyJ += pw * dt / 1e3
 			s.stats.IdleMS += dt
-			s.addResidency(&m.p, s.rpm, dt)
+			s.resid[m.p.LevelIndex(s.rpm)] += dt
 			s.record(m.recTimeline, s.accT, t, StSpinning, s.rpm, pw, false)
-			if m.obs != nil {
-				m.obs.ObserveResidency(d, obs.StateIdle, s.rpm, dt)
-			}
 			s.accT = t
 		case StStandby:
 			dt := t - s.accT
@@ -352,9 +296,6 @@ func (m *Machine) advance(d int, t float64) {
 			s.stats.StandbyEnergyJ += m.p.StandbyW * dt / 1e3
 			s.stats.StandbyMS += dt
 			s.record(m.recTimeline, s.accT, t, StStandby, 0, m.p.StandbyW, false)
-			if m.obs != nil {
-				m.obs.ObserveResidency(d, obs.StateStandby, 0, dt)
-			}
 			s.accT = t
 		case StDown, StUp, StShift:
 			end := math.Min(t, s.statusUntil)
@@ -362,10 +303,8 @@ func (m *Machine) advance(d int, t float64) {
 			s.stats.EnergyJ += s.transPowerW * dt / 1e3
 			s.stats.TransitionEnergyJ += s.transPowerW * dt / 1e3
 			s.stats.TransitionMS += dt
+			s.transMS[s.status-StDown] += dt
 			s.record(m.recTimeline, s.accT, end, s.status, s.rpm, s.transPowerW, false)
-			if m.obs != nil {
-				m.obs.ObserveResidency(d, obsState(s.status, false), s.rpm, dt)
-			}
 			s.accT = end
 			if s.accT >= s.statusUntil {
 				switch s.status {
@@ -419,9 +358,6 @@ func (m *Machine) SpinDownAt(d int, t float64) {
 	s.statusUntil = eff + m.p.SpinDownMS
 	s.transPowerW = m.p.SpinDownJ / m.p.SpinDownMS * 1e3
 	s.stats.SpinDowns++
-	if m.obs != nil {
-		m.obs.Add(obs.OpSpinDown, 1)
-	}
 	if m.ev != nil {
 		m.emitDecision(d, events.KindSpinDown, 0, eff)
 	}
@@ -467,9 +403,6 @@ func (m *Machine) spinUp(d int, t float64, onDemand bool) {
 		s.upGaveUp = !ok
 	}
 	s.stats.SpinUps++
-	if m.obs != nil {
-		m.obs.Add(obs.OpSpinUp, 1)
-	}
 	if m.ev != nil {
 		m.emitDecision(d, events.KindSpinUp, 0, eff)
 	}
@@ -503,9 +436,6 @@ func (m *Machine) spinUpCascade(d int, t float64, onDemand bool) (durMS, energyJ
 			return durMS, energyJ, true
 		}
 		s.stats.SpinUpFailures++
-		if m.obs != nil {
-			m.obs.Add(obs.FaultSpinUpFail, 1)
-		}
 		if m.ev != nil {
 			m.emitFault(d, t+durMS, obs.FaultSpinUpFail.Label())
 		}
@@ -515,9 +445,6 @@ func (m *Machine) spinUpCascade(d int, t float64, onDemand bool) (durMS, energyJ
 			}
 			if cfg.SpinUpTimeoutMS > 0 && durMS+backoff+m.p.SpinUpMS > cfg.SpinUpTimeoutMS {
 				s.stats.SpinUpTimeouts++
-				if m.obs != nil {
-					m.obs.Add(obs.FaultTimeout, 1)
-				}
 				if m.ev != nil {
 					m.emitFault(d, t+durMS, obs.FaultTimeout.Label())
 				}
@@ -528,9 +455,6 @@ func (m *Machine) spinUpCascade(d int, t float64, onDemand bool) (durMS, energyJ
 		energyJ += m.p.StandbyW * backoff / 1e3
 		backoff *= 2
 		s.stats.SpinUpRetries++
-		if m.obs != nil {
-			m.obs.Add(obs.FaultRetry, 1)
-		}
 		if m.ev != nil {
 			m.emitFault(d, t+durMS, obs.FaultRetry.Label())
 		}
@@ -560,9 +484,6 @@ func (m *Machine) SetRPMAt(d int, t float64, rpm int) {
 	s.statusUntil = eff + dur
 	s.transPowerW = m.tbl.TransitionEnergyJ(from, rpm) / dur * 1e3
 	s.stats.RPMShifts++
-	if m.obs != nil {
-		m.obs.Add(obs.OpSetRPM, 1)
-	}
 	if m.ev != nil {
 		m.emitDecision(d, events.KindRPMShift, rpm, eff)
 	}
@@ -589,9 +510,6 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 			// request degrades gracefully to on-demand service.
 			s.upGaveUp = false
 			s.stats.Fallbacks++
-			if m.obs != nil {
-				m.obs.Add(obs.FaultFallback, 1)
-			}
 			if m.ev != nil {
 				m.emitFault(d, start, obs.FaultFallback.Label())
 			}
@@ -599,13 +517,9 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 		// On-demand spin-up: the request pays the full delay. The
 		// service path forces the retry cascade to succeed, so one
 		// call always leaves the disk heading to full speed.
-		if m.ev != nil {
-			m.setTrigger(events.TrigDemand, 0)
-			m.spinUp(d, start, true)
-			m.restoreTrigger()
-		} else {
-			m.spinUp(d, start, true)
-		}
+		m.setTrigger(events.TrigDemand, 0)
+		m.spinUp(d, start, true)
+		m.restoreTrigger()
 		start = m.effectiveAt(d, start)
 	}
 	if s.status != StSpinning {
@@ -621,9 +535,6 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 	remapped := m.faults != nil && block >= 0 && m.faults.Remapped(d, block)
 	if remapped {
 		s.stats.RemapHits++
-		if m.obs != nil {
-			m.obs.Add(obs.FaultRemap, 1)
-		}
 		if m.ev != nil {
 			m.emitFault(d, start, obs.FaultRemap.Label())
 		}
@@ -652,9 +563,6 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 			svc += extra
 			s.stats.DegradedHits++
 			s.stats.DegradedExtraMS += extra
-			if m.obs != nil {
-				m.obs.Add(obs.FaultDegraded, 1)
-			}
 			if m.ev != nil {
 				m.emitFault(d, start, obs.FaultDegraded.Label())
 			}
@@ -664,12 +572,11 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 	s.stats.EnergyJ += pw * svc / 1e3
 	s.stats.ActiveEnergyJ += pw * svc / 1e3
 	s.stats.ActiveMS += svc
-	s.addResidency(&m.p, s.rpm, svc)
+	s.resid[m.p.LevelIndex(s.rpm)] += svc
 	s.stats.Requests++
 	end := start + svc
-	if m.obs != nil {
-		m.obs.ObserveResidency(d, obs.StateService, s.rpm, svc)
-		m.obs.ObserveRequest(d, svc, start-t, idleLen)
+	if m.obs.Attached() {
+		m.obs.ObserveRequest(svc, start-t, idleLen)
 		if start > t {
 			// The request blocked on a spin-up: the paper's
 			// pre-activation failure mode. "inflight" means the
@@ -729,7 +636,7 @@ func (m *Machine) Finish(endT float64) ([]DiskStats, [][]IdlePeriod) {
 			m.resolvePeriod(d, trail, trail, true)
 		}
 		// Materialize the per-level residency map from the dense
-		// accumulator (plus any overflow entries).
+		// accumulator.
 		if s.stats.RPMResidencyMS == nil {
 			var touched int
 			for _, ms := range s.resid {
@@ -737,15 +644,12 @@ func (m *Machine) Finish(endT float64) ([]DiskStats, [][]IdlePeriod) {
 					touched++
 				}
 			}
-			if touched+len(s.residOverflow) > 0 {
-				rm := make(map[int]float64, touched+len(s.residOverflow))
+			if touched > 0 {
+				rm := make(map[int]float64, touched)
 				for i, ms := range s.resid {
 					if ms != 0 {
 						rm[m.p.MinRPM+i*m.p.RPMStep] = ms
 					}
-				}
-				for rpm, ms := range s.residOverflow {
-					rm[rpm] += ms
 				}
 				s.stats.RPMResidencyMS = rm
 			}
@@ -754,4 +658,28 @@ func (m *Machine) Finish(endT float64) ([]DiskStats, [][]IdlePeriod) {
 		idles[d] = s.idles
 	}
 	return stats, idles
+}
+
+// publishMetrics hands each disk's account to the run's metrics and
+// publishes them into the collector.
+func (m *Machine) publishMetrics() {
+	for d := range m.disks {
+		s := &m.disks[d]
+		st := &s.stats
+		m.obs.AddDisk(d, &obs.DiskAccount{
+			Requests: st.Requests,
+			StateMS: [...]float64{
+				obs.StateService:  st.ActiveMS,
+				obs.StateIdle:     st.IdleMS,
+				obs.StateStandby:  st.StandbyMS,
+				obs.StateSpinDown: s.transMS[0],
+				obs.StateSpinUp:   s.transMS[1],
+				obs.StateRPMShift: s.transMS[2],
+			},
+			RPMMS:  s.resid,
+			Ops:    [...]int{st.SpinDowns, st.SpinUps, st.RPMShifts},
+			Faults: [...]int{st.SpinUpFailures, st.SpinUpRetries, st.SpinUpTimeouts, st.Fallbacks, st.RemapHits, st.DegradedHits},
+		})
+	}
+	m.obs.Publish()
 }

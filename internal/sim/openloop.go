@@ -56,13 +56,9 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 			return e.finish(err)
 		}
 		if cfg.Policy != nil {
-			if m.ev != nil {
-				m.setTrigger(events.TrigController, 0)
-				cfg.Policy.AfterService(m, d, compl, compl-at)
-				m.restoreTrigger()
-			} else {
-				cfg.Policy.AfterService(m, d, compl, compl-at)
-			}
+			m.setTrigger(events.TrigController, 0)
+			cfg.Policy.AfterService(m, d, compl, compl-at)
+			m.restoreTrigger()
 		}
 		lastCompletion[d] = compl
 		if compl > e.clock {

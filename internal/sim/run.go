@@ -70,10 +70,11 @@ type Config struct {
 	// Obs, when non-nil, receives the run's metrics: request
 	// latencies, residency, power ops, spin-up mispredictions and
 	// faults. The run counts itself in Obs when it starts, accumulates
-	// the rest in a per-run obs.RunMetrics with plain adds, and
-	// publishes that into Obs once when it ends, also when it fails.
-	// A nil Obs adds no overhead beyond one branch per emit point; a
-	// warmed-up collector allocates nothing per run.
+	// the per-request latencies and mispredictions in its own
+	// obs.RunMetrics with plain adds, and when it ends, also when it
+	// fails, hands over each disk's account and publishes the totals
+	// into Obs once. A nil Obs adds no overhead beyond one branch per
+	// emit point; a warmed-up collector allocates nothing per run.
 	Obs *obs.Collector
 	// Faults, when non-nil, injects the plan's deterministic fault
 	// schedule (spin-up failures with bounded retry, bad-sector
@@ -88,9 +89,9 @@ type Config struct {
 	// from a different trace is detected and recompiled.
 	Compiled *trace.Compiled
 	// DisableBatch forces the general per-request path even when a
-	// compiled form is available — the -batch=off escape hatch.
-	// Results are bit-identical either way (enforced by differential
-	// tests); the switch exists to prove exactly that in the field.
+	// compiled form is available. Results are bit-identical either
+	// way; the switch is the reference the differential tests compare
+	// the batched executor against.
 	DisableBatch bool
 	// Events, when non-nil, receives decision-provenance events
 	// (power decisions with trigger and inputs, later resolved with
@@ -228,19 +229,14 @@ func (e *runExec) finish(err error) (*Result, error) {
 	var idles [][]IdlePeriod
 	if err == nil {
 		if cfg.Policy != nil {
-			if m.ev != nil {
-				m.setTrigger(events.TrigFinish, 0)
-				cfg.Policy.Finish(m, e.clock)
-				m.restoreTrigger()
-			} else {
-				cfg.Policy.Finish(m, e.clock)
-			}
+			m.setTrigger(events.TrigFinish, 0)
+			cfg.Policy.Finish(m, e.clock)
+			m.restoreTrigger()
 		}
 		stats, idles = m.Finish(e.clock)
 	}
-	if m.obs != nil {
-		m.obs.Publish()
-		m.obs = nil
+	if m.obs.Attached() {
+		m.publishMetrics()
 	}
 	if m.ev != nil {
 		m.ev.Close()
@@ -287,11 +283,9 @@ func (e *runExec) step(i int) error {
 			return nil
 		}
 		op := &ev.Op
-		if e.m.ev != nil {
-			// Trace-embedded ops are the compiler's hints; they carry
-			// its idle prediction into the decision event.
-			e.m.setTrigger(events.TrigHint, op.PredictedIdleMS)
-		}
+		// Trace-embedded ops are the compiler's hints; they carry its
+		// idle prediction into the decision event.
+		e.m.setTrigger(events.TrigHint, op.PredictedIdleMS)
 		switch op.Kind {
 		case trace.OpSpinDown:
 			e.m.SpinDownAt(op.Disk, e.clock)
@@ -300,9 +294,7 @@ func (e *runExec) step(i int) error {
 		case trace.OpSetRPM:
 			e.m.SetRPMAt(op.Disk, e.clock, op.RPM)
 		}
-		if e.m.ev != nil {
-			e.m.restoreTrigger()
-		}
+		e.m.restoreTrigger()
 		e.powerOps++
 		e.clock += e.cfg.PowerCallOverheadMS
 	case trace.EvRequest:
@@ -315,13 +307,9 @@ func (e *runExec) step(i int) error {
 			return err
 		}
 		if e.cfg.Policy != nil {
-			if e.m.ev != nil {
-				e.m.setTrigger(events.TrigController, 0)
-				e.cfg.Policy.AfterService(e.m, d, end, end-e.clock)
-				e.m.restoreTrigger()
-			} else {
-				e.cfg.Policy.AfterService(e.m, d, end, end-e.clock)
-			}
+			e.m.setTrigger(events.TrigController, 0)
+			e.cfg.Policy.AfterService(e.m, d, end, end-e.clock)
+			e.m.restoreTrigger()
 		}
 		e.clock = end
 	}

@@ -122,10 +122,6 @@ type Config struct {
 	// FaultSeed seeds the fault schedule; the same (spec, seed, disk
 	// count) always produces byte-identical behavior.
 	FaultSeed int64
-	// DisableBatch forces the simulator's general per-request path
-	// instead of the batched steady-state executor. Results are
-	// bit-identical either way; the switch exists to prove it.
-	DisableBatch bool
 }
 
 // DefaultConfig returns the paper's Table 1 configuration: eight
@@ -268,7 +264,6 @@ func (w *Workload) coreConfig(cfg Config) (core.Config, error) {
 	cc.Model = m
 	cc.DisablePreactivation = cfg.DisablePreactivation
 	cc.DistanceAwareSeek = cfg.DistanceAwareSeek
-	cc.DisableBatch = cfg.DisableBatch
 	if cfg.FaultSpec != "" {
 		fc, err := faults.ParseSpec(cfg.FaultSpec)
 		if err != nil {
