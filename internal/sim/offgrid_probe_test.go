@@ -10,7 +10,8 @@ import (
 // TestOffGridRPMBatchProbe pins down the batched executor's handling
 // of an RPM level outside the disk's grid: an embedded set_rpm to an
 // off-grid speed must clamp to a real level, and the run's residency
-// must land on the grid (not in the overflow map).
+// must land on the grid, the only speeds the machine's per-level
+// residency can hold.
 func TestOffGridRPMBatchProbe(t *testing.T) {
 	tr := &trace.Trace{NumDisks: 1}
 	tr.Events = append(tr.Events, trace.Event{Kind: trace.EvPowerOp,
