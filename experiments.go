@@ -8,7 +8,6 @@ import (
 	"log/slog"
 
 	"sdpm/internal/experiments"
-	"sdpm/internal/faults"
 	"sdpm/internal/journal"
 	"sdpm/internal/obs"
 	"sdpm/internal/obs/events"
@@ -123,13 +122,8 @@ func RunExperiments(id string, out io.Writer, opts Options) error {
 	s := experiments.NewSuite()
 	s.Workers = opts.Workers
 	s.Ctx = opts.Ctx
-	if opts.FaultSpec != "" {
-		fc, err := faults.ParseSpec(opts.FaultSpec)
-		if err != nil {
-			return err
-		}
-		s.Cfg.Faults = fc
-		s.Cfg.FaultSeed = opts.FaultSeed
+	if err := s.Cfg.SetFaults(opts.FaultSpec, opts.FaultSeed); err != nil {
+		return err
 	}
 	s.FaultSeed = opts.FaultSeed
 	s.Cfg.Audit = opts.Audit

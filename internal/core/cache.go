@@ -15,7 +15,7 @@ import (
 
 // Cache memoizes prepared instances so the expensive front half of
 // the pipeline — compilation, access-pattern extraction, placement,
-// base-trace generation — runs once per (workload, configuration)
+// base-trace generation — runs once per (workload, preparation key)
 // even when many schemes, experiments, or worker goroutines ask for
 // it. All methods are safe for concurrent use, and concurrent
 // requests for the same key run a single Prepare (the others block on
@@ -23,10 +23,14 @@ import (
 //
 // The memoization key is: the workload name, the identity of the IR
 // program (pointer — programs are treated as immutable once built),
-// the Config fingerprint (see Config.Fingerprint), and the layout
-// overrides rendered in sorted order. Version preparation adds the
-// version tag and memoizes the whole ApplyVersion+Prepare pair, which
-// is deterministic in its inputs.
+// the Config fields preparation reads (see Config.prepKey), and the
+// layout overrides rendered in sorted order. Version preparation adds
+// the version tag and memoizes the whole DeriveVersion+Prepare pair,
+// which is deterministic in its inputs. Every lookup returns an
+// instance under its caller's run-only settings, so the cache holds
+// one entry per preparation, not per fault seed, and needs no
+// eviction. Config.Fingerprint, which covers the run-only settings
+// too, keys experiment cells, not this memo.
 type Cache struct {
 	// Obs, when non-nil, receives hit/miss/singleflight-wait counts
 	// from every lookup and is propagated onto each prepared
@@ -61,21 +65,6 @@ func NewCache() *Cache {
 	return &Cache{entries: make(map[string]*cacheEntry)}
 }
 
-// entry returns (creating if needed) the entry for a key.
-func (c *Cache) entry(key string, prog *ir.Program) *cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[string]*cacheEntry)
-	}
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{prog: prog}
-		c.entries[key] = e
-	}
-	return e
-}
-
 // Len reports the number of memoized preparations.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -101,35 +90,61 @@ func overridesKey(overrides map[string]layout.Striping) string {
 }
 
 // Prepare is a memoizing core.Prepare: the first call for a key does
-// the work, every later (or concurrent) call returns the shared
-// Instance. Callers must not mutate the returned Instance's fields;
-// its Run and derived-artifact methods are concurrency-safe.
+// the work, every later (or concurrent) call shares it. Callers must
+// not mutate the returned Instance's fields; its Run and
+// derived-artifact methods are concurrency-safe.
 func (c *Cache) Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout.Striping) (*Instance, error) {
-	key := fmt.Sprintf("p|%s|%p|%s|%s", name, p, cfg.Fingerprint(), overridesKey(overrides))
-	e := c.entry(key, p)
+	key := fmt.Sprintf("p|%s|%p|%s|%s", name, p, cfg.prepKey(), overridesKey(overrides))
+	in, _, err := c.lookup(key, p, cfg, func() (*Instance, bool, error) {
+		in, err := Prepare(name, p, cfg, overrides)
+		return in, false, err
+	})
+	return in, err
+}
+
+// PrepareVersion is a memoizing core.PrepareVersion: the code/layout
+// transformation and the preparation of its result are both shared.
+// The bool reports whether the transformation applied.
+func (c *Cache) PrepareVersion(name string, p *ir.Program, v Version, cfg Config) (*Instance, bool, error) {
+	key := fmt.Sprintf("v|%s|%p|%s|%s", name, p, v, cfg.prepKey())
+	return c.lookup(key, p, cfg, func() (*Instance, bool, error) {
+		return prepareVersion(name, p, v, cfg, c.Prepare)
+	})
+}
+
+// lookup returns the preparation memoized under key, running prepare
+// for it once (concurrent callers block on that one run), under cfg's
+// run-only settings. The key leaves those out, so cfg is validated
+// first: an invalid one must not fail the preparation every later
+// caller shares, nor run unchecked on a hit.
+func (c *Cache) lookup(key string, p *ir.Program, cfg Config, prepare func() (*Instance, bool, error)) (*Instance, bool, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, false, err
+	}
+	c.mu.Lock()
+	if c.entries == nil {
+		c.entries = make(map[string]*cacheEntry)
+	}
+	e, ok := c.entries[key]
+	if !ok {
+		e = &cacheEntry{prog: p}
+		c.entries[key] = e
+	}
+	c.mu.Unlock()
 	wasDone := e.done.Load()
 	ran := false
 	e.once.Do(func() {
 		ran = true
-		e.in, e.err = Prepare(name, p, cfg, overrides)
+		e.in, e.applied, e.err = prepare()
 		if e.in != nil {
 			e.in.Obs = c.Obs
 			e.in.Events = c.Events
 		}
 		e.done.Store(true)
 	})
-	c.countLookup(ran, wasDone)
-	return e.in, e.err
-}
-
-// countLookup classifies one lookup for the metrics: the caller
-// either did the preparation (miss), found it already memoized
-// (hit), or blocked on another goroutine's in-flight preparation
-// (singleflight wait).
-func (c *Cache) countLookup(ran, wasDone bool) {
-	if c.Obs == nil {
-		return
-	}
+	// The caller either did the preparation (miss), found it already
+	// memoized (hit), or blocked on another goroutine's in-flight
+	// preparation (singleflight wait).
 	switch {
 	case ran:
 		c.Obs.Add(obs.CacheMisses, 1)
@@ -138,42 +153,8 @@ func (c *Cache) countLookup(ran, wasDone bool) {
 	default:
 		c.Obs.Add(obs.CacheWaits, 1)
 	}
-}
-
-// PrepareVersion is a memoizing core.PrepareVersion: the code/layout
-// transformation and the preparation of its result are both shared.
-// The bool reports whether the transformation applied.
-func (c *Cache) PrepareVersion(name string, p *ir.Program, v Version, cfg Config) (*Instance, bool, error) {
-	key := fmt.Sprintf("v|%s|%p|%s|%s", name, p, v, cfg.Fingerprint())
-	e := c.entry(key, p)
-	wasDone := e.done.Load()
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		defer e.done.Store(true)
-		var nestCost []float64
-		if v == VTLDL {
-			// The layout-aware tiler needs the original program's
-			// per-nest request counts; share that preparation too.
-			orig, err := c.Prepare(name, p, cfg, nil)
-			if err != nil {
-				e.err = err
-				return
-			}
-			nestCost = orig.NestRequests()
-		}
-		tp, overrides, applied, err := ApplyVersion(p, v, cfg, nestCost)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.in, e.err = Prepare(name+"/"+string(v), tp, cfg, overrides)
-		if e.in != nil {
-			e.in.Obs = c.Obs
-			e.in.Events = c.Events
-		}
-		e.applied = applied
-	})
-	c.countLookup(ran, wasDone)
-	return e.in, e.applied, e.err
+	if e.err != nil {
+		return nil, false, e.err
+	}
+	return e.in.withRun(cfg), e.applied, nil
 }

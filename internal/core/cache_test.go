@@ -1,10 +1,14 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"sdpm/internal/cycles"
+	"sdpm/internal/faults"
+	"sdpm/internal/sim"
 	"sdpm/internal/workloads"
 )
 
@@ -160,5 +164,159 @@ func TestConfigFingerprintCoversModel(t *testing.T) {
 	d.DisablePreactivation = true
 	if a.Fingerprint() == d.Fingerprint() {
 		t.Error("preactivation flag not fingerprinted")
+	}
+}
+
+// retainedHeap returns the heap still in use after a collection.
+func retainedHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestCacheBoundedAcrossFaultSeeds: fault seeds are run-only
+// settings, so any number of new seeds reuse one preparation. The
+// memo stays at one entry, the heap it retains grows by less than one
+// preparation, and every run still equals a cold preparation's.
+func TestCacheBoundedAcrossFaultSeeds(t *testing.T) {
+	b, err := workloads.ByName("mesa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	light, _ := faults.Preset("light")
+	c := NewCache()
+	run := func(seed int64) {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Model = b.Model()
+		cfg.Faults, cfg.FaultSeed = light, seed
+		in, err := c.Prepare(b.Name, b.Program, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := in.Run(CMDRPM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Prepare(b.Name, b.Program, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.Run(CMDRPM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: the shared preparation's run differs from a cold one", seed)
+		}
+	}
+
+	before := retainedHeap()
+	run(1)
+	first := retainedHeap()
+	if first <= before {
+		t.Fatalf("the first preparation retained no heap (%d -> %d bytes)", before, first)
+	}
+	onePrep := first - before
+	const seeds = 12
+	for seed := int64(2); seed <= seeds; seed++ {
+		run(seed)
+	}
+	after := retainedHeap()
+	if after > first && after-first >= onePrep {
+		t.Errorf("%d more fault seeds retained %d bytes, one preparation retains %d", seeds-1, after-first, onePrep)
+	}
+	// Len also keeps the cache reachable through the measurements.
+	if n := c.Len(); n != 1 {
+		t.Errorf("%d fault seeds left %d cache entries, want 1", seeds, n)
+	}
+}
+
+// TestCacheRunOnlyCopiesConcurrent: concurrent lookups under distinct
+// fault seeds share one preparation, their instances build and read
+// its traces at once, and every run equals a cold preparation's.
+func TestCacheRunOnlyCopiesConcurrent(t *testing.T) {
+	b, err := workloads.ByName("galgel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	light, _ := faults.Preset("light")
+	config := func(i int) Config {
+		cfg := DefaultConfig()
+		cfg.Model = b.Model()
+		cfg.Faults, cfg.FaultSeed = light, int64(i)
+		return cfg
+	}
+	schemes := AllSchemes()
+	c := NewCache()
+	const n = 16
+	got := make([]*sim.Result, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			in, err := c.Prepare(b.Name, b.Program, config(i), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got[i], err = in.Run(schemes[i%len(schemes)]); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if c.Len() != 1 {
+		t.Errorf("%d fault seeds left %d cache entries, want 1", n, c.Len())
+	}
+	for i := 0; i < n; i++ {
+		cold, err := Prepare(b.Name, b.Program, config(i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.Run(schemes[i%len(schemes)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("seed %d, %s: the shared preparation's run differs from a cold one", i, schemes[i%len(schemes)])
+		}
+	}
+}
+
+// TestCacheAuditFollowsRequest: Audit is a run-only setting, so a
+// lookup returns an instance that runs audited exactly when its
+// caller asked, in either order of the two lookups.
+func TestCacheAuditFollowsRequest(t *testing.T) {
+	b, err := workloads.ByName("galgel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, first := range []bool{false, true} {
+		c := NewCache()
+		for _, audit := range []bool{first, !first} {
+			cfg := DefaultConfig()
+			cfg.Model = b.Model()
+			cfg.Audit = audit
+			in, err := c.Prepare(b.Name, b.Program, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := in.Run(DRPM); err != nil {
+				t.Fatal(err)
+			}
+			_, sc, err := in.simConfig(DRPM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if audited := sc.Audit; audited != audit {
+				t.Errorf("lookup with audit=%t after audit=%t ran audited=%t", audit, first, audited)
+			}
+		}
+		if c.Len() != 1 {
+			t.Errorf("audit on and off left %d cache entries, want 1", c.Len())
+		}
 	}
 }

@@ -197,7 +197,7 @@ func (c *Config) model() *cycles.Model {
 // influences Prepare and simulation, resolving the cycle model to its
 // values (two configs with distinct but value-equal *cycles.Model
 // fingerprint identically). It is the configuration half of the
-// memoization key used by Cache.
+// experiment cell and journal keys; Cache keys on prepKey.
 func (c *Config) Fingerprint() string {
 	m := c.model()
 	return fmt.Sprintf("disk{%+v} nd=%d unit=%d cache=%d model{%g,%g,%g,%d} tm=%g nopre=%t nocache=%t distseek=%t faults{%s seed=%d}",
@@ -205,6 +205,31 @@ func (c *Config) Fingerprint() string {
 		m.ClockHz, m.NoisePct, m.BiasPct, m.Seed,
 		c.PowerCallOverheadMS, c.DisablePreactivation, c.NoCache, c.DistanceAwareSeek,
 		faults.FormatSpec(c.Faults), c.FaultSeed)
+}
+
+// prepKey fingerprints the fields Prepare and the traces it derives
+// read. It zeroes the run-only settings, the fields only a simulation
+// run reads, so one preparation serves them all.
+func (c Config) prepKey() string {
+	c.PowerCallOverheadMS, c.DistanceAwareSeek = 0, false
+	c.Faults, c.FaultSeed, c.Audit = faults.Config{}, 0, false
+	return c.Fingerprint()
+}
+
+// SetFaults sets the fault injection from a spec and its seed. A
+// spec that injects nothing (empty, "off", "retries=3") leaves the
+// configuration fault-free with seed 0, so its runs and its
+// Fingerprint match a fault-free configuration's.
+func (c *Config) SetFaults(spec string, seed int64) error {
+	fc, err := faults.ParseSpec(spec)
+	if err != nil {
+		return err
+	}
+	if !fc.Enabled() {
+		fc, seed = faults.Config{}, 0
+	}
+	c.Faults, c.FaultSeed = fc, seed
+	return nil
 }
 
 // Validate checks the configuration.
@@ -238,8 +263,8 @@ func (c *Config) faultPlan() (*faults.Plan, error) {
 //
 // An Instance is safe for concurrent use: the derived artifacts
 // (base trace, instrumented traces) are built once under a lock, and
-// Run is re-entrant — all per-run mutable state (the disk state
-// machine, the policy) is freshly allocated inside sim.Run, so any
+// Run is re-entrant — all per-run state (the disk state machine, the
+// policy, the O(1) fault plan) is built afresh by each run, so any
 // number of schemes can be simulated on one Instance at once.
 type Instance struct {
 	Name    string
@@ -260,10 +285,12 @@ type Instance struct {
 	// bit-identical results with and without a log attached).
 	Events *events.Log
 
-	// faultPlan is the derived fault schedule (nil when injection is
-	// disabled); it is immutable and shared by every run.
-	faultPlan *faults.Plan
+	// derived holds the lazy artifacts, which depend only on what
+	// Prepare reads: copies under other run-only settings share them.
+	*derived
+}
 
+type derived struct {
 	mu        sync.Mutex // guards the lazy caches below
 	baseTrace *trace.Trace
 	instr     map[insert.Mode]*instrumented
@@ -289,10 +316,6 @@ func Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout
 	if err != nil {
 		return nil, err
 	}
-	plan, err := cfg.faultPlan()
-	if err != nil {
-		return nil, err
-	}
 	if err := access.PlaceArraysStaggered(p, sub, cfg.NumDisks, cfg.UnitBytes, overrides); err != nil {
 		return nil, err
 	}
@@ -307,9 +330,23 @@ func Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout
 	}
 	return &Instance{
 		Name: name, Program: p, Sub: sub, Sites: sites, Cfg: cfg,
-		faultPlan: plan,
-		instr:     make(map[insert.Mode]*instrumented),
+		derived: &derived{instr: make(map[insert.Mode]*instrumented)},
 	}, nil
+}
+
+// withRun returns the instance under cfg, which has in.Cfg's
+// prepKey: the instance itself when cfg's run-only settings equal its
+// own, otherwise a copy that carries cfg and shares in's derived
+// artifacts.
+func (in *Instance) withRun(cfg Config) *Instance {
+	mine := in.Cfg
+	mine.Model = cfg.Model // equal in value, as prepKey resolves models
+	if mine == cfg {
+		return in
+	}
+	cp := *in
+	cp.Cfg = cfg
+	return &cp
 }
 
 // BaseTrace returns (and caches) the uninstrumented runtime trace.
@@ -404,6 +441,10 @@ func (in *Instance) simConfig(s Scheme) (*trace.Trace, sim.Config, error) {
 	if err != nil {
 		return nil, sim.Config{}, err
 	}
+	plan, err := in.Cfg.faultPlan()
+	if err != nil {
+		return nil, sim.Config{}, err
+	}
 	cfg := sim.Config{
 		Disk:                in.Cfg.Disk,
 		PowerCallOverheadMS: in.Cfg.PowerCallOverheadMS,
@@ -411,7 +452,7 @@ func (in *Instance) simConfig(s Scheme) (*trace.Trace, sim.Config, error) {
 		Obs:                 in.Obs,
 		Events:              in.Events,
 		SchemeLabel:         string(s),
-		Faults:              in.faultPlan,
+		Faults:              plan,
 		Audit:               in.Cfg.Audit,
 	}
 	// A compiler-managed scheme gets no policy: its trace's power
@@ -423,22 +464,18 @@ func (in *Instance) simConfig(s Scheme) (*trace.Trace, sim.Config, error) {
 // RunOpen replays the instance's trace in open-loop (arrival-driven,
 // per-disk FIFO) mode under a reactive or oracle scheme. The
 // compiler-managed schemes are closed-loop by construction (their
-// power calls are program-order events), so they are rejected here.
+// power calls are program-order events), so they are rejected here,
+// before any trace is built.
 func (in *Instance) RunOpen(s Scheme) (*sim.Result, error) {
-	pol, ok := s.Policy(in.Cfg.Disk, in.Cfg.NumDisks)
-	if !ok {
+	if r, ok := s.run(); !ok || r.policy == nil {
 		return nil, fmt.Errorf("core: open-loop replay supports reactive/oracle schemes, not %q", s)
 	}
-	res, err := sim.RunOpenLoop(in.BaseTrace(), sim.Config{
-		Disk:              in.Cfg.Disk,
-		DistanceAwareSeek: in.Cfg.DistanceAwareSeek,
-		Obs:               in.Obs,
-		Events:            in.Events,
-		SchemeLabel:       string(s) + "/open",
-		Faults:            in.faultPlan,
-		Audit:             in.Cfg.Audit,
-		Policy:            pol,
-	})
+	tr, cfg, err := in.simConfig(s)
+	if err != nil {
+		return nil, err
+	}
+	cfg.SchemeLabel += "/open"
+	res, err := sim.RunOpenLoop(tr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -590,20 +627,36 @@ func ApplyVersion(p *ir.Program, v Version, cfg Config, nestCost []float64) (*ir
 	}
 }
 
-// PrepareVersion applies the version to the program and prepares the
-// result. The returned bool reports whether the transformation
-// actually applied. nestCost may be nil; it is computed from the
-// original program when the version needs it.
-func PrepareVersion(name string, p *ir.Program, v Version, cfg Config) (*Instance, bool, error) {
+// DeriveVersion applies the version to the program as ApplyVersion
+// does. The layout-aware tiler weighs nests by the original program's
+// request counts, so for that version alone it first calls orig for
+// the original's preparation.
+func DeriveVersion(p *ir.Program, v Version, cfg Config, orig func() (*Instance, error)) (*ir.Program, map[string]layout.Striping, bool, error) {
 	var nestCost []float64
 	if v == VTLDL {
-		orig, err := Prepare(name, p, cfg, nil)
+		in, err := orig()
 		if err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
-		nestCost = orig.NestRequests()
+		nestCost = in.NestRequests()
 	}
-	tp, overrides, applied, err := ApplyVersion(p, v, cfg, nestCost)
+	return ApplyVersion(p, v, cfg, nestCost)
+}
+
+// PrepareVersion applies the version to the program and prepares the
+// result. The returned bool reports whether the transformation
+// actually applied.
+func PrepareVersion(name string, p *ir.Program, v Version, cfg Config) (*Instance, bool, error) {
+	return prepareVersion(name, p, v, cfg, Prepare)
+}
+
+// prepareVersion is PrepareVersion with the original program's
+// preparation, when DeriveVersion needs it, left to prepare.
+func prepareVersion(name string, p *ir.Program, v Version, cfg Config,
+	prepare func(string, *ir.Program, Config, map[string]layout.Striping) (*Instance, error)) (*Instance, bool, error) {
+	tp, overrides, applied, err := DeriveVersion(p, v, cfg, func() (*Instance, error) {
+		return prepare(name, p, cfg, nil)
+	})
 	if err != nil {
 		return nil, false, err
 	}

@@ -20,7 +20,6 @@ import (
 	"sdpm/internal/cli"
 	"sdpm/internal/core"
 	"sdpm/internal/experiments"
-	"sdpm/internal/faults"
 	"sdpm/internal/fsx"
 	"sdpm/internal/journal"
 	"sdpm/internal/obs"
@@ -587,14 +586,9 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	cfg.Model = b.Model()
 	cfg.CacheUnits = b.CacheUnits
 	cfg.Audit = req.Audit
-	if req.Faults != "" {
-		fc, err := faults.ParseSpec(req.Faults)
-		if err != nil {
-			writeError(w, validationf("%v", err))
-			return
-		}
-		cfg.Faults = fc
-		cfg.FaultSeed = req.FaultSeed
+	if err := cfg.SetFaults(req.Faults, req.FaultSeed); err != nil {
+		writeError(w, validationf("%v", err))
+		return
 	}
 	s.execute(w, r, "/v1/sim", body, func(ctx context.Context) ([]byte, string, *Error) {
 		if ctx.Err() != nil {
@@ -661,15 +655,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, validationf("unknown format %q (text or csv)", format))
 		return
 	}
-	var fc faults.Config
-	if req.Faults != "" {
-		parsed, err := faults.ParseSpec(req.Faults)
-		if err != nil {
-			writeError(w, validationf("%v", err))
-			return
-		}
-		fc = parsed
+	su := experiments.NewSuite()
+	su.Cfg.Audit = req.Audit
+	if err := su.Cfg.SetFaults(req.Faults, req.FaultSeed); err != nil {
+		writeError(w, validationf("%v", err))
+		return
 	}
+	su.FaultSeed = req.FaultSeed
 	if req.Durable && s.jrnl() == nil {
 		writeError(w, validationf("durable requested but the service has no journal configured (-journal)"))
 		return
@@ -680,7 +672,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 				return nil, "", unavailableDegraded(reason)
 			}
 		}
-		su := experiments.NewSuite()
 		su.Benchmarks = s.benchmarks // pointer-stable: shared cache keys on program identity
 		su.Cache = s.cache
 		su.Workers = s.cfg.Workers
@@ -695,12 +686,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			// keeps su.Journal a true nil interface otherwise.
 			su.Journal = &degradingJournal{s: s}
 		}
-		su.Cfg.Audit = req.Audit
-		if req.Faults != "" {
-			su.Cfg.Faults = fc
-			su.Cfg.FaultSeed = req.FaultSeed
-		}
-		su.FaultSeed = req.FaultSeed
 		var buf bytes.Buffer
 		if err := experiments.Render(su, req.ID, &buf, format); err != nil {
 			if ctx.Err() != nil {

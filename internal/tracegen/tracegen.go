@@ -47,8 +47,8 @@ type Site struct {
 
 // Sites runs the access-pattern walker through the buffer cache model
 // and returns the program's request sites in program order.
-// cacheUnits <= 0 selects DefaultCacheUnits; use Options.NoCache for
-// a cacheless run.
+// cacheUnits <= 0 selects DefaultCacheUnits; use SitesNoCache for a
+// cacheless run.
 func Sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error) {
 	if cacheUnits <= 0 {
 		cacheUnits = DefaultCacheUnits
@@ -101,11 +101,6 @@ func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error)
 
 // Options configures trace generation.
 type Options struct {
-	// CacheUnits is the buffer cache capacity in stripe units;
-	// <= 0 selects DefaultCacheUnits.
-	CacheUnits int
-	// NoCache disables the buffer cache entirely.
-	NoCache bool
 	// Model converts cycles to time and supplies execution jitter.
 	// nil selects the default 750 MHz model with no jitter.
 	Model *cycles.Model
@@ -123,23 +118,8 @@ func (o *Options) model() *cycles.Model {
 	return cycles.New(cycles.DefaultClockHz, 0, 0)
 }
 
-// Generate produces the runtime I/O trace of the program: one request
-// per site, with actual (jittered) closed-loop compute gaps.
-func Generate(p *ir.Program, sub *layout.Subsystem, opts Options) (*trace.Trace, error) {
-	var ss []Site
-	var err error
-	if opts.NoCache {
-		ss, err = SitesNoCache(p, sub)
-	} else {
-		ss, err = Sites(p, sub, opts.CacheUnits)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return FromSites(p.Name, sub.NumDisks(), ss, opts), nil
-}
-
-// FromSites assembles a trace from precomputed request sites.
+// FromSites assembles a program's runtime I/O trace from its request
+// sites, with actual (jittered) closed-loop compute gaps.
 func FromSites(program string, numDisks int, ss []Site, opts Options) *trace.Trace {
 	m := opts.model()
 	tr := &trace.Trace{Program: program, NumDisks: numDisks}

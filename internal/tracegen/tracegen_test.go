@@ -31,6 +31,17 @@ func sweepProgram(t *testing.T, elems int64, sweeps int, costPerIter int64) (*ir
 	return p, sub
 }
 
+// generate builds the program's runtime trace from its sites under a
+// cacheUnits-unit buffer cache.
+func generate(t *testing.T, p *ir.Program, sub *layout.Subsystem, cacheUnits int, opts Options) *trace.Trace {
+	t.Helper()
+	ss, err := Sites(p, sub, cacheUnits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return FromSites(p.Name, sub.NumDisks(), ss, opts)
+}
+
 func TestSitesCountMatchesUnitsTimesSweeps(t *testing.T) {
 	// 2MB array = 32 units of 64KB; 3 sweeps -> 96 requests.
 	p, sub := sweepProgram(t, 256*1024, 3, 100)
@@ -109,10 +120,7 @@ func TestCyclePositions(t *testing.T) {
 func TestGenerateGapsMeanNoNoise(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*4, 1, 750) // 750 cycles/iter at 750MHz = 1us/iter
 	m := cycles.New(750e6, 0, 1)
-	tr, err := Generate(p, sub, Options{Model: m, CacheUnits: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := generate(t, p, sub, 2, Options{Model: m})
 	if tr.NumRequests() != 4 {
 		t.Fatalf("requests = %d", tr.NumRequests())
 	}
@@ -131,10 +139,7 @@ func TestGenerateNominalArrivals(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*4, 1, 750)
 	m := cycles.New(750e6, 0, 1)
 	svc := func(bytes int64) float64 { return 6.5 }
-	tr, err := Generate(p, sub, Options{Model: m, NominalServiceMS: svc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := generate(t, p, sub, 0, Options{Model: m, NominalServiceMS: svc})
 	// arrival[i] = arrival[i-1] + 6.5 + 8.192.
 	for i := 1; i < len(tr.Events); i++ {
 		d := tr.Events[i].Req.ArrivalMS - tr.Events[i-1].Req.ArrivalMS
@@ -147,14 +152,8 @@ func TestGenerateNominalArrivals(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*8, 2, 500)
 	m := cycles.New(750e6, 20, 42)
-	a, err := Generate(p, sub, Options{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(p, sub, Options{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := generate(t, p, sub, 0, Options{Model: m})
+	b := generate(t, p, sub, 0, Options{Model: m})
 	if len(a.Events) != len(b.Events) {
 		t.Fatal("lengths differ")
 	}
@@ -169,8 +168,8 @@ func TestJitterChangesGapsNotSites(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*8, 1, 500)
 	m0 := cycles.New(750e6, 0, 1)
 	m1 := cycles.New(750e6, 25, 1)
-	a, _ := Generate(p, sub, Options{Model: m0})
-	b, _ := Generate(p, sub, Options{Model: m1})
+	a := generate(t, p, sub, 0, Options{Model: m0})
+	b := generate(t, p, sub, 0, Options{Model: m1})
 	if len(a.Events) != len(b.Events) {
 		t.Fatal("jitter changed request count")
 	}

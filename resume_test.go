@@ -8,11 +8,15 @@ package sdpm
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
+
+	"sdpm/internal/journal"
 )
 
 // journaledRun renders one experiment with a journal attached,
@@ -113,5 +117,31 @@ func TestResumeFromFinalizedJournal(t *testing.T) {
 	}
 	if hits := metricValue(t, metrics, "sdpm_journal_hits_total"); hits == 0 {
 		t.Error("full journal produced no hits")
+	}
+}
+
+// TestInertFaultSpecKeepsCellKeys: a fault spec that injects nothing
+// leaves the configuration fault-free, so its seed no longer splits
+// the journal's cell keys from a fault-free run's.
+func TestInertFaultSpecKeepsCellKeys(t *testing.T) {
+	keys := func(spec string, seed int64) []string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "exp.journal")
+		opts := Options{Journal: path, FaultSpec: spec, FaultSeed: seed}
+		if err := RunExperiments("table2", io.Discard, opts); err != nil {
+			t.Fatalf("faults %q seed %d: %v", spec, seed, err)
+		}
+		j, err := journal.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		return j.Keys()
+	}
+	want := keys("", 0)
+	for _, spec := range []string{"off", "retries=3"} {
+		if got := keys(spec, 7); !slices.Equal(got, want) {
+			t.Errorf("faults %q seed 7 journaled keys\n%q\nwant the fault-free run's\n%q", spec, got, want)
+		}
 	}
 }

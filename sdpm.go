@@ -30,9 +30,9 @@ import (
 	"sdpm/internal/core"
 	"sdpm/internal/cycles"
 	"sdpm/internal/dsl"
-	"sdpm/internal/faults"
 	"sdpm/internal/ir"
 	"sdpm/internal/layout"
+	"sdpm/internal/sim"
 	"sdpm/internal/workloads"
 )
 
@@ -264,13 +264,8 @@ func (w *Workload) coreConfig(cfg Config) (core.Config, error) {
 	cc.Model = m
 	cc.DisablePreactivation = cfg.DisablePreactivation
 	cc.DistanceAwareSeek = cfg.DistanceAwareSeek
-	if cfg.FaultSpec != "" {
-		fc, err := faults.ParseSpec(cfg.FaultSpec)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cc.Faults = fc
-		cc.FaultSeed = cfg.FaultSeed
+	if err := cc.SetFaults(cfg.FaultSpec, cfg.FaultSeed); err != nil {
+		return core.Config{}, err
 	}
 	return cc, cc.Validate()
 }
@@ -283,13 +278,9 @@ func (w *Workload) instance(cfg Config) (*core.Instance, error) {
 	return core.Prepare(w.name, w.prog, cc, w.overrides)
 }
 
-// Run simulates the workload under the given scheme.
-func (w *Workload) Run(s Scheme, cfg Config) (Result, error) {
-	in, err := w.instance(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := in.Run(s)
+// result runs the scheme with run and converts its result.
+func (w *Workload) result(s Scheme, run func(Scheme) (*sim.Result, error)) (Result, error) {
+	res, err := run(s)
 	if err != nil {
 		return Result{}, err
 	}
@@ -301,6 +292,15 @@ func (w *Workload) Run(s Scheme, cfg Config) (Result, error) {
 	}, nil
 }
 
+// Run simulates the workload under the given scheme.
+func (w *Workload) Run(s Scheme, cfg Config) (Result, error) {
+	in, err := w.instance(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return w.result(s, in.Run)
+}
+
 // RunOpen replays the workload's trace in open-loop (arrival-driven,
 // per-disk FIFO queueing) mode under a reactive or oracle scheme —
 // the classical DiskSim-style replay, in contrast to Run's
@@ -310,15 +310,7 @@ func (w *Workload) RunOpen(s Scheme, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := in.RunOpen(s)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Program: w.name, Scheme: s,
-		EnergyJ: res.EnergyJ, ExecMS: res.ExecMS,
-		Requests: res.Requests, WaitMS: res.TotalWaitMS,
-	}, nil
+	return w.result(s, in.RunOpen)
 }
 
 // RunAll simulates the workload under every scheme.
@@ -327,18 +319,11 @@ func (w *Workload) RunAll(cfg Config) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(core.AllSchemes()))
-	for _, s := range core.AllSchemes() {
-		res, err := in.Run(s)
-		if err != nil {
+	out := make([]Result, len(core.AllSchemes()))
+	for i, s := range core.AllSchemes() {
+		if out[i], err = w.result(s, in.Run); err != nil {
 			return nil, err
 		}
-		out = append(out, Result{
-			Program: w.name, Scheme: s,
-			EnergyJ: res.EnergyJ, ExecMS: res.ExecMS,
-			Requests: res.Requests, PowerOps: res.PowerOps,
-			WaitMS: res.TotalWaitMS,
-		})
 	}
 	return out, nil
 }
@@ -353,15 +338,9 @@ func (w *Workload) Transform(v Version, cfg Config) (*Workload, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	var nestCost []float64
-	if v == core.VTLDL {
-		in, err := core.Prepare(w.name, w.prog, cc, w.overrides)
-		if err != nil {
-			return nil, false, err
-		}
-		nestCost = in.NestRequests()
-	}
-	tp, overrides, applied, err := core.ApplyVersion(w.prog, v, cc, nestCost)
+	tp, overrides, applied, err := core.DeriveVersion(w.prog, v, cc, func() (*core.Instance, error) {
+		return core.Prepare(w.name, w.prog, cc, w.overrides)
+	})
 	if err != nil {
 		return nil, false, err
 	}

@@ -8,7 +8,9 @@
 //     resets, corruptions, and truncations; every experiment response
 //     is byte-identical to an offline render, and retries after
 //     ambiguous failures are idempotent replays, not duplicated work
-//     (the finalized journal holds no duplicate cells).
+//     (the finalized journal holds no duplicate cells). Hundreds of
+//     distinct fault seeds leave dpmd's instance cache at one
+//     preparation per benchmark.
 //  2. Determinism: the same (proxy seed, client seed, request
 //     sequence) yields byte-identical client metrics snapshots and
 //     proxy fault counters, run after run.
@@ -34,12 +36,13 @@ import (
 	"sdpm/internal/client"
 	"sdpm/internal/experiments"
 	"sdpm/internal/netx"
+	"sdpm/internal/workloads"
 	"sdpm/tools/internal/smoke"
 )
 
 func main() {
 	bin := flag.String("bin", "", "path to the dpmd binary under test")
-	requests := flag.Int("requests", 200, "simulation requests in the chaos soak phase")
+	requests := flag.Int("requests", 200, "simulation requests in each chaos soak phase")
 	seed := flag.Int64("seed", 42, "seed for the proxy fault schedule and the client jitter streams")
 	flag.Parse()
 	if *bin == "" {
@@ -81,6 +84,16 @@ func run(bin string, requests int, seed int64) error {
 	if err := chaosSoak(d.Addr, seed, requests, offline.Bytes()); err != nil {
 		return fmt.Errorf("chaos soak: %v", err)
 	}
+	// Fault seeds are run-only settings: the soak's distinct seeds must
+	// leave one prepared instance per benchmark in dpmd's cache.
+	status, err := smoke.Get(d.URL() + "/status")
+	if err != nil {
+		return err
+	}
+	if want := fmt.Sprintf(`"cache_len": %d,`, len(workloads.Names())); !strings.Contains(status, want) {
+		return fmt.Errorf("%d fault seeds left other than one instance-cache entry per benchmark (/status lacks %s)", requests, want)
+	}
+	fmt.Printf("soaksmoke: %d fault seeds left one instance-cache entry per benchmark\n", requests)
 	if err := determinism(d.Addr, seed); err != nil {
 		return fmt.Errorf("determinism: %v", err)
 	}
@@ -131,9 +144,10 @@ func newChaosClient(proxyAddr string, seed int64) *client.Client {
 }
 
 // chaosSoak drives the request volume through probabilistic resets,
-// corruptions, and truncations. Every request must succeed, every
-// experiment body must match the offline render, and the retries the
-// faults force must show up as idempotent replays.
+// corruptions, and truncations, then as much again with a new fault
+// seed per request over every benchmark. Every request must succeed,
+// every experiment body must match the offline render, and the
+// retries the faults force must show up as idempotent replays.
 func chaosSoak(upstream string, seed int64, requests int, offline []byte) error {
 	cfg := netx.Config{ResetProb: 0.06, CorruptProb: 0.05, TruncateProb: 0.04}
 	p, err := netx.New(upstream, seed, cfg)
@@ -163,6 +177,13 @@ func chaosSoak(upstream string, seed int64, requests int, offline []byte) error 
 		}
 		if !bytes.Equal(res.Body, offline) {
 			return fmt.Errorf("experiment %d response differs from the offline render (%d vs %d bytes)", i, len(res.Body), len(offline))
+		}
+	}
+	names := workloads.Names()
+	for i := 0; i < requests; i++ {
+		req := client.SimRequest{Bench: names[i%len(names)], Scheme: "CMDRPM", Faults: "light", FaultSeed: int64(i + 1)}
+		if _, err := c.Sim(ctx, req, 0); err != nil {
+			return fmt.Errorf("sim %d (%s, fault seed %d): %v", i, req.Bench, req.FaultSeed, err)
 		}
 	}
 
