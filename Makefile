@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRecoverTail -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzEventDecode -fuzztime=$(FUZZTIME) ./internal/obs/events
 	$(GO) test -run='^$$' -fuzz=FuzzParseChaos -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve
 
 # crash-smoke runs the crash-consistency suite: the fsx fault model
 # itself, the crash explorer over every power-loss point of a journal

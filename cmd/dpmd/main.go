@@ -131,7 +131,10 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	// A request's headers are a few short fields (the Idempotency-Key is
+	// capped at 256 bytes), so 64 KiB replaces net/http's 1 MiB default;
+	// a larger header block gets net/http's 431.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second, MaxHeaderBytes: 64 << 10}
 	errCh := make(chan error, 1)
 	go func() {
 		if serr := httpSrv.Serve(ln); serr != nil && serr != http.ErrServerClosed {

@@ -41,7 +41,6 @@ const (
 	KindJournalMiss = "journal_miss" // experiment cell computed (journal had no entry)
 	KindCellRetry   = "cell_retry"   // runner retried a failed cell
 	KindCellPanic   = "cell_panic"   // runner recovered a cell panic
-	KindServe       = "serve"        // serving-layer lifecycle (shed/deadline/drain/panic)
 )
 
 // Decision triggers: what prompted a decision-kind event.
@@ -70,7 +69,7 @@ type Event struct {
 	// Seq is the log-assigned sequence number, starting at 1. It
 	// orders events within one run and keys Resolve.
 	Seq uint64 `json:"seq"`
-	// TMS is the simulated time of the event in milliseconds, or -1
+	// TMS is the simulated time of the event in milliseconds, or 0
 	// for engine events with no simulated clock (journal, runner).
 	TMS float64 `json:"t_ms"`
 	// Kind is one of the Kind* constants.
@@ -81,8 +80,9 @@ type Event struct {
 	Policy  string `json:"policy,omitempty"`
 	// Disk is the disk index, or -1 when the event is not disk-scoped.
 	Disk int `json:"disk"`
-	// Trigger is one of the Trig* constants (decision kinds), or a
-	// free-form reason for bailout/fault kinds.
+	// Trigger is one of the Trig* constants on decision kinds and
+	// empty on the others; bailout and fault kinds give their reason
+	// in Detail.
 	Trigger string `json:"trigger,omitempty"`
 	// TargetRPM is the target spindle speed of an rpm_shift decision.
 	TargetRPM int `json:"rpm,omitempty"`

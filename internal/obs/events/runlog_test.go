@@ -31,8 +31,8 @@ func TestRunLogMatchesEmit(t *testing.T) {
 	}
 	for _, capacity := range []int{1, 100, chunkSize, 3*chunkSize + 1, DefaultCapacity} {
 		want, got := NewLog(capacity), NewLog(capacity)
-		want.Emit(Event{Kind: KindServe, Detail: "before"})
-		got.Emit(Event{Kind: KindServe, Detail: "before"})
+		want.Emit(Event{Kind: KindJournalHit, Detail: "before"})
+		got.Emit(Event{Kind: KindJournalHit, Detail: "before"})
 		w := got.StartRun()
 		seqs := make([]uint64, n)
 		refs := make([]uint64, n)
@@ -47,8 +47,8 @@ func TestRunLogMatchesEmit(t *testing.T) {
 			}
 		}
 		w.Close()
-		want.Emit(Event{Kind: KindServe, Detail: "after"})
-		got.Emit(Event{Kind: KindServe, Detail: "after"})
+		want.Emit(Event{Kind: KindJournalHit, Detail: "after"})
+		got.Emit(Event{Kind: KindJournalHit, Detail: "after"})
 		if !reflect.DeepEqual(got.Events(), want.Events()) {
 			t.Fatalf("capacity %d: RunLog events differ from per-event Emit", capacity)
 		}

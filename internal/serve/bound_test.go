@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 
 	"sdpm/internal/core"
@@ -112,5 +113,28 @@ func TestCacheBoundedAcrossFaultSeeds(t *testing.T) {
 	}
 	if got := cacheLen(t, s); got != n {
 		t.Errorf("3 table2 seeds grew the cache from %d to %d entries", n, got)
+	}
+}
+
+// retainedHeap returns the heap still in use after a collection.
+func retainedHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestNewRetainsLittleHeap: a fresh server's caches start empty and
+// it attaches no event ring, so New retains less than 2 MB of heap.
+func TestNewRetainsLittleHeap(t *testing.T) {
+	before := retainedHeap()
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := retainedHeap()
+	runtime.KeepAlive(s)
+	if after > before && after-before >= 2<<20 {
+		t.Errorf("serve.New retained %.2f MB of heap, want under 2 MB", float64(after-before)/(1<<20))
 	}
 }

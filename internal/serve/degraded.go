@@ -12,14 +12,11 @@ package serve
 // non-durable success.
 
 import (
-	"errors"
 	"log/slog"
 	"time"
 
 	"sdpm/internal/experiments"
-	"sdpm/internal/journal"
 	"sdpm/internal/obs"
-	"sdpm/internal/obs/events"
 )
 
 // degradingJournal is the experiments.CellJournal the server threads
@@ -97,16 +94,9 @@ func (s *Server) setDegraded(cause error) {
 		s.degraded.Store(true)
 	}
 	s.degradedMu.Unlock()
-	if !first {
-		return
+	if first {
+		slog.Error("journal degraded; serving from memory, results are no longer durable", "err", cause)
 	}
-	var ioe *journal.IOError
-	detail := "degraded: journal"
-	if errors.As(cause, &ioe) {
-		detail = "degraded: journal " + ioe.Op + " failed"
-	}
-	s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: detail})
-	slog.Error("journal degraded; serving from memory, results are no longer durable", "err", cause)
 }
 
 // clearDegraded lifts degraded mode after a successful reprobe

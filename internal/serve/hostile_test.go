@@ -188,8 +188,7 @@ func TestHostileFaultSpecFilePath(t *testing.T) {
 // (fig13 failed with a 500) or pinned an admission slot. Both endpoints
 // must refuse it with a 400 before any work is admitted.
 func TestHostileRetryCascade(t *testing.T) {
-	coll := obs.New()
-	s := newTestServer(t, func(c *Config) { c.Obs = coll })
+	s := newTestServer(t, nil)
 	bodies := map[string]string{
 		"/v1/sim":        `{"bench":"swim","faults":%q}`,
 		"/v1/experiment": `{"id":"fig13","faults":%q}`,
@@ -203,7 +202,7 @@ func TestHostileRetryCascade(t *testing.T) {
 			}
 		}
 	}
-	if n := coll.Value(obs.ServeAccepted); n != 0 {
+	if n := s.coll.Value(obs.ServeAccepted); n != 0 {
 		t.Fatalf("%d requests admitted, want none", n)
 	}
 }

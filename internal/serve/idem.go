@@ -7,6 +7,12 @@ import (
 	"sync"
 )
 
+// maxIdemKeyBytes caps the Idempotency-Key header. A client's key is a
+// request identifier, not a payload: a longer one gets a typed 400
+// before any entry is made, so no request pins a large key in the
+// cache.
+const maxIdemKeyBytes = 256
+
 // idemEntry is one idempotency key's lifecycle: the first request
 // with the key (the leader) computes; concurrent duplicates wait on
 // done; once complete holds a success, every later request with the

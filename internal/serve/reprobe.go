@@ -20,7 +20,6 @@ import (
 	"sdpm/internal/faults"
 	"sdpm/internal/journal"
 	"sdpm/internal/obs"
-	"sdpm/internal/obs/events"
 )
 
 // streamReprobe keys the probe-interval jitter draws.
@@ -84,7 +83,6 @@ func (s *Server) reprobe() error {
 	s.swapJournal(j)
 	s.clearDegraded()
 	s.coll.Add(obs.ServeJournalRecoveries, 1)
-	s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: "journal_recovered"})
 	slog.Info("journal recovered from degraded mode",
 		"path", s.cfg.JournalPath, "cells", j.Len())
 	return nil

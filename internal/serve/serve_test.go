@@ -73,32 +73,41 @@ func kindOf(t *testing.T, w *httptest.ResponseRecorder) Kind {
 }
 
 // Every malformed request maps to a 400 with the validation kind —
-// never a panic, never a 500.
+// never a panic, never a 500 — and leaves no idempotency entry.
 func TestValidationErrors(t *testing.T) {
 	s := newTestServer(t, nil)
 	cases := []struct {
 		name, target, body string
+		header             map[string]string
 	}{
-		{"bad json", "/v1/sim", "{not json"},
-		{"unknown field", "/v1/sim", `{"bench":"swim","nope":1}`},
-		{"trailing data", "/v1/sim", `{"bench":"swim"} extra`},
-		{"missing bench", "/v1/sim", `{}`},
-		{"unknown bench", "/v1/sim", `{"bench":"doom"}`},
-		{"unknown scheme", "/v1/sim", `{"bench":"swim","scheme":"WARP"}`},
-		{"bad faults spec", "/v1/sim", `{"bench":"swim","faults":"zap=1"}`},
-		{"unknown experiment", "/v1/experiment", `{"id":"fig99"}`},
-		{"bad format", "/v1/experiment", `{"id":"table1","format":"yaml"}`},
-		{"bad timeout", "/v1/sim?timeout=banana", `{"bench":"swim"}`},
-		{"negative timeout", "/v1/sim?timeout=-3s", `{"bench":"swim"}`},
+		{"bad json", "/v1/sim", "{not json", nil},
+		{"unknown field", "/v1/sim", `{"bench":"swim","nope":1}`, nil},
+		{"trailing data", "/v1/sim", `{"bench":"swim"} extra`, nil},
+		{"missing bench", "/v1/sim", `{}`, nil},
+		{"unknown bench", "/v1/sim", `{"bench":"doom"}`, nil},
+		{"unknown scheme", "/v1/sim", `{"bench":"swim","scheme":"WARP"}`, nil},
+		{"bad faults spec", "/v1/sim", `{"bench":"swim","faults":"zap=1"}`, nil},
+		{"unknown experiment", "/v1/experiment", `{"id":"fig99"}`, nil},
+		{"bad format", "/v1/experiment", `{"id":"table1","format":"yaml"}`, nil},
+		{"bad timeout", "/v1/sim?timeout=banana", `{"bench":"swim"}`, nil},
+		{"negative timeout", "/v1/sim?timeout=-3s", `{"bench":"swim"}`, nil},
+		{"long idempotency key", "/v1/sim", `{"bench":"swim"}`, // one byte over the documented cap
+			map[string]string{"Idempotency-Key": strings.Repeat("k", 257)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := do(s, "POST", tc.target, tc.body, nil)
+			w := do(s, "POST", tc.target, tc.body, tc.header)
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (%s)", w.Code, w.Body.String())
 			}
 			if k := kindOf(t, w); k != KindValidation {
 				t.Fatalf("kind = %q, want validation", k)
+			}
+			s.idem.mu.Lock()
+			n := len(s.idem.entries)
+			s.idem.mu.Unlock()
+			if n != 0 {
+				t.Fatalf("a refused request left %d idempotency entries", n)
 			}
 		})
 	}

@@ -23,7 +23,6 @@ import (
 	"sdpm/internal/fsx"
 	"sdpm/internal/journal"
 	"sdpm/internal/obs"
-	"sdpm/internal/obs/events"
 	"sdpm/internal/runner"
 	"sdpm/internal/workloads"
 )
@@ -88,12 +87,6 @@ type Config struct {
 	// Chaos, when non-nil, arms deterministic self-fault injection
 	// (handler stalls and synthetic panics) for robustness testing.
 	Chaos *Chaos
-	// Obs receives the service's metrics next to the engine's; nil
-	// creates a private collector (exposed on /metrics either way).
-	Obs *obs.Collector
-	// Events receives serving-layer and engine events; nil creates a
-	// private log.
-	Events *events.Log
 }
 
 // Complete fills unset fields with defaults.
@@ -130,20 +123,16 @@ func (c *Config) Complete() {
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20 // a request is a small JSON document; anything bigger is abuse
 	}
-	if c.Obs == nil {
-		c.Obs = obs.New()
-	}
-	if c.Events == nil {
-		c.Events = events.NewLog(0)
-	}
 }
 
 // Server is the simulation service. Create with New; serve its
 // Handler; stop with BeginDrain + Drain.
 type Server struct {
-	cfg   Config
+	cfg Config
+	// coll is the server's own collector, served on /metrics. It is
+	// the only observer the server attaches to the engine: decision
+	// events come from the offline tools' -events-out.
 	coll  *obs.Collector
-	event *events.Log
 	admit *admitter
 	idem  *idemCache
 	chaos *Chaos
@@ -196,8 +185,7 @@ func New(cfg Config) (*Server, error) {
 	cfg.Complete()
 	s := &Server{
 		cfg:        cfg,
-		coll:       cfg.Obs,
-		event:      cfg.Events,
+		coll:       obs.New(),
 		idem:       newIdemCache(),
 		chaos:      cfg.Chaos,
 		benchmarks: workloads.All(),
@@ -206,7 +194,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.admit = newAdmitter(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueWait, s.coll)
 	s.cache.Obs = s.coll
-	s.cache.Events = s.event
 	if cfg.JournalPath != "" {
 		var (
 			j   *journal.Journal
@@ -326,7 +313,6 @@ func (s *Server) BeginDrain() {
 		s.reprobeWG.Wait()
 	}
 	s.coll.Add(obs.ServeDrains, 1)
-	s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: "drain_begin"})
 	slog.Info("drain started", "drain_timeout", s.cfg.DrainTimeout)
 }
 
@@ -370,7 +356,6 @@ func (s *Server) Drain(ctx context.Context) error {
 			}
 		}
 	}
-	s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: "drain_done"})
 	slog.Info("drain finished", "err", waitErr)
 	return waitErr
 }
@@ -417,15 +402,17 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, route string, b
 		writeError(w, verr)
 		return
 	}
+	key := r.Header.Get("Idempotency-Key")
+	if len(key) > maxIdemKeyBytes {
+		writeError(w, validationf("Idempotency-Key is %d bytes, over the %d-byte limit", len(key), maxIdemKeyBytes))
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	// Idempotency: duplicates of a finished request replay its bytes;
 	// duplicates of an in-flight one wait for the leader.
-	var (
-		key   = r.Header.Get("Idempotency-Key")
-		entry *idemEntry
-	)
+	var entry *idemEntry
 	if key != "" {
 		fp := fingerprint(route, body)
 		e, leader, ierr := s.idem.begin(ctx, key, fp)
@@ -492,7 +479,7 @@ func (s *Server) admitAndRun(ctx context.Context, work func(ctx context.Context)
 		contentType string
 		werr        *Error
 	)
-	err := runner.New(1).Observe(s.coll).Trace(s.event).Run(func() error {
+	err := runner.New(1).Observe(s.coll).Run(func() error {
 		if serr := s.chaos.maybeStall(ctx, seq); serr != nil {
 			werr = serr
 			return nil
@@ -506,7 +493,6 @@ func (s *Server) admitAndRun(ctx context.Context, work func(ctx context.Context)
 	if err != nil {
 		var ce *runner.CellError
 		if errors.As(err, &ce) {
-			s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: fmt.Sprintf("panic: %v", ce.Value)})
 			slog.Error("request panicked; isolated", "panic", ce.Value)
 			return nil, "", &Error{Kind: KindInternal, Msg: fmt.Sprintf("request work panicked: %v", ce.Value)}
 		}
@@ -534,11 +520,8 @@ func (s *Server) finishObs(e *Error, start time.Time) {
 		switch e.Kind {
 		case KindDeadline:
 			s.coll.Add(obs.ServeDeadline, 1)
-			s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: "deadline"})
 		case KindCanceled:
 			s.coll.Add(obs.ServeCanceled, 1)
-		case KindOverload:
-			s.event.Emit(events.Event{Kind: events.KindServe, Disk: -1, Detail: "shed"})
 		}
 	}
 	s.coll.Observe(obs.ServeMS, float64(time.Since(start))/float64(time.Millisecond))
@@ -678,7 +661,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		su.Retries = s.cfg.Retries
 		su.Ctx = ctx
 		su.Obs = s.coll
-		su.Events = s.event
 		if s.jrnl() != nil {
 			// Always through the degrading wrapper (never the bare
 			// journal): appends retry, then degrade, and the request is

@@ -1,9 +1,9 @@
 // Command servesmoke is the end-to-end smoke gate for cmd/dpmd (the
 // make serve-smoke target): it boots the real daemon with chaos
-// stalls armed, exercises the deadline and load-shedding paths over
-// real HTTP, populates the journal, sends SIGTERM, and asserts a
-// clean exit 0 with a finalized, valid journal on disk. Any deviation
-// exits non-zero with a description.
+// stalls armed, checks the header cap, exercises the deadline and
+// load-shedding paths over real HTTP, populates the journal, sends
+// SIGTERM, and asserts a clean exit 0 with a finalized, valid journal
+// on disk. Any deviation exits non-zero with a description.
 package main
 
 import (
@@ -59,7 +59,23 @@ func run(bin string) error {
 	defer d.Kill()
 	base := d.URL()
 
-	// 1. Deadline-exceeding request: the chaos stall outlasts the
+	// 1. A 128 KiB header is over dpmd's 64 KiB cap: net/http answers
+	// 431 before any handler runs.
+	req, err := http.NewRequest("POST", base+"/v1/sim", strings.NewReader(`{"bench":"swim"}`))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Idempotency-Key", strings.Repeat("k", 128<<10))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return fmt.Errorf("oversized header: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		return fmt.Errorf("oversized header: got %d, want 431", resp.StatusCode)
+	}
+
+	// 2. Deadline-exceeding request: the chaos stall outlasts the
 	// 100ms budget, so the response must be a typed 504.
 	code, body, err := smoke.Post(base+"/v1/sim?timeout=100ms", `{"bench":"swim"}`)
 	if err != nil {
@@ -69,7 +85,7 @@ func run(bin string) error {
 		return fmt.Errorf("deadline request: got %d %s, want 504 with kind deadline", code, body)
 	}
 
-	// 2. Overload: two concurrent requests against one slot and a
+	// 3. Overload: two concurrent requests against one slot and a
 	// one-deep queue with a 200ms wait budget — at least one is shed
 	// with 429 while the other eventually succeeds (or also sheds).
 	var wg sync.WaitGroup
@@ -90,7 +106,7 @@ func run(bin string) error {
 		return fmt.Errorf("overload: no request shed with 429 (got %v)", codes)
 	}
 
-	// 3. Populate the journal through a full experiment request.
+	// 4. Populate the journal through a full experiment request.
 	code, body, err = smoke.Post(base+"/v1/experiment?timeout=60s", `{"id":"table2"}`)
 	if err != nil {
 		return fmt.Errorf("experiment request: %v", err)
@@ -99,12 +115,12 @@ func run(bin string) error {
 		return fmt.Errorf("experiment request: got %d %s", code, body)
 	}
 
-	// 4. SIGTERM: graceful drain must exit 0 within the drain budget.
+	// 5. SIGTERM: graceful drain must exit 0 within the drain budget.
 	if err := d.Drain(); err != nil {
 		return err
 	}
 
-	// 5. The journal on disk is finalized: every line valid, every
+	// 6. The journal on disk is finalized: every line valid, every
 	// cell unique, and the table2 cells present.
 	cells, err := smoke.ValidateJournal(jpath)
 	if err != nil {
