@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzBreakEven -fuzztime=$(FUZZTIME) ./internal/disk
+	$(GO) test -run='^$$' -fuzz=FuzzBestRPM -fuzztime=$(FUZZTIME) ./internal/disk
 	$(GO) test -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzRecoverTail -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzEventDecode -fuzztime=$(FUZZTIME) ./internal/obs/events
@@ -87,10 +88,11 @@ bench-diff:
 # tree, runs 10 alternating pairs and compares the medians at
 # BENCH_TOLERANCE, so the host's speed cancels out (see
 # tools/bench-diff-rev.sh). BENCH_REV selects the compiler front half,
-# the experiments it dominates and the BENCH_SMOKE hot paths.
+# the experiments it dominates, the 42 scheme runs of a cached dpmd
+# round and the BENCH_SMOKE hot paths.
 #
 #	make bench-diff-rev REV=HEAD~1
-BENCH_REV ?= Figure3$$|Figure13$$|TraceGeneration$$|CompilerInstrumentation$$|Prepare$$|Instrument$$|$(BENCH_SMOKE)
+BENCH_REV ?= Figure3$$|Figure13$$|TraceGeneration$$|CompilerInstrumentation$$|Prepare$$|Instrument$$|RunAllSchemes$$|$(BENCH_SMOKE)
 bench-diff-rev:
 	@test -n "$(REV)" || { echo "usage: make bench-diff-rev REV=<commit>" >&2; exit 2; }
 	GO=$(GO) tools/bench-diff-rev.sh '$(REV)' '$(BENCH_REV)' $(BENCH_TOLERANCE)

@@ -51,7 +51,9 @@ type Options struct {
 	// EventCapacity bounds the in-memory event ring when Events is
 	// set; 0 selects events.DefaultCapacity. When the run emits more
 	// events than the ring holds, the oldest are dropped (the JSONL
-	// output then starts at the earliest retained event).
+	// output then starts at the earliest retained event) and a
+	// warning with the dropped and kept counts goes to the default
+	// slog logger.
 	EventCapacity int
 	// Ctx, when non-nil, cancels in-flight experiments: worker pools
 	// stop claiming cells, the current experiment returns the
@@ -162,7 +164,11 @@ func RunExperiments(id string, out io.Writer, opts Options) error {
 		err = merr
 	}
 	if s.Events != nil {
-		if eerr := events.WriteJSONL(opts.Events, s.Events.Events()); err == nil {
+		evs := s.Events.Events()
+		if n := s.Events.Dropped(); n > 0 {
+			slog.Warn("event ring overflowed; oldest events dropped", "dropped", n, "kept", len(evs))
+		}
+		if eerr := events.WriteJSONL(opts.Events, evs); err == nil {
 			err = eerr
 		}
 	}

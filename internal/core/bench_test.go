@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sdpm/internal/insert"
+	"sdpm/internal/obs"
 	"sdpm/internal/workloads"
 )
 
@@ -61,5 +62,40 @@ func BenchmarkInstrument(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRunAllSchemes times the in-process work of one round of
+// dpmd's cached /v1/sim requests: Run of every (benchmark, scheme)
+// pair, 42 in all, with one metrics collector attached as dpmd
+// attaches its own. Preparation, instrumentation and run-length
+// compilation happen before the timer, in one warm-up round, so the
+// loop times the simulator under every policy: IDRPM's oracle, the
+// compiler's inserted power calls and the reactive controllers.
+func BenchmarkRunAllSchemes(b *testing.B) {
+	coll := obs.New()
+	var ins []*Instance
+	for _, w := range workloads.All() {
+		in, err := Prepare(w.Name, w.Program, benchConfig(w), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in.Obs = coll
+		ins = append(ins, in)
+	}
+	round := func() {
+		for _, in := range ins {
+			for _, s := range AllSchemes() {
+				if _, err := in.Run(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }

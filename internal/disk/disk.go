@@ -20,6 +20,12 @@ import (
 
 // Params holds every simulation parameter of Table 1 plus the derived
 // DRPM power-model constants.
+//
+// Its methods take pointer receivers. Params is about 200 bytes, and
+// Go copies a value receiver even where it inlines the call, so value
+// receivers cost the simulator a copy of the whole struct on every
+// per-request query. Params stays a comparable value type: it is
+// passed and stored by value, and it keys the Table memo.
 type Params struct {
 	// Identity (informational).
 	Model     string
@@ -115,7 +121,7 @@ func DefaultParams() Params {
 // Validate checks parameter sanity. Every float field must be finite:
 // a NaN would slip through ordered comparisons (NaN < x is always
 // false) and silently poison energy totals downstream.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	for _, f := range [...]struct {
 		name string
 		v    float64
@@ -172,7 +178,7 @@ func (p Params) Validate() error {
 
 // Levels returns the available RPM levels in ascending order,
 // MinRPM..MaxRPM by RPMStep.
-func (p Params) Levels() []int {
+func (p *Params) Levels() []int {
 	n := (p.MaxRPM-p.MinRPM)/p.RPMStep + 1
 	out := make([]int, n)
 	for i := range out {
@@ -182,11 +188,11 @@ func (p Params) Levels() []int {
 }
 
 // NumLevels returns the number of RPM levels.
-func (p Params) NumLevels() int { return (p.MaxRPM-p.MinRPM)/p.RPMStep + 1 }
+func (p *Params) NumLevels() int { return (p.MaxRPM-p.MinRPM)/p.RPMStep + 1 }
 
 // LevelIndex returns the index of rpm within Levels, or -1 if rpm is
 // not an exact level.
-func (p Params) LevelIndex(rpm int) int {
+func (p *Params) LevelIndex(rpm int) int {
 	if rpm < p.MinRPM || rpm > p.MaxRPM || (rpm-p.MinRPM)%p.RPMStep != 0 {
 		return -1
 	}
@@ -195,7 +201,7 @@ func (p Params) LevelIndex(rpm int) int {
 
 // ClampLevel returns the nearest valid level at or below rpm (at
 // least MinRPM).
-func (p Params) ClampLevel(rpm int) int {
+func (p *Params) ClampLevel(rpm int) int {
 	if rpm >= p.MaxRPM {
 		return p.MaxRPM
 	}
@@ -207,7 +213,7 @@ func (p Params) ClampLevel(rpm int) int {
 
 // IdlePowerAt returns the power drawn while idle (spinning, not
 // servicing) at the given RPM.
-func (p Params) IdlePowerAt(rpm int) float64 {
+func (p *Params) IdlePowerAt(rpm int) float64 {
 	frac := float64(rpm) / float64(p.MaxRPM)
 	return p.ElectronicsW + (p.IdleW-p.ElectronicsW)*math.Pow(frac, p.SpindleExp)
 }
@@ -215,7 +221,7 @@ func (p Params) IdlePowerAt(rpm int) float64 {
 // ActivePowerAt returns the power drawn while servicing a request at
 // the given RPM. The active-idle delta (head positioning and channel
 // electronics) is modelled as speed independent.
-func (p Params) ActivePowerAt(rpm int) float64 {
+func (p *Params) ActivePowerAt(rpm int) float64 {
 	return p.IdlePowerAt(rpm) + (p.ActiveW - p.IdleW)
 }
 
@@ -223,13 +229,13 @@ func (p Params) ActivePowerAt(rpm int) float64 {
 // size at the given RPM: average seek, rotational latency scaled
 // inversely with speed, and media transfer scaled linearly with
 // speed.
-func (p Params) ServiceTimeMS(rpm int, bytes int64) float64 {
+func (p *Params) ServiceTimeMS(rpm int, bytes int64) float64 {
 	return p.ServiceTimeSeekMS(rpm, bytes, p.AvgSeekMS)
 }
 
 // ServiceTimeSeekMS is ServiceTimeMS with an explicit seek time,
 // for distance-aware simulation.
-func (p Params) ServiceTimeSeekMS(rpm int, bytes int64, seekMS float64) float64 {
+func (p *Params) ServiceTimeSeekMS(rpm int, bytes int64, seekMS float64) float64 {
 	frac := float64(rpm) / float64(p.MaxRPM)
 	rot := p.AvgRotMS / frac
 	return seekMS + rot + p.TransferTimeMS(rpm, bytes)
@@ -238,7 +244,7 @@ func (p Params) ServiceTimeSeekMS(rpm int, bytes int64, seekMS float64) float64 
 // TransferTimeMS returns the media-transfer component of a request's
 // service time: the transfer rate scales linearly with rotation
 // speed.
-func (p Params) TransferTimeMS(rpm int, bytes int64) float64 {
+func (p *Params) TransferTimeMS(rpm int, bytes int64) float64 {
 	frac := float64(rpm) / float64(p.MaxRPM)
 	return float64(bytes) / (p.TransferMBps * 1e6 * frac) * 1e3
 }
@@ -247,7 +253,7 @@ func (p Params) TransferTimeMS(rpm int, bytes int64) float64 {
 // movement of dist blocks on a disk of maxBlocks, using the
 // classical square-root seek curve between SeekMinMS (track to
 // track) and SeekMaxMS (full stroke). A zero distance needs no seek.
-func (p Params) SeekTimeMS(dist, maxBlocks int64) float64 {
+func (p *Params) SeekTimeMS(dist, maxBlocks int64) float64 {
 	if dist <= 0 || maxBlocks <= 0 {
 		return 0
 	}
@@ -259,13 +265,13 @@ func (p Params) SeekTimeMS(dist, maxBlocks int64) float64 {
 }
 
 // CapacityBlocks returns the disk capacity in 512-byte blocks.
-func (p Params) CapacityBlocks() int64 {
+func (p *Params) CapacityBlocks() int64 {
 	return int64(p.CapacityGB * 1e9 / 512)
 }
 
 // TransitionTimeMS returns the time to modulate the spindle between
 // two RPM levels (linear in the number of steps).
-func (p Params) TransitionTimeMS(from, to int) float64 {
+func (p *Params) TransitionTimeMS(from, to int) float64 {
 	d := from - to
 	if d < 0 {
 		d = -d
@@ -276,7 +282,7 @@ func (p Params) TransitionTimeMS(from, to int) float64 {
 // TransitionEnergyJ returns the energy consumed by an RPM modulation.
 // Per the paper's conservative assumption, each step is billed at the
 // idle power of the faster level involved in that step.
-func (p Params) TransitionEnergyJ(from, to int) float64 {
+func (p *Params) TransitionEnergyJ(from, to int) float64 {
 	if from == to {
 		return 0
 	}
@@ -294,7 +300,7 @@ func (p Params) TransitionEnergyJ(from, to int) float64 {
 // TPMBreakEvenMS returns the minimum idle-period length for which
 // spinning down to standby and back saves energy over idling, and
 // for which the spin-down + spin-up sequence fits inside the period.
-func (p Params) TPMBreakEvenMS() float64 {
+func (p *Params) TPMBreakEvenMS() float64 {
 	transMS := p.SpinDownMS + p.SpinUpMS
 	// Solve IdleW*T > SpinDownJ + SpinUpJ + StandbyW*(T - trans).
 	denom := p.IdleW - p.StandbyW
@@ -310,7 +316,7 @@ func (p Params) TPMBreakEvenMS() float64 {
 
 // IdleEnergyJ returns the energy of spending an idle period of the
 // given length entirely at full-speed idle.
-func (p Params) IdleEnergyJ(idleMS float64) float64 {
+func (p *Params) IdleEnergyJ(idleMS float64) float64 {
 	return p.IdleW * idleMS / 1e3
 }
 
@@ -318,7 +324,7 @@ func (p Params) IdleEnergyJ(idleMS float64) float64 {
 // during which the disk ramps down to the given RPM level, stays
 // there, and ramps back to full speed in time for the next access.
 // It returns +Inf when the two transitions do not fit in the period.
-func (p Params) DipEnergyJ(idleMS float64, rpm int) float64 {
+func (p *Params) DipEnergyJ(idleMS float64, rpm int) float64 {
 	if rpm == p.MaxRPM {
 		return p.IdleEnergyJ(idleMS)
 	}
@@ -335,7 +341,7 @@ func (p Params) DipEnergyJ(idleMS float64, rpm int) float64 {
 // length during which the disk spins down to standby and back up in
 // time for the next access (TPM with perfect pre-activation). It
 // returns +Inf when the transitions do not fit.
-func (p Params) StandbyEnergyJ(idleMS float64) float64 {
+func (p *Params) StandbyEnergyJ(idleMS float64) float64 {
 	trans := p.SpinDownMS + p.SpinUpMS
 	if trans > idleMS {
 		return math.Inf(1)
@@ -347,7 +353,7 @@ func (p Params) StandbyEnergyJ(idleMS float64) float64 {
 // idle period of the given length (including both transitions), and
 // that minimum energy. For periods too short to exploit it returns
 // (MaxRPM, full-speed idle energy).
-func (p Params) BestRPMForIdle(idleMS float64) (int, float64) {
+func (p *Params) BestRPMForIdle(idleMS float64) (int, float64) {
 	best := p.MaxRPM
 	bestE := p.IdleEnergyJ(idleMS)
 	for _, r := range p.Levels() {
@@ -362,7 +368,7 @@ func (p Params) BestRPMForIdle(idleMS float64) (int, float64) {
 // BestRPMForTrailingIdle returns the RPM level minimizing the energy
 // of a trailing idle period — one after which the disk never needs
 // to return to full speed — and that minimum energy.
-func (p Params) BestRPMForTrailingIdle(idleMS float64) (int, float64) {
+func (p *Params) BestRPMForTrailingIdle(idleMS float64) (int, float64) {
 	best := p.MaxRPM
 	bestE := p.IdleEnergyJ(idleMS)
 	for _, r := range p.Levels() {
@@ -381,7 +387,7 @@ func (p Params) BestRPMForTrailingIdle(idleMS float64) (int, float64) {
 // TrailingStandbyWins reports whether spinning down (with no
 // subsequent spin-up) saves energy over idling for a trailing idle
 // period of the given length.
-func (p Params) TrailingStandbyWins(idleMS float64) bool {
+func (p *Params) TrailingStandbyWins(idleMS float64) bool {
 	if idleMS < p.SpinDownMS {
 		return false
 	}

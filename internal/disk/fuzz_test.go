@@ -62,3 +62,66 @@ func FuzzBreakEven(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBestRPM checks the best-RPM breakpoint table against the scan it
+// replaces: for any Params that Validate accepts and any idle length,
+// Table.BestRPMForIdle must return Params.BestRPMForIdle's rpm and the
+// same energy bits. Each input also probes both ends of every table
+// segment and their float neighbours against the table's own scan,
+// which is where a wrongly certified segment would show first.
+func FuzzBestRPM(f *testing.F) {
+	d := DefaultParams()
+	seed := func(idle float64) {
+		f.Add(d.MaxRPM, d.MinRPM, d.RPMStep, d.IdleW, d.ElectronicsW, d.SpindleExp, d.RPMStepTimeMS, idle)
+	}
+	for _, idle := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 1e7} {
+		seed(idle)
+	}
+	for _, r := range d.Levels() {
+		bp := 2 * d.TransitionTimeMS(d.MaxRPM, r)
+		seed(bp)
+		seed(math.Nextafter(bp, 0))
+		seed(math.Nextafter(bp, math.Inf(1)))
+	}
+	// Levels whose idle powers all round to the electronics floor
+	// give identical dip lines: the table must leave them to the scan.
+	f.Add(15000, 3000, 1200, 10.2, 2.0, 5000.0, 3.5, 40.0)
+	// 1001 levels one rpm apart: lines cross at shallow angles.
+	f.Add(15000, 14000, 1, 10.2, 0.0, 1.5, 1e-3, 0.5)
+	// Transition energies that overflow to +Inf.
+	f.Add(15000, 6000, 3000, 1e300, 0.0, 2.8, 1e200, 1e100)
+	f.Fuzz(func(t *testing.T, maxRPM, minRPM, step int, idleW, elecW, spindleExp, stepMS, idle float64) {
+		p := DefaultParams()
+		p.MaxRPM, p.MinRPM, p.RPMStep = maxRPM, minRPM, step
+		p.IdleW, p.ElectronicsW, p.SpindleExp, p.RPMStepTimeMS = idleW, elecW, spindleExp, stepMS
+		p.ActiveW = math.Max(p.ActiveW, p.IdleW)
+		p.StandbyW = math.Min(p.StandbyW, p.IdleW)
+		if p.Validate() != nil {
+			return
+		}
+		if p.NumLevels() > 1024 {
+			t.Skip("level grid too large to sweep")
+		}
+		// newTable, not TableFor: fuzzed models must not fill the
+		// process-wide memo.
+		tbl := newTable(p)
+		wantR, wantE := p.BestRPMForIdle(idle)
+		gotR, gotE := tbl.BestRPMForIdle(idle)
+		if gotR != wantR {
+			t.Fatalf("BestRPMForIdle(%v) rpm = %d, scan %d for %+v", idle, gotR, wantR, p)
+		}
+		eq(t, "BestRPMForIdle energy", wantE, gotE)
+		for _, s := range tbl.best {
+			for _, x := range []float64{s.lo, s.hi} {
+				for _, x := range []float64{math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1))} {
+					wantR, wantE := tbl.scanBest(x)
+					gotR, gotE := tbl.BestRPMForIdle(x)
+					if gotR != wantR {
+						t.Fatalf("BestRPMForIdle(%v) rpm = %d, scan %d for %+v", x, gotR, wantR, p)
+					}
+					eq(t, "BestRPMForIdle energy at a segment end", wantE, gotE)
+				}
+			}
+		}
+	})
+}

@@ -46,7 +46,8 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
-	if err := DefaultParams().Validate(); err != nil {
+	p := DefaultParams()
+	if err := p.Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
 }

@@ -134,9 +134,10 @@ func BenchmarkSimHotPathDRPM(b *testing.B) {
 	}
 }
 
-// BenchmarkSimHotPathObserved is BenchmarkSimHotPathDRPM as dpmd runs
-// it: with a metrics collector and an event log attached, both warmed
-// up by one run before the timer starts. Its ratio to
+// BenchmarkSimHotPathObserved is BenchmarkSimHotPathDRPM as the
+// offline tools run it under -events-out: with a metrics collector and
+// an event log attached, both warmed up by one run before the timer
+// starts. (dpmd attaches the collector alone.) Its ratio to
 // BenchmarkSimHotPathDRPM is the cost of observing a run.
 func BenchmarkSimHotPathObserved(b *testing.B) {
 	p := disk.DefaultParams()

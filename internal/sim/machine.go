@@ -109,17 +109,17 @@ type dstate struct {
 	accT        float64 // energy accounted up to here
 	status      Status
 	rpm         int     // speed when spinning (target during StShift)
+	lvl         int     // rpm's level index in the machine's disk.Table
 	statusUntil float64 // end of transitional status
 	transPowerW float64 // power during current transitional status
 	idleFrom    float64 // completion time of the last request
 	stats       DiskStats
 	idles       []IdlePeriod
 	timeline    []Segment
-	// resid accumulates spinning time by RPM level (index =
-	// disk.Params.LevelIndex; one backing array for the whole
-	// machine); Finish materializes DiskStats.RPMResidencyMS from it.
-	// Every speed is a level: newRun validates the disk model, and
-	// SetRPMAt clamps.
+	// resid accumulates spinning time by RPM level (index = lvl; one
+	// backing array for the whole machine); Finish materializes
+	// DiskStats.RPMResidencyMS from it. Every speed is a level: newRun
+	// validates the disk model, and SetRPMAt clamps.
 	resid []float64
 	// transMS splits stats.TransitionMS by status: StDown, StUp and
 	// StShift, in that order.
@@ -155,10 +155,12 @@ func (s *dstate) record(enabled bool, start, end float64, stat Status, rpm int, 
 type Machine struct {
 	p disk.Params
 	// tbl serves the per-level power and timing queries of the hot
-	// path from precomputed arrays; every value is bitwise identical
-	// to the Params method it caches.
-	tbl   *disk.Table
-	disks []dstate
+	// path from precomputed arrays, by each disk's level index; every
+	// value is bitwise identical to the Params method it caches.
+	tbl *disk.Table
+	// topLvl is MaxRPM's level index.
+	topLvl int
+	disks  []dstate
 	// Distance-aware seek state (disabled by default).
 	distSeek  bool
 	maxBlocks int64
@@ -194,12 +196,13 @@ type Machine struct {
 // NewMachine returns a machine of n disks, all spinning at full speed
 // with their timelines starting at time zero.
 func NewMachine(n int, p disk.Params) *Machine {
-	m := &Machine{p: p, tbl: disk.TableFor(p), disks: make([]dstate, n)}
 	levels := p.NumLevels()
+	m := &Machine{p: p, tbl: disk.TableFor(p), topLvl: levels - 1, disks: make([]dstate, n)}
 	residAll := make([]float64, n*levels)
 	for i := range m.disks {
 		m.disks[i].status = StSpinning
 		m.disks[i].rpm = p.MaxRPM
+		m.disks[i].lvl = m.topLvl
 		m.disks[i].resid = residAll[i*levels : (i+1)*levels : (i+1)*levels]
 	}
 	return m
@@ -283,11 +286,11 @@ func (m *Machine) advance(d int, t float64) {
 		switch s.status {
 		case StSpinning:
 			dt := t - s.accT
-			pw := m.tbl.IdlePowerAt(s.rpm)
+			pw := m.tbl.IdlePowerIdx(s.lvl)
 			s.stats.EnergyJ += pw * dt / 1e3
 			s.stats.IdleEnergyJ += pw * dt / 1e3
 			s.stats.IdleMS += dt
-			s.resid[m.p.LevelIndex(s.rpm)] += dt
+			s.resid[s.lvl] += dt
 			s.record(m.recTimeline, s.accT, t, StSpinning, s.rpm, pw, false)
 			s.accT = t
 		case StStandby:
@@ -319,7 +322,7 @@ func (m *Machine) advance(d int, t float64) {
 						s.status = StStandby
 					} else {
 						s.status = StSpinning
-						s.rpm = m.p.MaxRPM
+						s.rpm, s.lvl = m.p.MaxRPM, m.topLvl
 					}
 				case StShift:
 					s.status = StSpinning
@@ -469,7 +472,8 @@ func (m *Machine) SetRPMAt(d int, t float64, rpm int) {
 	if s.status == StStandby || s.status == StDown || s.status == StUp {
 		return
 	}
-	rpm = m.p.ClampLevel(rpm)
+	lvl := m.tbl.ClampIndex(rpm)
+	rpm = m.tbl.Level(lvl)
 	if s.rpm == rpm && s.status == StSpinning {
 		return
 	}
@@ -477,12 +481,12 @@ func (m *Machine) SetRPMAt(d int, t float64, rpm int) {
 	if s.rpm == rpm {
 		return
 	}
-	from := s.rpm
+	from, fromLvl := s.rpm, s.lvl
 	s.status = StShift
-	s.rpm = rpm
+	s.rpm, s.lvl = rpm, lvl
 	dur := m.p.TransitionTimeMS(from, rpm)
 	s.statusUntil = eff + dur
-	s.transPowerW = m.tbl.TransitionEnergyJ(from, rpm) / dur * 1e3
+	s.transPowerW = m.tbl.TransitionEnergyIdx(fromLvl, lvl) / dur * 1e3
 	s.stats.RPMShifts++
 	if m.ev != nil {
 		m.emitDecision(d, events.KindRPMShift, rpm, eff)
@@ -556,10 +560,10 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 		// Average-seek model: the relocation costs a flat penalty.
 		seek += m.faults.Config().RemapPenaltyMS
 	}
-	svc := m.tbl.ServiceTimeSeekMS(s.rpm, bytes, seek)
+	svc := m.tbl.ServiceTimeSeekIdx(s.lvl, bytes, seek)
 	if m.faults != nil {
 		if factor, _ := m.faults.Degraded(d, start); factor > 1 {
-			extra := m.tbl.TransferTimeMS(s.rpm, bytes) * (factor - 1)
+			extra := m.tbl.TransferTimeIdx(s.lvl, bytes) * (factor - 1)
 			svc += extra
 			s.stats.DegradedHits++
 			s.stats.DegradedExtraMS += extra
@@ -568,11 +572,11 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 			}
 		}
 	}
-	pw := m.tbl.ActivePowerAt(s.rpm)
+	pw := m.tbl.ActivePowerIdx(s.lvl)
 	s.stats.EnergyJ += pw * svc / 1e3
 	s.stats.ActiveEnergyJ += pw * svc / 1e3
 	s.stats.ActiveMS += svc
-	s.resid[m.p.LevelIndex(s.rpm)] += svc
+	s.resid[s.lvl] += svc
 	s.stats.Requests++
 	end := start + svc
 	if m.obs.Attached() {

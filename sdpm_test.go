@@ -2,6 +2,8 @@ package sdpm
 
 import (
 	"bytes"
+	"io"
+	"log/slog"
 	"strings"
 	"testing"
 )
@@ -226,6 +228,53 @@ func TestRunExperimentQuickOnes(t *testing.T) {
 	if err := RunExperiment("bogus", &buf); err == nil {
 		t.Error("bogus experiment accepted")
 	}
+}
+
+// TestEventOverflowWarns: an experiment run whose event ring
+// overflows says so on the default logger, with the dropped and kept
+// counts, as dpmsim does; a run whose ring holds every event stays
+// quiet.
+func TestEventOverflowWarns(t *testing.T) {
+	if testing.Short() {
+		t.Skip()
+	}
+	var logs bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	const warning = "event ring overflowed; oldest events dropped"
+	for _, tc := range []struct {
+		capacity int
+		warn     bool
+	}{{100, true}, {1 << 19, false}} {
+		logs.Reset()
+		var lines lineCounter
+		opts := Options{Workers: 1, Events: &lines, EventCapacity: tc.capacity}
+		if err := RunExperiments("fig3", io.Discard, opts); err != nil {
+			t.Fatal(err)
+		}
+		got := logs.String()
+		if !tc.warn {
+			if strings.Contains(got, warning) {
+				t.Errorf("capacity %d, %d events kept: unexpected warning %q", tc.capacity, lines, got)
+			}
+			continue
+		}
+		if lines != lineCounter(tc.capacity) {
+			t.Errorf("capacity %d: wrote %d events", tc.capacity, lines)
+		}
+		if !strings.Contains(got, warning) || !strings.Contains(got, "kept=100") || strings.Contains(got, "dropped=0") {
+			t.Errorf("capacity %d: log %q lacks the overflow warning", tc.capacity, got)
+		}
+	}
+}
+
+// lineCounter is an io.Writer that counts newlines.
+type lineCounter int
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	*c += lineCounter(bytes.Count(p, []byte("\n")))
+	return len(p), nil
 }
 
 func TestRunExperimentTables(t *testing.T) {
