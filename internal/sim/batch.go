@@ -43,12 +43,12 @@ type HorizonPolicy interface {
 // so the fast path's arithmetic is bit-identical.
 type batchEntry struct {
 	rpm      int
-	residIdx int // LevelIndex(rpm)
+	residIdx int // rpm's level index, the disk's lvl
 	bytes    int64
-	svc      float64 // ServiceTimeSeekMS(rpm, bytes, AvgSeekMS)
-	addActJ  float64 // ActivePowerAt(rpm) * svc / 1e3
-	pwIdle   float64 // IdlePowerAt(rpm)
-	pwAct    float64 // ActivePowerAt(rpm)
+	svc      float64 // ServiceTimeSeekIdx(residIdx, bytes, AvgSeekMS)
+	addActJ  float64 // pwAct * svc / 1e3
+	pwIdle   float64 // IdlePowerIdx(residIdx)
+	pwAct    float64 // ActivePowerIdx(residIdx)
 	// idleLen/idleE memoize the last idle-energy product
 	// pwIdle * idleLen / 1e3 — in steady state every idle period has
 	// the same length, so the division runs once per length change
@@ -57,17 +57,18 @@ type batchEntry struct {
 	idleE   float64
 }
 
-// refill recomputes the entry's constants for a new (rpm, bytes)
-// pair. Callers test for a change first, so the per-request path pays
-// only that comparison.
-func (c *batchEntry) refill(m *Machine, rpm int, bytes int64) {
-	c.rpm = rpm
+// refill recomputes the entry's constants for disk s's new (rpm,
+// bytes) pair, by the level index s keeps next to its rpm. Callers
+// test for a change first, so the per-request path pays only that
+// comparison.
+func (c *batchEntry) refill(m *Machine, s *dstate, bytes int64) {
+	c.rpm = s.rpm
 	c.bytes = bytes
-	c.pwIdle = m.tbl.IdlePowerAt(rpm)
-	c.pwAct = m.tbl.ActivePowerAt(rpm)
-	c.svc = m.tbl.ServiceTimeSeekMS(rpm, bytes, m.p.AvgSeekMS)
+	c.pwIdle = m.tbl.IdlePowerIdx(s.lvl)
+	c.pwAct = m.tbl.ActivePowerIdx(s.lvl)
+	c.svc = m.tbl.ServiceTimeSeekIdx(s.lvl, bytes, m.p.AvgSeekMS)
 	c.addActJ = c.pwAct * c.svc / 1e3
-	c.residIdx = m.p.LevelIndex(rpm)
+	c.residIdx = s.lvl
 	c.idleLen = -1 // unmatchable: idle memo invalid for new rpm
 }
 
@@ -171,7 +172,7 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		}
 		c := &sc[d]
 		if c.rpm != s.rpm || c.bytes != bytes {
-			c.refill(m, s.rpm, bytes)
+			c.refill(m, s, bytes)
 		}
 		idleLen := t - s.idleFrom
 		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
@@ -257,7 +258,7 @@ func (m *Machine) serviceRunLean(events []trace.Event, i int, run *trace.Run, cl
 		}
 		c := &sc[d]
 		if c.rpm != s.rpm || c.bytes != bytes {
-			c.refill(m, s.rpm, bytes)
+			c.refill(m, s, bytes)
 		}
 		idleLen := t - s.idleFrom
 		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
