@@ -506,7 +506,7 @@ func (in *Instance) EstimateEnergy(s Scheme) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return plan.EstimateBaseEnergyJ(in.Cfg.Disk, in.Sites), nil
+		return plan.BaseEnergyJ, nil
 	}
 	mode, ok := s.Mode()
 	if !ok {
@@ -516,7 +516,7 @@ func (in *Instance) EstimateEnergy(s Scheme) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return plan.EstimateEnergyJ(in.Cfg.Disk, in.Sites), nil
+	return plan.EnergyJ, nil
 }
 
 // SelectScheme performs the paper's strategy selection: the compiler

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdpm/internal/disk"
 	"sdpm/internal/insert"
 	"sdpm/internal/trace"
 	"sdpm/internal/tracegen"
@@ -76,17 +77,31 @@ func eventsDigest(tr *trace.Trace) string {
 	return d.sum()
 }
 
-func planDigest(p *insert.Plan) string {
+// planDigest hashes a plan. Its per-gap tuples (disk, gap, action,
+// rpm, predicted idle, trailing) are the ones plans once recorded as
+// decisions, rebuilt from Levels and PredictedIdle: the action is 0
+// to stay at maxRPM, 1 to dip and 2 for standby, the rpm is the dip
+// level or else maxRPM, and the last gap of a disk is the trailing one.
+func planDigest(p *insert.Plan, maxRPM int) string {
 	d := newDigest()
 	d.ints(int64(p.Mode), int64(p.Ops))
 	d.floats(p.PredictedEndMS)
-	for _, g := range p.Decisions {
-		d.ints(int64(g.Disk), int64(g.Gap), int64(g.Act), int64(g.RPM))
-		d.floats(g.PredictedIdleMS)
-		if g.Trailing {
-			d.ints(1)
-		} else {
-			d.ints(0)
+	for dk := range p.Levels {
+		for g, level := range p.Levels[dk] {
+			act, rpm := 1, level
+			switch level {
+			case maxRPM:
+				act = 0
+			case disk.Standby:
+				act, rpm = 2, maxRPM
+			}
+			d.ints(int64(dk), int64(g), int64(act), int64(rpm))
+			d.floats(p.PredictedIdle[dk][g])
+			if g == len(p.Levels[dk])-1 {
+				d.ints(1)
+			} else {
+				d.ints(0)
+			}
 		}
 	}
 	for i := range p.Levels {
@@ -133,7 +148,7 @@ func TestFrontHalfDigests(t *testing.T) {
 					t.Fatalf("%s %s %s: %v", b.Name, v, mode, err)
 				}
 				fmt.Fprintf(&got, "%s %s %s events=%d sha256=%s plan ops=%d sha256=%s\n",
-					b.Name, v, mode, len(tr.Events), eventsDigest(tr), plan.Ops, planDigest(plan))
+					b.Name, v, mode, len(tr.Events), eventsDigest(tr), plan.Ops, planDigest(plan, cfg.Disk.MaxRPM))
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // midpoint of each piece to learn its level, and keeps the piece only
 // where certify proves that the scan picks that level at every idle
 // length in it. A piece that holds a crossing fails certify, and the
-// scan answers there. BestRPMForIdle answers inside a kept segment
+// scan answers there. bestRPM answers inside a kept segment
 // with one dipByIndex and runs the scan everywhere else.
 //
 // With the default model the feasibility edges 7, 14, …, 70 ms are
@@ -78,7 +78,7 @@ func (t *Table) buildBest() []bestSeg {
 			continue
 		}
 		rpm, _ := t.scanBest(lo + (hi-lo)/2)
-		if lvl := t.idx(rpm); t.certify(lo, hi, lvl, edge) {
+		if lvl := t.ClampIndex(rpm); t.certify(lo, hi, lvl, edge) {
 			segs = append(segs, bestSeg{lo: lo, hi: hi, lvl: lvl})
 		}
 	}

@@ -63,12 +63,14 @@ func FuzzBreakEven(f *testing.F) {
 	})
 }
 
-// FuzzBestRPM checks the best-RPM breakpoint table against the scan it
-// replaces: for any Params that Validate accepts and any idle length,
-// Table.BestRPMForIdle must return Params.BestRPMForIdle's rpm and the
-// same energy bits. Each input also probes both ends of every table
-// segment and their float neighbours against the table's own scan,
-// which is where a wrongly certified segment would show first.
+// FuzzBestRPM checks the decision rule against its Params references:
+// for any Params that Validate accepts and any idle length, Decide must
+// return Params.BestRPMForIdle's and BestRPMForTrailingIdle's rpm and
+// energy bits for DRPM and the StandbyEnergyJ and TrailingStandbyWins
+// choices for TPM, and OracleEnergyJ the least of them (checkDecide).
+// Each input also probes both ends of every segment of the best-RPM
+// breakpoint table and their float neighbours against the table's own
+// scan, which is where a wrongly certified segment would show first.
 func FuzzBestRPM(f *testing.F) {
 	d := DefaultParams()
 	seed := func(idle float64) {
@@ -105,21 +107,16 @@ func FuzzBestRPM(f *testing.F) {
 		// newTable, not TableFor: fuzzed models must not fill the
 		// process-wide memo.
 		tbl := newTable(p)
-		wantR, wantE := p.BestRPMForIdle(idle)
-		gotR, gotE := tbl.BestRPMForIdle(idle)
-		if gotR != wantR {
-			t.Fatalf("BestRPMForIdle(%v) rpm = %d, scan %d for %+v", idle, gotR, wantR, p)
-		}
-		eq(t, "BestRPMForIdle energy", wantE, gotE)
+		checkDecide(t, p, tbl, idle)
 		for _, s := range tbl.best {
 			for _, x := range []float64{s.lo, s.hi} {
 				for _, x := range []float64{math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1))} {
 					wantR, wantE := tbl.scanBest(x)
-					gotR, gotE := tbl.BestRPMForIdle(x)
+					gotR, gotE := tbl.bestRPM(x)
 					if gotR != wantR {
-						t.Fatalf("BestRPMForIdle(%v) rpm = %d, scan %d for %+v", x, gotR, wantR, p)
+						t.Fatalf("bestRPM(%v) rpm = %d, scan %d for %+v", x, gotR, wantR, p)
 					}
-					eq(t, "BestRPMForIdle energy at a segment end", wantE, gotE)
+					eq(t, "bestRPM energy at a segment end", wantE, gotE)
 				}
 			}
 		}

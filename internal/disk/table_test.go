@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -24,10 +25,10 @@ func tableTestParams() []Params {
 	return []Params{base, alt, coarse}
 }
 
-// TestTableBitwiseIdentical sweeps every table method against its
+// TestTableBitwiseIdentical sweeps every table query against its
 // Params counterpart and requires bit-for-bit equality: the table is
-// only allowed into the simulator's accounting because switching to
-// it can never change a result.
+// only allowed into the simulator's accounting and the decision rule
+// because switching to it can never change a result.
 func TestTableBitwiseIdentical(t *testing.T) {
 	idles := []float64{0, 0.5, 7, 40, 100, 1500, 12400, 12400.000001, 99999.25, 1e7}
 	sizes := []int64{512, 4096, 65536, 1 << 20}
@@ -49,62 +50,89 @@ func TestTableBitwiseIdentical(t *testing.T) {
 			idles = append(idles, math.Nextafter(bp, 0), bp, math.Nextafter(bp, math.Inf(1)))
 		}
 		for i, r := range levels {
-			eq(t, "IdlePowerAt", p.IdlePowerAt(r), tbl.IdlePowerAt(r))
-			eq(t, "ActivePowerAt", p.ActivePowerAt(r), tbl.ActivePowerAt(r))
+			eq(t, "IdlePowerIdx", p.IdlePowerAt(r), tbl.IdlePowerIdx(i))
+			eq(t, "ActivePowerIdx", p.ActivePowerAt(r), tbl.ActivePowerIdx(i))
 			for _, b := range sizes {
-				eq(t, "ServiceTimeMS", p.ServiceTimeMS(r, b), tbl.ServiceTimeMS(r, b))
+				eq(t, "ServiceTimeSeekIdx at AvgSeekMS", p.ServiceTimeMS(r, b), tbl.ServiceTimeSeekIdx(i, b, p.AvgSeekMS))
 				eq(t, "TransferTimeIdx", p.TransferTimeMS(r, b), tbl.TransferTimeIdx(i, b))
 				for _, s := range seeks {
-					eq(t, "ServiceTimeSeekMS", p.ServiceTimeSeekMS(r, b, s), tbl.ServiceTimeSeekMS(r, b, s))
+					eq(t, "ServiceTimeSeekIdx", p.ServiceTimeSeekMS(r, b, s), tbl.ServiceTimeSeekIdx(i, b, s))
 				}
 			}
-			for _, r2 := range levels {
-				eq(t, "TransitionEnergyJ", p.TransitionEnergyJ(r, r2), tbl.TransitionEnergyJ(r, r2))
+			for j, r2 := range levels {
+				eq(t, "TransitionEnergyIdx", p.TransitionEnergyJ(r, r2), tbl.TransitionEnergyIdx(i, j))
 			}
 			for _, idle := range idles {
-				eq(t, "DipEnergyJ", p.DipEnergyJ(idle, r), tbl.DipEnergyJ(idle, r))
+				eq(t, "dipByIndex", p.DipEnergyJ(idle, r), tbl.dipByIndex(idle, i))
 			}
 		}
 		for _, idle := range idles {
-			wantR, wantE := p.BestRPMForIdle(idle)
-			gotR, gotE := tbl.BestRPMForIdle(idle)
-			if wantR != gotR {
-				t.Errorf("BestRPMForIdle(%g): rpm %d != %d", idle, gotR, wantR)
-			}
-			eq(t, "BestRPMForIdle energy", wantE, gotE)
-			wantR, wantE = p.BestRPMForTrailingIdle(idle)
-			gotR, gotE = tbl.BestRPMForTrailingIdle(idle)
-			if wantR != gotR {
-				t.Errorf("BestRPMForTrailingIdle(%g): rpm %d != %d", idle, gotR, wantR)
-			}
-			eq(t, "BestRPMForTrailingIdle energy", wantE, gotE)
-		}
-		// Off-grid RPMs take the fallback path.
-		for _, r := range []int{0, p.MinRPM - 1, p.MinRPM + 1, p.MaxRPM + p.RPMStep} {
-			eq(t, "IdlePowerAt off-grid", p.IdlePowerAt(r), tbl.IdlePowerAt(r))
-			eq(t, "ActivePowerAt off-grid", p.ActivePowerAt(r), tbl.ActivePowerAt(r))
+			checkDecide(t, p, tbl, idle)
 		}
 	}
 }
 
-// TestTableIndexAccessors: each level-index accessor returns what its
-// rpm-keyed counterpart returns for that level (TransferTimeIdx, which
-// has none on the table, what Params.TransferTimeMS returns), and
-// ClampIndex agrees with Params.ClampLevel on and between the levels.
+// checkDecide compares Decide and OracleEnergyJ at idle with their
+// Params references, level and energy bits: DRPM with BestRPMForIdle
+// and BestRPMForTrailingIdle, TPM with StandbyEnergyJ and
+// TrailingStandbyWins, and the regret oracle with the least of
+// full-speed idle, a standby round trip and the best dip (for a
+// trailing period, the best one-way dip and a spin-down with no
+// spin-up).
+func checkDecide(t *testing.T, p Params, tbl *Table, idle float64) {
+	t.Helper()
+	check := func(m Mechanism, trailing bool, wantLevel int, wantE float64) {
+		t.Helper()
+		what := fmt.Sprintf("Decide(%d, %v, trailing=%v)", m, idle, trailing)
+		level, e := tbl.Decide(m, idle, trailing)
+		if level != wantLevel {
+			t.Errorf("%s level = %d, want %d for %+v", what, level, wantLevel, p)
+		}
+		eq(t, what+" energy", wantE, e)
+	}
+	r, e := p.BestRPMForIdle(idle)
+	check(DRPM, false, r, e)
+	r, e = p.BestRPMForTrailingIdle(idle)
+	check(DRPM, true, r, e)
+	stay := p.IdleEnergyJ(idle)
+	if s := p.StandbyEnergyJ(idle); s < stay {
+		check(TPM, false, Standby, s)
+	} else {
+		check(TPM, false, p.MaxRPM, stay)
+	}
+	if p.TrailingStandbyWins(idle) {
+		check(TPM, true, Standby, p.SpinDownJ+p.StandbyW*(idle-p.SpinDownMS)/1e3)
+	} else {
+		check(TPM, true, p.MaxRPM, stay)
+	}
+
+	want := stay
+	if s := p.StandbyEnergyJ(idle); s < want {
+		want = s
+	}
+	if _, dip := p.BestRPMForIdle(idle); dip < want {
+		want = dip
+	}
+	eq(t, fmt.Sprintf("OracleEnergyJ(%v)", idle), want, tbl.OracleEnergyJ(idle, false))
+	_, want = p.BestRPMForTrailingIdle(idle)
+	if idle >= p.SpinDownMS {
+		if s := p.SpinDownJ + p.StandbyW*(idle-p.SpinDownMS)/1e3; s < want {
+			want = s
+		}
+	}
+	eq(t, fmt.Sprintf("OracleEnergyJ(%v, trailing)", idle), want, tbl.OracleEnergyJ(idle, true))
+}
+
+// TestTableIndexAccessors: Level maps each level index to its rpm,
+// and ClampIndex agrees with Params.ClampLevel on and between the
+// levels. TestTableBitwiseIdentical checks the values the ...Idx
+// accessors serve.
 func TestTableIndexAccessors(t *testing.T) {
 	for _, p := range tableTestParams() {
 		tbl := TableFor(p)
-		levels := p.Levels()
-		for i, r := range levels {
+		for i, r := range p.Levels() {
 			if tbl.Level(i) != r {
 				t.Errorf("Level(%d) = %d, want %d", i, tbl.Level(i), r)
-			}
-			eq(t, "IdlePowerIdx", tbl.IdlePowerAt(r), tbl.IdlePowerIdx(i))
-			eq(t, "ActivePowerIdx", tbl.ActivePowerAt(r), tbl.ActivePowerIdx(i))
-			eq(t, "ServiceTimeSeekIdx", tbl.ServiceTimeSeekMS(r, 65536, 3.4), tbl.ServiceTimeSeekIdx(i, 65536, 3.4))
-			eq(t, "TransferTimeIdx", p.TransferTimeMS(r, 65536), tbl.TransferTimeIdx(i, 65536))
-			for j, r2 := range levels {
-				eq(t, "TransitionEnergyIdx", tbl.TransitionEnergyJ(r, r2), tbl.TransitionEnergyIdx(i, j))
 			}
 		}
 		for _, r := range []int{0, p.MinRPM - 1, p.MinRPM, p.MinRPM + 1, p.MaxRPM - 1, p.MaxRPM, p.MaxRPM + 1} {

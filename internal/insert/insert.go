@@ -12,7 +12,8 @@
 // The output is an instrumented trace: the original request stream
 // with spin_down / spin_up / set_RPM events interleaved at the
 // program points the compiler chose, plus a Plan recording every
-// decision for the misprediction analysis of Table 3.
+// decision for the misprediction analysis of Table 3 and the energy
+// estimate the compiler selects a mechanism by.
 package insert
 
 import (
@@ -105,47 +106,6 @@ func (o *Options) guard(transMS float64) float64 {
 	}
 }
 
-// Action is the planned treatment of one idle period.
-type Action uint8
-
-// Idle-period actions.
-const (
-	// Stay leaves the disk at full speed.
-	Stay Action = iota
-	// Dip lowers the disk to an RPM level (DRPM).
-	Dip
-	// Standby spins the disk down (TPM).
-	Standby
-)
-
-// String names the action.
-func (a Action) String() string {
-	switch a {
-	case Dip:
-		return "dip"
-	case Standby:
-		return "standby"
-	default:
-		return "stay"
-	}
-}
-
-// GapDecision records the compiler's decision for one idle period.
-type GapDecision struct {
-	Disk int
-	// Gap is the idle-period index on the disk: 0 is the leading
-	// period (program start to first access); the last index is the
-	// trailing period.
-	Gap int
-	// PredictedIdleMS is the compiler's idle-length estimate.
-	PredictedIdleMS float64
-	// Act and RPM describe the decision (RPM meaningful for Dip).
-	Act Action
-	RPM int
-	// Trailing marks the final idle period (no pre-activation).
-	Trailing bool
-}
-
 // Call locates one inserted power-management call in the program's
 // iteration space (the paper's Figure 2(d) view: explicit calls in
 // the code).
@@ -162,14 +122,25 @@ type Plan struct {
 	Mode Mode
 	// PredictedEndMS is the compiler's program-completion estimate.
 	PredictedEndMS float64
-	// Decisions holds every idle-period decision.
-	Decisions []GapDecision
-	// Levels[d][g] is the RPM level planned for gap g of disk d
-	// (MaxRPM when the disk stays up; 0 denotes standby). Used by
-	// the Table 3 misprediction analysis.
+	// Levels[d][g] is the level disk.Table.Decide chose for gap g of
+	// disk d: MaxRPM when the disk stays up, disk.Standby for a
+	// spin-down, else the RPM level of a dip. Gap 0 is the leading
+	// period (program start to the first access) and the last gap is
+	// the trailing one. Used by the Table 3 misprediction analysis.
 	Levels [][]int
 	// PredictedIdle[d][g] is the predicted idle length per gap.
 	PredictedIdle [][]float64
+	// EnergyJ is the compiler's prediction of the disk subsystem's
+	// energy for the instrumented program: the active energy of every
+	// request plus each gap's energy at its planned level, all on the
+	// predicted timeline. This is the quantity the compiler uses to
+	// "decide the most suitable disk power management strategy"
+	// (Section 3 of the paper): instrument for both mechanisms,
+	// estimate, and keep the cheaper plan.
+	EnergyJ float64
+	// BaseEnergyJ is the same prediction with no power management:
+	// every gap spent at full-speed idle.
+	BaseEnergyJ float64
 	// Ops is the number of power-management calls inserted.
 	Ops int
 	// Calls locates every inserted call in iteration space, in
@@ -277,23 +248,37 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 	if err := tracegen.Check(sites, numDisks); err != nil {
 		return nil, nil, err
 	}
+	var mech disk.Mechanism
+	switch opts.Mode {
+	case ModeTPM:
+		mech = disk.TPM
+	case ModeDRPM:
+		mech = disk.DRPM
+	default:
+		return nil, nil, fmt.Errorf("insert: unknown mode %d", opts.Mode)
+	}
 	m := opts.model()
 	p := opts.Disk
 	// The gap decisions below query the disk power model once per idle
 	// period per disk; the memoized table turns each of those pow-heavy
 	// scans into array lookups with bit-identical results.
 	tbl := disk.TableFor(p)
-	svc := func(b int64) float64 { return tbl.ServiceTimeMS(p.MaxRPM, b) }
+	top := tbl.ClampIndex(p.MaxRPM)
+	svc := func(b int64) float64 { return tbl.ServiceTimeSeekIdx(top, b, p.AvgSeekMS) }
 	issue := tracegen.PredictedIssueMS(sites, m, svc)
 
-	// Completion times and the predicted program end.
+	// Completion times, the predicted program end and the requests'
+	// active energy.
 	comp := make([]float64, len(sites))
 	predEnd := 0.0
+	var activeJ float64
 	for i := range sites {
-		comp[i] = issue[i] + svc(sites[i].Bytes)
+		busy := svc(sites[i].Bytes)
+		comp[i] = issue[i] + busy
 		if comp[i] > predEnd {
 			predEnd = comp[i]
 		}
+		activeJ += tbl.ActivePowerIdx(top) * busy / 1e3
 	}
 
 	perDisk := make([][]int, numDisks)
@@ -332,9 +317,10 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 	plan := &Plan{
 		Mode:           opts.Mode,
 		PredictedEndMS: predEnd,
-		Decisions:      make([]GapDecision, 0, len(sites)+numDisks),
 		Levels:         make([][]int, numDisks),
 		PredictedIdle:  make([][]float64, numDisks),
+		EnergyJ:        activeJ,
+		BaseEnergyJ:    activeJ,
 	}
 
 	// ops holds the inserted ops disk by disk, each disk's in
@@ -400,8 +386,10 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 				idle = 0
 			}
 			plan.PredictedIdle[d][g] = idle
-			dec := GapDecision{Disk: d, Gap: g, PredictedIdleMS: idle, Act: Stay, RPM: p.MaxRPM, Trailing: trailing}
-			plan.Levels[d][g] = p.MaxRPM
+			level, e := tbl.Decide(mech, idle, trailing)
+			plan.Levels[d][g] = level
+			plan.EnergyJ += e
+			plan.BaseEnergyJ += p.IdleEnergyJ(idle)
 
 			// Pre-activation is anchored a safety margin (a fraction
 			// of the predicted idle length) ahead of the next
@@ -410,51 +398,28 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 			// transition. The power-mode choice itself uses the
 			// unbiased estimate (what Table 3 compares).
 			margin := idle * opts.safety() / 100
-			switch opts.Mode {
-			case ModeDRPM:
-				var level int
-				if trailing {
-					level, _ = tbl.BestRPMForTrailingIdle(idle)
-				} else {
-					level, _ = tbl.BestRPMForIdle(idle)
-				}
-				if level != p.MaxRPM {
-					dec.Act = Dip
-					dec.RPM = level
-					plan.Levels[d][g] = level
-					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
-					if !trailing && !opts.DisablePreactivation {
-						tr := p.TransitionTimeMS(level, p.MaxRPM)
-						up := end - tr - margin - opts.guard(tr)
-						if min := start + p.TransitionTimeMS(p.MaxRPM, level); up < min {
-							up = min
-						}
-						addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM})
+			switch level {
+			case p.MaxRPM: // stay at full speed
+			case disk.Standby:
+				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
+				if !trailing && !opts.DisablePreactivation {
+					up := end - p.SpinUpMS - margin - opts.guard(p.SpinUpMS)
+					if min := start + p.SpinDownMS; up < min {
+						up = min
 					}
-				}
-			case ModeTPM:
-				worthIt := false
-				if trailing {
-					worthIt = p.TrailingStandbyWins(idle)
-				} else {
-					worthIt = p.StandbyEnergyJ(idle) < p.IdleEnergyJ(idle)
-				}
-				if worthIt {
-					dec.Act = Standby
-					plan.Levels[d][g] = 0
-					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
-					if !trailing && !opts.DisablePreactivation {
-						up := end - p.SpinUpMS - margin - opts.guard(p.SpinUpMS)
-						if min := start + p.SpinDownMS; up < min {
-							up = min
-						}
-						addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSpinUp})
-					}
+					addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSpinUp})
 				}
 			default:
-				return nil, nil, fmt.Errorf("insert: unknown mode %d", opts.Mode)
+				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
+				if !trailing && !opts.DisablePreactivation {
+					tr := p.TransitionTimeMS(level, p.MaxRPM)
+					up := end - tr - margin - opts.guard(tr)
+					if min := start + p.TransitionTimeMS(p.MaxRPM, level); up < min {
+						up = min
+					}
+					addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM})
+				}
 			}
-			plan.Decisions = append(plan.Decisions, dec)
 		}
 	}
 	runStart[numDisks] = len(ops)

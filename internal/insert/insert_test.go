@@ -217,8 +217,8 @@ func TestPlanShape(t *testing.T) {
 		t.Error("mode")
 	}
 	// 4 disks x 10 requests -> 11 gaps each.
-	if len(plan.Decisions) != 44 {
-		t.Errorf("decisions = %d", len(plan.Decisions))
+	if len(plan.Levels) != 4 || len(plan.PredictedIdle) != 4 {
+		t.Fatalf("plan covers %d, %d disks", len(plan.Levels), len(plan.PredictedIdle))
 	}
 	for d := 0; d < 4; d++ {
 		if len(plan.Levels[d]) != 11 || len(plan.PredictedIdle[d]) != 11 {
@@ -228,20 +228,10 @@ func TestPlanShape(t *testing.T) {
 			if l != 0 && p.LevelIndex(l) < 0 {
 				t.Errorf("disk %d gap %d level %d invalid", d, g, l)
 			}
+			if plan.PredictedIdle[d][g] < 0 {
+				t.Error("negative predicted idle")
+			}
 		}
-	}
-	// Trailing decisions flagged.
-	trailing := 0
-	for _, dec := range plan.Decisions {
-		if dec.Trailing {
-			trailing++
-		}
-		if dec.PredictedIdleMS < 0 {
-			t.Error("negative predicted idle")
-		}
-	}
-	if trailing != 4 {
-		t.Errorf("trailing decisions = %d", trailing)
 	}
 	if plan.PredictedEndMS <= 0 {
 		t.Error("predicted end not set")
@@ -340,12 +330,9 @@ func TestInstrumentErrors(t *testing.T) {
 	}
 }
 
-func TestModeAndActionStrings(t *testing.T) {
+func TestModeStrings(t *testing.T) {
 	if ModeTPM.String() != "CMTPM" || ModeDRPM.String() != "CMDRPM" {
 		t.Error("mode strings")
-	}
-	if Stay.String() != "stay" || Dip.String() != "dip" || Standby.String() != "standby" {
-		t.Error("action strings")
 	}
 }
 
@@ -361,7 +348,7 @@ func TestEstimateMatchesManualCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := plan.EstimateEnergyJ(p, ss)
+	est := plan.EnergyJ
 	// Manual: 2 services active + gap0 idle(0) + dip(gap1) + trailing 0.
 	svc := p.ServiceTimeMS(p.MaxRPM, 65536)
 	gap1 := plan.PredictedIdle[0][1]
@@ -372,10 +359,10 @@ func TestEstimateMatchesManualCase(t *testing.T) {
 	}
 	// Base estimate: idling through the same gaps.
 	baseWant := 2*p.ActiveW*svc/1e3 + p.IdleEnergyJ(gap1)
-	if got := plan.EstimateBaseEnergyJ(p, ss); math.Abs(got-baseWant) > 1e-9 {
+	if got := plan.BaseEnergyJ; math.Abs(got-baseWant) > 1e-9 {
 		t.Errorf("base estimate %g, want %g", got, baseWant)
 	}
-	if est >= plan.EstimateBaseEnergyJ(p, ss) {
+	if est >= plan.BaseEnergyJ {
 		t.Error("dip estimate not below base")
 	}
 }
@@ -419,8 +406,8 @@ func TestEstimateTPMStandbyGaps(t *testing.T) {
 	if plan.Levels[0][1] != 0 {
 		t.Fatalf("long gap not planned for standby: %v", plan.Levels[0])
 	}
-	est := plan.EstimateEnergyJ(p, ss)
-	base := plan.EstimateBaseEnergyJ(p, ss)
+	est := plan.EnergyJ
+	base := plan.BaseEnergyJ
 	if est >= base {
 		t.Errorf("TPM estimate %g not below base %g", est, base)
 	}
@@ -503,8 +490,10 @@ type mergedItem struct {
 
 // stableSortInstrument is Instrument as it was before the merge: it
 // collects the sites and every inserted op as mergedItems and orders
-// them with one global stable sort. It is the reference the merge must
-// reproduce exactly.
+// them with one global stable sort. Its gap decisions and energy
+// estimates are the compiler's before disk.Table.Decide, written out
+// over the Params methods. It is the reference the merge and the
+// shared decision rule must reproduce exactly.
 func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, opts Options) (*trace.Trace, *Plan, error) {
 	if err := opts.Disk.Validate(); err != nil {
 		return nil, nil, err
@@ -514,11 +503,7 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 	}
 	m := opts.model()
 	p := opts.Disk
-	// The gap decisions below query the disk power model once per idle
-	// period per disk; the memoized table turns each of those pow-heavy
-	// scans into array lookups with bit-identical results.
-	tbl := disk.TableFor(p)
-	svc := func(b int64) float64 { return tbl.ServiceTimeMS(p.MaxRPM, b) }
+	svc := func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) }
 	issue := tracegen.PredictedIssueMS(sites, m, svc)
 
 	// Completion times and the predicted program end.
@@ -639,7 +624,6 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 				idle = 0
 			}
 			plan.PredictedIdle[d][g] = idle
-			dec := GapDecision{Disk: d, Gap: g, PredictedIdleMS: idle, Act: Stay, RPM: p.MaxRPM, Trailing: trailing}
 			plan.Levels[d][g] = p.MaxRPM
 
 			// Pre-activation is anchored a safety margin (a fraction
@@ -653,13 +637,11 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 			case ModeDRPM:
 				var level int
 				if trailing {
-					level, _ = tbl.BestRPMForTrailingIdle(idle)
+					level, _ = p.BestRPMForTrailingIdle(idle)
 				} else {
-					level, _ = tbl.BestRPMForIdle(idle)
+					level, _ = p.BestRPMForIdle(idle)
 				}
 				if level != p.MaxRPM {
-					dec.Act = Dip
-					dec.RPM = level
 					plan.Levels[d][g] = level
 					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
 					if !trailing && !opts.DisablePreactivation {
@@ -679,7 +661,6 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 					worthIt = p.StandbyEnergyJ(idle) < p.IdleEnergyJ(idle)
 				}
 				if worthIt {
-					dec.Act = Standby
 					plan.Levels[d][g] = 0
 					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
 					if !trailing && !opts.DisablePreactivation {
@@ -693,7 +674,46 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 			default:
 				return nil, nil, fmt.Errorf("insert: unknown mode %d", opts.Mode)
 			}
-			plan.Decisions = append(plan.Decisions, dec)
+		}
+	}
+
+	// The energy estimates, summed as the compiler once summed them
+	// from the finished plan: the active energy of every request, then
+	// each gap's energy at its planned level, disk by disk.
+	max0 := func(v float64) float64 {
+		if v < 0 {
+			return 0
+		}
+		return v
+	}
+	for i := range sites {
+		e := p.ActivePowerAt(p.MaxRPM) * p.ServiceTimeMS(p.MaxRPM, sites[i].Bytes) / 1e3
+		plan.EnergyJ += e
+		plan.BaseEnergyJ += e
+	}
+	for d := range plan.Levels {
+		for g, level := range plan.Levels[d] {
+			idle := plan.PredictedIdle[d][g]
+			trailing := g == len(plan.Levels[d])-1
+			plan.BaseEnergyJ += p.IdleEnergyJ(idle)
+			switch {
+			case level == p.MaxRPM:
+				plan.EnergyJ += p.IdleEnergyJ(idle)
+			case level == 0: // standby (TPM)
+				if trailing {
+					plan.EnergyJ += p.SpinDownJ + p.StandbyW*max0(idle-p.SpinDownMS)/1e3
+				} else {
+					plan.EnergyJ += p.StandbyEnergyJ(idle)
+				}
+			default: // RPM dip
+				if trailing {
+					tr := p.TransitionTimeMS(p.MaxRPM, level)
+					plan.EnergyJ += p.TransitionEnergyJ(p.MaxRPM, level) +
+						p.IdlePowerAt(level)*max0(idle-tr)/1e3
+				} else {
+					plan.EnergyJ += p.DipEnergyJ(idle, level)
+				}
+			}
 		}
 	}
 

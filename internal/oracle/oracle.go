@@ -28,11 +28,13 @@ type MispredictStats struct {
 	MeanAbsLevelError float64
 }
 
-// Mispredictions compares a CMDRPM plan against the oracle-optimal
-// speed choices for the actual idle periods recorded by a base
-// simulation run. The base run must have been produced from the same
-// request sites (same per-disk request sequence), so its idle-period
-// lists align index-for-index with the plan's gap decisions.
+// Mispredictions compares a CMDRPM plan, the levels
+// disk.Table.Decide chose for the predicted idle lengths, against the
+// levels the same rule chooses for the actual idle periods recorded by
+// a base simulation run: the levels IDRPM would choose. The base run
+// must have been produced from the same request sites (same per-disk
+// request sequence), so its idle-period lists align index-for-index
+// with the plan's gaps.
 func Mispredictions(plan *insert.Plan, baseIdles [][]sim.IdlePeriod, p disk.Params) (MispredictStats, error) {
 	if plan.Mode != insert.ModeDRPM {
 		return MispredictStats{}, fmt.Errorf("oracle: misprediction analysis applies to CMDRPM plans")
@@ -49,14 +51,8 @@ func Mispredictions(plan *insert.Plan, baseIdles [][]sim.IdlePeriod, p disk.Para
 				d, len(baseIdles[d]), len(plan.Levels[d]))
 		}
 		for g, planned := range plan.Levels[d] {
-			actual := baseIdles[d][g].LenMS
 			trailing := g == len(plan.Levels[d])-1
-			var optimal int
-			if trailing {
-				optimal, _ = tbl.BestRPMForTrailingIdle(actual)
-			} else {
-				optimal, _ = tbl.BestRPMForIdle(actual)
-			}
+			optimal, _ := tbl.Decide(disk.DRPM, baseIdles[d][g].LenMS, trailing)
 			st.TotalGaps++
 			if planned != optimal {
 				st.Mispredicted++

@@ -114,66 +114,87 @@ func (t *TPM) Finish(m *sim.Machine, endT float64) {
 	}
 }
 
-// ITPM is the ideal TPM scheme: an oracle knows every idle period's
-// length, spins down only when the period is long enough to save
-// energy, and pre-activates the disk so no request ever waits.
-type ITPM struct {
-	p disk.Params
+// Ideal is the ideal scheme of one mechanism: ITPM or IDRPM. An
+// oracle knows every idle period's length and spends it as
+// disk.Table.Decide chooses for that length, spinning the disk down
+// (ITPM) or dipping it to the energy-optimal RPM level (IDRPM) at the
+// period's start and restoring full speed exactly in time for the
+// next request, so no request ever waits.
+type Ideal struct {
+	tbl  *disk.Table
+	mech disk.Mechanism
 }
 
 // NewITPM returns the ideal TPM policy.
-func NewITPM(p disk.Params) *ITPM { return &ITPM{p: p} }
+func NewITPM(p disk.Params) *Ideal { return &Ideal{tbl: disk.TableFor(p), mech: disk.TPM} }
+
+// NewIDRPM returns the ideal DRPM policy.
+func NewIDRPM(p disk.Params) *Ideal { return &Ideal{tbl: disk.TableFor(p), mech: disk.DRPM} }
 
 // Name implements sim.Policy.
-func (*ITPM) Name() string { return "ITPM" }
+func (o *Ideal) Name() string {
+	if o.mech == disk.TPM {
+		return "ITPM"
+	}
+	return "IDRPM"
+}
 
-// DecisionTrigger implements sim.TriggerPolicy: ITPM places actions
-// with oracle knowledge of the ended idle period.
-func (*ITPM) DecisionTrigger() string { return events.TrigOracle }
+// DecisionTrigger implements sim.TriggerPolicy: the ideal schemes
+// place actions with oracle knowledge of the ended idle period.
+func (*Ideal) DecisionTrigger() string { return events.TrigOracle }
 
 // BeforeService applies the oracle decision to the idle period that
-// just ended: spin down at its start and spin up exactly SpinUpMS
-// before now, if and only if that saves energy.
-func (t *ITPM) BeforeService(m *sim.Machine, d int, now float64) {
-	start := m.IdleFrom(d)
-	idle := now - start
-	if m.StatusOf(d) != sim.StSpinning || m.CurRPM(d) != t.p.MaxRPM {
-		return
-	}
-	if t.p.StandbyEnergyJ(idle) < t.p.IdleEnergyJ(idle) {
-		m.SpinDownAt(d, start)
-		m.SpinUpAt(d, now-t.p.SpinUpMS)
+// just ended, if the disk spent it spinning at full speed.
+func (o *Ideal) BeforeService(m *sim.Machine, d int, now float64) {
+	if m.StatusOf(d) == sim.StSpinning && m.CurRPM(d) == o.tbl.P.MaxRPM {
+		o.apply(m, d, m.IdleFrom(d), now, false)
 	}
 }
 
 // AfterService implements sim.Policy.
-func (*ITPM) AfterService(*sim.Machine, int, float64, float64) {}
+func (*Ideal) AfterService(*sim.Machine, int, float64, float64) {}
 
 // Horizon implements sim.HorizonPolicy: the oracle acts only when
-// standby beats idling for the just-ended period, evaluated with the
-// exact comparison BeforeService performs.
-func (t *ITPM) Horizon() sim.Horizon {
+// Decide leaves full speed for the just-ended period, the call
+// BeforeService makes.
+func (o *Ideal) Horizon() sim.Horizon {
 	return sim.Horizon{
 		NoOpBefore: func(d int, start, now float64, rpm int) bool {
-			if rpm != t.p.MaxRPM {
+			if rpm != o.tbl.P.MaxRPM {
 				return true
 			}
-			idle := now - start
-			return !(t.p.StandbyEnergyJ(idle) < t.p.IdleEnergyJ(idle))
+			level, _ := o.tbl.Decide(o.mech, now-start, false)
+			return level == o.tbl.P.MaxRPM
 		},
 	}
 }
 
-// Finish exploits each disk's trailing idle period: spinning down is
-// worthwhile whenever it saves energy, and no spin-up is needed.
-func (t *ITPM) Finish(m *sim.Machine, endT float64) {
+// Finish exploits each disk's trailing idle period, which needs no
+// way back to full speed.
+func (o *Ideal) Finish(m *sim.Machine, endT float64) {
 	for d := 0; d < m.NumDisks(); d++ {
-		start := m.IdleFrom(d)
-		if m.StatusOf(d) != sim.StSpinning {
-			continue
+		if m.StatusOf(d) == sim.StSpinning && m.CurRPM(d) == o.tbl.P.MaxRPM {
+			o.apply(m, d, m.IdleFrom(d), endT, true)
 		}
-		if t.p.TrailingStandbyWins(endT - start) {
-			m.SpinDownAt(d, start)
+	}
+}
+
+// apply spends disk d's idle period [start, end) as Decide chooses,
+// retroactively: it powers the disk down at start and, unless the
+// period is trailing, restores full speed exactly in time for end.
+func (o *Ideal) apply(m *sim.Machine, d int, start, end float64, trailing bool) {
+	p := &o.tbl.P
+	switch level, _ := o.tbl.Decide(o.mech, end-start, trailing); level {
+	case p.MaxRPM: // stay at full speed
+	case disk.Standby:
+		m.SpinDownAt(d, start)
+		if !trailing {
+			m.SpinUpAt(d, end-p.SpinUpMS)
+		}
+	default:
+		m.SetRPMAt(d, start, level)
+		if !trailing {
+			m.SetRPMAt(d, end-p.TransitionTimeMS(level, p.MaxRPM), p.MaxRPM)
 		}
 	}
 }
@@ -299,70 +320,5 @@ func (r *DRPM) AfterService(m *sim.Machine, d int, end, responseMS float64) {
 func (r *DRPM) Finish(m *sim.Machine, endT float64) {
 	for d := 0; d < m.NumDisks(); d++ {
 		r.rampDown(m, d, m.IdleFrom(d), endT)
-	}
-}
-
-// IDRPM is the ideal DRPM scheme: an oracle knows every idle
-// period's length and dips each one to the energy-optimal RPM level,
-// returning to full speed exactly in time for the next request.
-type IDRPM struct {
-	p disk.Params
-	// tbl serves the per-idle-period best-RPM scans from the memoized
-	// power table (bit-identical to the Params methods).
-	tbl *disk.Table
-}
-
-// NewIDRPM returns the ideal DRPM policy.
-func NewIDRPM(p disk.Params) *IDRPM { return &IDRPM{p: p, tbl: disk.TableFor(p)} }
-
-// Name implements sim.Policy.
-func (*IDRPM) Name() string { return "IDRPM" }
-
-// DecisionTrigger implements sim.TriggerPolicy: IDRPM dips periods
-// with oracle knowledge of their length.
-func (*IDRPM) DecisionTrigger() string { return events.TrigOracle }
-
-// BeforeService dips the just-ended idle period optimally.
-func (r *IDRPM) BeforeService(m *sim.Machine, d int, now float64) {
-	if m.StatusOf(d) != sim.StSpinning || m.CurRPM(d) != r.p.MaxRPM {
-		return
-	}
-	start := m.IdleFrom(d)
-	idle := now - start
-	if rpm, _ := r.tbl.BestRPMForIdle(idle); rpm != r.p.MaxRPM {
-		m.SetRPMAt(d, start, rpm)
-		m.SetRPMAt(d, now-r.p.TransitionTimeMS(rpm, r.p.MaxRPM), r.p.MaxRPM)
-	}
-}
-
-// AfterService implements sim.Policy.
-func (*IDRPM) AfterService(*sim.Machine, int, float64, float64) {}
-
-// Horizon implements sim.HorizonPolicy: the oracle acts only when
-// some lower level beats full-speed idling for the just-ended
-// period. The check runs the same table scan BeforeService runs.
-func (r *IDRPM) Horizon() sim.Horizon {
-	return sim.Horizon{
-		NoOpBefore: func(d int, start, now float64, rpm int) bool {
-			if rpm != r.p.MaxRPM {
-				return true
-			}
-			best, _ := r.tbl.BestRPMForIdle(now - start)
-			return best == r.p.MaxRPM
-		},
-	}
-}
-
-// Finish dips each disk's trailing idle period to the level
-// minimizing one-way transition plus residence energy.
-func (r *IDRPM) Finish(m *sim.Machine, endT float64) {
-	for d := 0; d < m.NumDisks(); d++ {
-		if m.StatusOf(d) != sim.StSpinning || m.CurRPM(d) != r.p.MaxRPM {
-			continue
-		}
-		start := m.IdleFrom(d)
-		if best, _ := r.tbl.BestRPMForTrailingIdle(endT - start); best != r.p.MaxRPM {
-			m.SetRPMAt(d, start, best)
-		}
 	}
 }

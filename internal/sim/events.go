@@ -13,11 +13,11 @@ package sim
 // start to the moment the next request begins service (so the cost of
 // a readiness wait the decision caused is charged to it); the oracle
 // energy is the cheapest way a clairvoyant policy could have spent an
-// idle gap of the measured length (full-speed idle, perfectly-timed
-// standby dip, or the best RPM dip). Only the first pending decision
-// of a period carries the actual/oracle/regret numbers — later
-// decisions of the same period get the measured idle only — so
-// summing regret over the log never double-counts a period.
+// idle gap of the measured length (disk.Table.OracleEnergyJ: the
+// cheaper of the ideal TPM and ideal DRPM choices for it). Only the
+// first pending decision of a period carries the actual/oracle/regret
+// numbers — later decisions of the same period get the measured idle
+// only — so summing regret over the log never double-counts a period.
 //
 // Everything here but the trigger bracket is behind `m.ev != nil`
 // checks: with no log attached the hot path pays one predictable
@@ -122,33 +122,6 @@ func (m *Machine) emitFault(d int, t float64, detail string) {
 	})
 }
 
-// oracleIdleJ returns the minimum energy a clairvoyant policy could
-// spend over an idle gap of the given length that ends with the disk
-// back at full speed: full-speed idle, a perfectly-timed standby dip,
-// or the best RPM dip.
-func (m *Machine) oracleIdleJ(idleMS float64) float64 {
-	e := m.p.IdleEnergyJ(idleMS)
-	if s := m.p.StandbyEnergyJ(idleMS); s < e {
-		e = s
-	}
-	if _, dip := m.tbl.BestRPMForIdle(idleMS); dip < e {
-		e = dip
-	}
-	return e
-}
-
-// oracleTrailJ is oracleIdleJ for a trailing idle period: the disk
-// never needs to return to full speed, so the dips pay no way back.
-func (m *Machine) oracleTrailJ(idleMS float64) float64 {
-	_, e := m.tbl.BestRPMForTrailingIdle(idleMS)
-	if idleMS >= m.p.SpinDownMS {
-		if s := m.p.SpinDownJ + m.p.StandbyW*(idleMS-m.p.SpinDownMS)/1e3; s < e {
-			e = s
-		}
-	}
-	return e
-}
-
 // emitBailout records that the batched executor dropped event i of a
 // compiled run to the general path at clock. Detail holds serviceRun's
 // reason: disk_transition (a power action or spin-up is in flight on
@@ -180,22 +153,16 @@ func (m *Machine) emitBailout(evs []trace.Event, i int, run *trace.Run, clock fl
 // resolvePeriod finalizes disk d's just-ended idle period against its
 // pending decisions: measured idle idleMS, full window windowMS
 // (through any readiness wait), actual energy from the period-start
-// snapshot, and the oracle minimum (trailing periods use the trailing
-// oracle). No-op when no decisions are pending; the period-start
-// energy snapshot is advanced by the request-completion paths, not
-// here.
+// snapshot, and the oracle minimum. No-op when no decisions are
+// pending; the period-start energy snapshot is advanced by the
+// request-completion paths, not here.
 func (m *Machine) resolvePeriod(d int, idleMS, windowMS float64, trailing bool) {
 	pd := &m.evd[d]
 	if len(pd.pending) == 0 {
 		return
 	}
 	actual := m.disks[d].stats.EnergyJ - pd.baseJ
-	var oracle float64
-	if trailing {
-		oracle = m.oracleTrailJ(idleMS)
-	} else {
-		oracle = m.oracleIdleJ(idleMS)
-	}
+	oracle := m.tbl.OracleEnergyJ(idleMS, trailing)
 	m.ev.Resolve(pd.pending[0], events.Outcome{
 		MeasuredIdleMS: idleMS,
 		WindowMS:       windowMS,
