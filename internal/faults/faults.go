@@ -352,8 +352,10 @@ func New(seed int64, nDisks int, cfg Config) (*Plan, error) {
 	return &Plan{seed: uint64(seed), n: nDisks, cfg: cfg}, nil
 }
 
-// Config returns the plan's configuration.
-func (p *Plan) Config() Config { return p.cfg }
+// Config returns the plan's configuration. The result is read-only:
+// the plan is immutable and shared across runs and goroutines. It is
+// a pointer so that reading one field does not copy the whole struct.
+func (p *Plan) Config() *Config { return &p.cfg }
 
 // NumDisks returns the subsystem size the plan was derived for.
 func (p *Plan) NumDisks() int { return p.n }

@@ -192,3 +192,38 @@ func TestBatchDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestRunIgnoresForeignCompiled hands Run a compiled form built from
+// another trace with as many events. Run must ignore it: the 4-disk
+// trace still serves 25 requests on each disk with the result of a
+// run given no form, and an invalid trace is still rejected.
+func TestRunIgnoresForeignCompiled(t *testing.T) {
+	p := disk.DefaultParams()
+	tr := hotTrace(4, 100, 2)
+	want, err := sim.Run(tr, sim.Config{Disk: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := trace.Compile(hotTrace(1, 100, 2))
+	got, err := sim.Run(tr, sim.Config{Disk: p, Compiled: foreign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, st := range got.Disks {
+		if st.Requests != 25 {
+			t.Errorf("disk %d served %d requests, want 25", d, st.Requests)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("a foreign compiled form changed the result: energy %v, want %v", got.EnergyJ, want.EnergyJ)
+	}
+	if !trace.Compile(tr).For(tr) || foreign.For(tr) {
+		t.Error("Compiled.For does not tell a trace's own form from a foreign one")
+	}
+
+	bad := hotTrace(4, 100, 2)
+	bad.Events[50].Req.Disk = 9
+	if _, err := sim.Run(bad, sim.Config{Disk: p, Compiled: trace.Compile(tr)}); err == nil {
+		t.Error("an invalid trace ran under a foreign compiled form")
+	}
+}

@@ -86,7 +86,8 @@ type Config struct {
 	// When nil (and batching is not disabled or ineligible), Run
 	// compiles the trace itself; callers that run many schemes over
 	// one trace should pass a memoized form instead. A Compiled built
-	// from a different trace is detected and recompiled.
+	// from a different trace (see trace.Compiled.For) is ignored: the
+	// trace is validated and, when batching, compiled afresh.
 	Compiled *trace.Compiled
 	// DisableBatch forces the general per-request path even when a
 	// compiled form is available. Results are bit-identical either
@@ -365,12 +366,12 @@ func (e *runExec) walk(comp *trace.Compiled, batching bool, hz Horizon) error {
 // Run simulates the trace under the configuration and returns the
 // result.
 func Run(tr *trace.Trace, cfg Config) (*Result, error) {
-	// A compiled form whose NumEvents matches carries a Validated flag
-	// from compile time; trusting it saves a full trace walk per run
-	// (the engine runs many schemes over one memoized trace). A nil or
-	// mismatched form falls back to validating here.
+	// The trace's own compiled form carries a Validated flag from
+	// compile time; trusting it saves a full trace walk per run (the
+	// engine runs many schemes over one memoized trace). A nil form, or
+	// one compiled from another trace, falls back to validating here.
 	comp := cfg.Compiled
-	if comp != nil && comp.NumEvents != len(tr.Events) {
+	if comp != nil && !comp.For(tr) {
 		comp = nil
 	}
 	e, err := newRun(tr, &cfg, false, comp != nil && comp.Validated)

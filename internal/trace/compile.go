@@ -31,9 +31,6 @@ type Run struct {
 	// batched executor stream a steady-state run without touching the
 	// events at all. Indexed by event index minus Start.
 	Disks []uint16
-	// Kind is the uniform request kind (int(ReqKind)), or -1 when the
-	// run mixes reads and writes.
-	Kind int
 	// Bytes is the uniform request size, or 0 when sizes vary.
 	Bytes int64
 	// GapMS is the uniform inter-event compute gap, or -1 when the
@@ -48,16 +45,16 @@ type Run struct {
 // is memoized alongside instance memoization so schemes sharing a
 // trace share the compiled form.
 type Compiled struct {
-	// NumEvents is len(Events) of the source trace; consumers use it
-	// to reject a compiled form paired with the wrong trace.
+	// NumEvents is len(Events) of the source trace.
 	NumEvents int
+	// first is the source trace's first event, which identifies its
+	// event slice (see For).
+	first *Event
 	// Validated records that the source trace passed Validate at
 	// compile time, letting the simulator skip re-validating the same
 	// trace on every run. Like Runs, it speaks only for the exact
 	// event slice Compile saw.
 	Validated bool
-	// NumDisks mirrors the source trace.
-	NumDisks int
 	// PerDisk counts the requests per disk (all requests, whether or
 	// not they landed in a Run); the simulator sizes its idle-period
 	// lists from it without re-walking the trace.
@@ -76,7 +73,10 @@ const minRunEvents = 4
 // Compile run-length encodes tr. The result indexes tr.Events and is
 // valid only for that exact event slice.
 func Compile(tr *Trace) *Compiled {
-	c := &Compiled{NumEvents: len(tr.Events), NumDisks: tr.NumDisks, PerDisk: make([]int, tr.NumDisks)}
+	c := &Compiled{NumEvents: len(tr.Events), PerDisk: make([]int, tr.NumDisks)}
+	if len(tr.Events) > 0 {
+		c.first = &tr.Events[0]
+	}
 	c.Validated = tr.Validate() == nil
 	i := 0
 	for i < len(tr.Events) {
@@ -97,7 +97,6 @@ func Compile(tr *Trace) *Compiled {
 			run := Run{
 				Start: i, End: j, Count: j - i,
 				Disk:  first.Req.Disk,
-				Kind:  int(first.Req.Kind),
 				Bytes: first.Req.Bytes,
 				GapMS: first.GapMS,
 			}
@@ -105,9 +104,6 @@ func Compile(tr *Trace) *Compiled {
 				e := &tr.Events[k]
 				if e.Req.Disk != run.Disk {
 					run.Disk = -1
-				}
-				if int(e.Req.Kind) != run.Kind {
-					run.Kind = -1
 				}
 				if e.Req.Bytes != run.Bytes {
 					run.Bytes = 0
@@ -134,4 +130,12 @@ func Compile(tr *Trace) *Compiled {
 		i = j
 	}
 	return c
+}
+
+// For reports whether c was compiled from tr's event slice: the same
+// length and the same first element. A form compiled from another
+// trace indexes events that are not tr's. An empty slice has no
+// identity, so For never vouches for one.
+func (c *Compiled) For(tr *Trace) bool {
+	return c.NumEvents == len(tr.Events) && len(tr.Events) > 0 && c.first == &tr.Events[0]
 }
