@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short vet race fuzz-smoke crash-smoke bench bench-json bench-diff bench-diff-rev experiments golden golden-drift examples cover cover-all serve-smoke soak-smoke govulncheck clean
+.PHONY: all check build test test-short vet race fuzz-smoke crash-smoke bench bench-check bench-json bench-diff bench-diff-rev experiments golden golden-drift examples cover cover-all serve-smoke soak-smoke govulncheck clean
 
 all: check
 
@@ -70,6 +70,14 @@ crash-smoke:
 bench:
 	mkdir -p results
 	$(GO) test -bench=. -benchmem . ./internal/sim | tee results/bench_baseline.txt
+
+# bench-check vets and tests the bench/ module (bench/run.sh's
+# harness). It imports core, insert, trace, sim, obs, events,
+# experiments and serve, but it is a Go module of its own, so the root
+# `go build ./...` never compiles it and a refactor of those packages
+# could break bench/run.sh unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-diff re-runs the simulator hot-path benchmarks and compares
 # them against the committed baseline with tools/benchdiff, failing on
