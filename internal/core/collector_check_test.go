@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"sdpm/internal/faults"
@@ -17,7 +18,10 @@ import (
 // the scheme supports it), without faults and under the moderate
 // preset, with batching on and off. Integer series must be equal and
 // residency must be bit-equal: the collector sees exactly the
-// increments the simulator books, in the same order.
+// increments the simulator books, in the same order. The batched and
+// the general closed-loop Results must be equal as well, down to the
+// last bit: these are the six benchmarks' real, jittered traces, which
+// TestBatchDifferential's synthetic ones only imitate.
 func TestCollectorMatchesResult(t *testing.T) {
 	benches := workloads.Names()
 	if testing.Short() {
@@ -43,9 +47,10 @@ func TestCollectorMatchesResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			batched := map[Scheme]*sim.Result{}
 			for _, batch := range []bool{true, false} {
 				for _, s := range AllSchemes() {
-					run := func(open bool) {
+					run := func(open bool) *sim.Result {
 						c := obs.New()
 						in.Obs = c
 						run, label := in.Run, string(s)
@@ -63,8 +68,15 @@ func TestCollectorMatchesResult(t *testing.T) {
 						for _, d := range res.Disks {
 							faulted += d.SpinUpFailures + d.RemapHits + d.DegradedHits
 						}
+						return res
 					}
-					run(false)
+					res := run(false)
+					if batch {
+						batched[s] = res
+					} else if !reflect.DeepEqual(res, batched[s]) {
+						t.Errorf("%s/%s/%s: batched and general results differ (energy %v vs %v, exec %v vs %v)",
+							name, fc.name, s, batched[s].EnergyJ, res.EnergyJ, batched[s].ExecMS, res.ExecMS)
+					}
 					if s != CMTPM && s != CMDRPM {
 						run(true)
 					}
@@ -79,14 +91,20 @@ func TestCollectorMatchesResult(t *testing.T) {
 }
 
 // runUnbatched is Instance.Run through the simulator's general
-// per-request path.
+// per-request path, its result labelled as Instance.Run labels it.
 func runUnbatched(in *Instance, s Scheme) (*sim.Result, error) {
 	tr, cfg, err := in.simConfig(s)
 	if err != nil {
 		return nil, err
 	}
 	cfg.DisableBatch = true
-	return sim.Run(tr, cfg)
+	res, err := sim.Run(tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Scheme = string(s)
+	res.Program = in.Name
+	return res, nil
 }
 
 // checkCollector asserts that c, fed by the single run res, agrees
