@@ -122,30 +122,19 @@ func (m *Machine) emitFault(d int, t float64, detail string) {
 	})
 }
 
-// emitBailout records that the batched executor dropped event i of a
-// compiled run to the general path at clock. Detail holds serviceRun's
-// reason: disk_transition (a power action or spin-up is in flight on
-// the disk), policy_decision (the policy's horizon says BeforeService
-// may act), fault_remap / fault_degraded (a fault-plan hit needs the
-// general service path).
-func (m *Machine) emitBailout(evs []trace.Event, i int, run *trace.Run, clock float64, reason string) {
-	ev := &evs[i]
-	d := run.Disk
-	if run.Disks != nil {
-		d = int(run.Disks[i-run.Start])
-	} else if d < 0 {
-		d = ev.Req.Disk
-	}
-	gap := run.GapMS
-	if gap < 0 {
-		gap = ev.GapMS
-	}
+// emitBailout records that the batched executor dropped request ev
+// of a compiled run to the general path at clock. Detail holds
+// serviceRun's reason: disk_transition (a power action or spin-up is
+// in flight on the disk), policy_decision (the policy's horizon says
+// BeforeService may act), fault_remap / fault_degraded (a fault-plan
+// hit needs the general service path).
+func (m *Machine) emitBailout(ev *trace.Event, clock float64, reason string) {
 	m.ev.Emit(events.Event{
-		TMS:     clock + gap,
+		TMS:     clock + ev.GapMS,
 		Kind:    events.KindBailout,
 		Program: m.evProg,
 		Policy:  m.evPolicy,
-		Disk:    d,
+		Disk:    ev.Req.Disk,
 		Detail:  reason,
 	})
 }
