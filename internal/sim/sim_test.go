@@ -358,6 +358,16 @@ func TestInvalidConfigsRejected(t *testing.T) {
 	if _, err := Run(badTr, Config{Disk: p}); err == nil {
 		t.Error("invalid trace accepted")
 	}
+	// A negative disk count compiles to an unvalidated form; batched,
+	// given that form, or unbatched, Run returns the validation error.
+	neg := mkTrace(1, req(1, 0, 512), req(1, 0, 512), req(1, 0, 512), req(1, 0, 512))
+	neg.NumDisks = -1
+	want := neg.Validate()
+	for _, cfg := range []Config{{Disk: p}, {Disk: p, Compiled: trace.Compile(neg)}, {Disk: p, DisableBatch: true}} {
+		if _, err := Run(neg, cfg); err == nil || err.Error() != want.Error() {
+			t.Errorf("negative disk count: err = %v, want %v", err, want)
+		}
+	}
 }
 
 func TestEnergyNonNegativeAndAdditive(t *testing.T) {
