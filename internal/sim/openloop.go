@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sdpm/internal/obs/events"
-	"sdpm/internal/trace"
-)
+import "sdpm/internal/trace"
 
 // RunOpenLoop replays a trace in open-loop mode: requests are issued
 // at their nominal arrival times regardless of earlier completions,
@@ -29,8 +26,7 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 	// event walk below IS the arrival order — materializing and
 	// stable-sorting an arrival queue (as earlier revisions did) was a
 	// per-run allocation that could never change the order.
-	m := e.m
-	m.ReserveIdles(tr.PerDiskRequests())
+	e.m.ReserveIdles(tr.PerDiskRequests())
 	lastCompletion := make([]float64, tr.NumDisks)
 	for i := range tr.Events {
 		if tr.Events[i].Kind != trace.EvRequest {
@@ -48,17 +44,9 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 		// Note: the machine may have accounted ahead of `issue` when a
 		// policy scheduled an RPM shift that is still in progress; the
 		// machine defers the service start in that case.
-		if cfg.Policy != nil {
-			cfg.Policy.BeforeService(m, d, issue)
-		}
-		compl, err := m.ServiceBlock(d, issue, req.Bytes, req.Block)
+		compl, err := e.request(req, issue, at)
 		if err != nil {
 			return e.finish(err)
-		}
-		if cfg.Policy != nil {
-			m.setTrigger(events.TrigController, 0)
-			cfg.Policy.AfterService(m, d, compl, compl-at)
-			m.restoreTrigger()
 		}
 		lastCompletion[d] = compl
 		if compl > e.clock {
