@@ -3,10 +3,12 @@
 # working tree on the same host. It builds the test binaries of the
 # root package, internal/sim and internal/core at REV (checked out in a
 # temporary git worktree) and in the working tree, runs them in 10
-# alternating old/new pairs, and compares the per-benchmark medians
-# with tools/benchdiff at TOLERANCE percent. Both sides share the
-# machine and its load, unlike the committed baseline `make
-# bench-diff` compares against, which was recorded on another host.
+# old/new pairs, the new side first in every other pair so neither
+# side always runs on a warmer or cooler host, and compares the
+# per-benchmark medians with tools/benchdiff at TOLERANCE percent.
+# Both sides share the machine and its load, unlike the committed
+# baseline `make bench-diff` compares against, which was recorded on
+# another host.
 #
 #   tools/bench-diff-rev.sh REV BENCH_REGEXP TOLERANCE
 #
@@ -49,7 +51,12 @@ run() {
 }
 for p in $(seq "$pairs"); do
 	echo "bench-diff-rev: pair $p of $pairs" >&2
-	run old "$tmp/rev"
-	run new "$root"
+	if [ $((p % 2)) -eq 1 ]; then
+		run old "$tmp/rev"
+		run new "$root"
+	else
+		run new "$root"
+		run old "$tmp/rev"
+	fi
 done
 "$go" run ./tools/benchdiff -tolerance "$tolerance" "$out/old.txt" "$out/new.txt"
