@@ -207,11 +207,21 @@ func MergeOpen(numDisks int, traces ...*Trace) (*Trace, error) {
 	return out, nil
 }
 
-// Validate checks trace invariants: disks in range, positive request
-// sizes, non-negative gaps, and non-decreasing nominal arrivals.
+// maxDisks bounds a trace's disk count. Compile and the simulator
+// allocate per-disk state before they read an event, so a decoded
+// header such as "H p 30000000000000" must fail validation rather
+// than exhaust memory.
+const maxDisks = 1 << 16
+
+// Validate checks trace invariants: a disk count in [1, maxDisks],
+// disks in range, positive request sizes, non-negative gaps, and
+// non-decreasing nominal arrivals.
 func (t *Trace) Validate() error {
 	if t.NumDisks <= 0 {
 		return fmt.Errorf("trace: non-positive disk count %d", t.NumDisks)
+	}
+	if t.NumDisks > maxDisks {
+		return fmt.Errorf("trace: disk count %d exceeds %d", t.NumDisks, maxDisks)
 	}
 	prevArrival := -1.0
 	for i := range t.Events {

@@ -48,6 +48,7 @@ func TestValidateOK(t *testing.T) {
 func TestValidateCatches(t *testing.T) {
 	mut := []func(*Trace){
 		func(tr *Trace) { tr.NumDisks = 0 },
+		func(tr *Trace) { tr.NumDisks = maxDisks + 1 },
 		func(tr *Trace) { tr.Events[0].GapMS = -1 },
 		func(tr *Trace) { tr.Events[0].Req.Disk = 9 },
 		func(tr *Trace) { tr.Events[0].Req.Bytes = 0 },
