@@ -22,9 +22,13 @@ import (
 	"sdpm/internal/trace"
 )
 
-// randomBatchTrace generates a trace alternating steady stretches (the
-// compiled runs the fast path batches) with jittered stretches and
-// embedded power ops (the bail-out cases).
+// randomBatchTrace generates a trace of request stretches (any four
+// or more in a row form a compiled run the fast path batches), broken
+// up by embedded power ops. Stretches with a uniform gap and size, on
+// one disk or round robin, sit next to stretches with jittered gaps
+// (every benchmark trace jitters its gaps) on random disks with random
+// sizes, and long idle gaps where a policy's horizon makes the
+// executor bail out.
 func randomBatchTrace(r *rand.Rand, nDisks int) *trace.Trace {
 	tr := &trace.Trace{Program: "diff", NumDisks: nDisks}
 	arrival := 0.0
@@ -49,7 +53,7 @@ func randomBatchTrace(r *rand.Rand, nDisks int) *trace.Trace {
 	p := disk.DefaultParams()
 	for len(tr.Events) < 2500 {
 		switch r.Intn(5) {
-		case 0, 1: // steady stretch: uniform gap and size
+		case 0, 1: // uniform gap and size, one disk or round robin
 			n := 4 + r.Intn(120)
 			gap := []float64{0, 2, 7.5, 60, 300}[r.Intn(5)]
 			bytes := sizes[r.Intn(len(sizes))]
@@ -61,7 +65,7 @@ func randomBatchTrace(r *rand.Rand, nDisks int) *trace.Trace {
 				}
 				addReq(d, gap, bytes)
 			}
-		case 2: // jittered stretch
+		case 2: // jittered gaps, random disks and sizes
 			n := 1 + r.Intn(30)
 			for i := 0; i < n; i++ {
 				addReq(r.Intn(nDisks), r.Float64()*40, sizes[r.Intn(len(sizes))])

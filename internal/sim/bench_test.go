@@ -81,9 +81,11 @@ func BenchmarkSimHotPathNoBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSimSteadyRun measures the fully homogeneous case the
-// batched executor is built for: one disk, uniform size and gap — a
-// single compiled run serviced end to end by the lean batched loop.
+// BenchmarkSimSteadyRun measures a fully homogeneous trace — one
+// disk, uniform size and gap — serviced end to end as a single
+// compiled run by the lean batched loop. The benchmarks' own traces
+// jitter every gap, so no end-to-end workload looks like this; it
+// isolates the lean loop's per-request cost.
 func BenchmarkSimSteadyRun(b *testing.B) {
 	tr := hotTrace(1, 10000, 2.0)
 	cfg := sim.Config{Disk: disk.DefaultParams(), Compiled: trace.Compile(tr)}
