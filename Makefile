@@ -25,6 +25,7 @@ vet:
 
 # race runs the race detector where concurrency lives: the worker
 # pool (including cancellation), the memoizing instance cache, the
+# site walk's buffer pool shared by concurrent preparations, the
 # simulator, the fault-injection plan shared across workers, the
 # journal appended to by concurrent experiment cells, the
 # observability layer (collector snapshots and the event ring, both
@@ -36,7 +37,7 @@ vet:
 # (the chaos proxy's connection pumps and the resilient client's
 # hedged attempts).
 race:
-	$(GO) test -race ./internal/runner ./internal/core ./internal/sim ./internal/faults ./internal/fsx ./internal/cli ./internal/journal ./internal/obs ./internal/obs/events ./internal/serve ./internal/netx ./internal/client
+	$(GO) test -race ./internal/runner ./internal/core ./internal/tracegen ./internal/sim ./internal/faults ./internal/fsx ./internal/cli ./internal/journal ./internal/obs ./internal/obs/events ./internal/serve ./internal/netx ./internal/client
 
 # fuzz-smoke gives each fuzz target a short budget — enough to shake
 # out parser and numeric regressions on every CI run without turning

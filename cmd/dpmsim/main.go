@@ -354,13 +354,10 @@ func runOnce(tr *trace.Trace, cfg sim.Config, openLoop bool) (*sim.Result, error
 // runAll simulates the trace under every reactive policy — one worker
 // per policy, each with its own policy state — and prints a
 // comparison table in canonical order (identical for any worker
-// count). The closed-loop runs share one compiled form of the trace.
-// All runs report into the shared collector when metrics are
-// requested.
+// count). The runs share one compiled form of the trace. All runs
+// report into the shared collector when metrics are requested.
 func runAll(ctx context.Context, report io.Writer, tr *trace.Trace, baseCfg sim.Config, openLoop bool, workers int, coll *obs.Collector) error {
-	if !openLoop {
-		baseCfg.Compiled = trace.Compile(tr)
-	}
+	baseCfg.Compiled = trace.Compile(tr)
 	results := make([]*sim.Result, len(allPolicies))
 	err := runner.New(workers).Observe(coll).WithContext(ctx).Map(len(allPolicies), func(i int) error {
 		cfg := baseCfg

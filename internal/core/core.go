@@ -271,7 +271,10 @@ type Instance struct {
 	Program *ir.Program
 	Sub     *layout.Subsystem
 	Sites   []tracegen.Site
-	Cfg     Config
+	// Files is the file-name table the sites' File fields index; the
+	// instance's traces share it as their Files.
+	Files []string
+	Cfg   Config
 	// Obs, when non-nil, receives metrics from every simulation run
 	// on this instance. Set it before the first Run (Cache sets it
 	// automatically from its own collector). It is deliberately not
@@ -320,16 +323,17 @@ func Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout
 		return nil, err
 	}
 	var sites []tracegen.Site
+	var files []string
 	if cfg.NoCache {
-		sites, err = tracegen.SitesNoCache(p, sub)
+		sites, files, err = tracegen.SitesNoCache(p, sub)
 	} else {
-		sites, err = tracegen.Sites(p, sub, cfg.CacheUnits)
+		sites, files, err = tracegen.Sites(p, sub, cfg.CacheUnits)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &Instance{
-		Name: name, Program: p, Sub: sub, Sites: sites, Cfg: cfg,
+		Name: name, Program: p, Sub: sub, Sites: sites, Files: files, Cfg: cfg,
 		derived: &derived{instr: make(map[insert.Mode]*instrumented)},
 	}, nil
 }
@@ -360,6 +364,7 @@ func (in *Instance) BaseTrace() *trace.Trace {
 		in.baseTrace = tracegen.FromSites(in.Name, in.Cfg.NumDisks, in.Sites, tracegen.Options{
 			Model:            in.Cfg.model(),
 			NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
+			Files:            in.Files,
 		})
 	}
 	return in.baseTrace
@@ -377,6 +382,7 @@ func (in *Instance) Instrumented(mode insert.Mode) (*trace.Trace, *insert.Plan, 
 	tr, plan, err := insert.Instrument(in.Name, in.Cfg.NumDisks, in.Sites, insert.Options{
 		Mode: mode, Disk: in.Cfg.Disk, Model: in.Cfg.model(),
 		DisablePreactivation: in.Cfg.DisablePreactivation,
+		Files:                in.Files,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -419,11 +425,17 @@ func (in *Instance) Trace(s Scheme) (*trace.Trace, error) {
 
 // Run simulates the instance under the given scheme.
 func (in *Instance) Run(s Scheme) (*sim.Result, error) {
+	return in.run(s, false)
+}
+
+// run is Run, with the result's idle periods (sim.Result.Idles)
+// recorded when idles is set.
+func (in *Instance) run(s Scheme, idles bool) (*sim.Result, error) {
 	tr, cfg, err := in.simConfig(s)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Compiled = in.Compiled(tr)
+	cfg.RecordIdles = idles
 	res, err := sim.Run(tr, cfg)
 	if err != nil {
 		return nil, err
@@ -434,8 +446,8 @@ func (in *Instance) Run(s Scheme) (*sim.Result, error) {
 }
 
 // simConfig returns the trace Run simulates under the given scheme
-// and the simulator configuration it runs with, short of the
-// compiled form.
+// and the simulator configuration it runs with, the trace's memoized
+// compiled form included.
 func (in *Instance) simConfig(s Scheme) (*trace.Trace, sim.Config, error) {
 	tr, err := in.Trace(s)
 	if err != nil {
@@ -454,6 +466,7 @@ func (in *Instance) simConfig(s Scheme) (*trace.Trace, sim.Config, error) {
 		SchemeLabel:         string(s),
 		Faults:              plan,
 		Audit:               in.Cfg.Audit,
+		Compiled:            in.Compiled(tr),
 	}
 	// A compiler-managed scheme gets no policy: its trace's power
 	// calls drive the disks.
@@ -491,7 +504,7 @@ func (in *Instance) Mispredictions() (oracle.MispredictStats, error) {
 	if err != nil {
 		return oracle.MispredictStats{}, err
 	}
-	base, err := in.Run(Base)
+	base, err := in.run(Base, true)
 	if err != nil {
 		return oracle.MispredictStats{}, err
 	}

@@ -47,11 +47,11 @@ func (d *digest) op(o trace.PowerOp) {
 	d.floats(o.PredictedIdleMS)
 }
 
-func sitesDigest(ss []tracegen.Site) string {
+func sitesDigest(ss []tracegen.Site, files []string) string {
 	d := newDigest()
 	for _, s := range ss {
 		d.ints(int64(s.Nest), s.Iter)
-		d.str(s.File)
+		d.str(files[s.File-1])
 		d.ints(s.Unit, int64(s.Disk), s.Block, s.Bytes, int64(s.Kind), s.CyclePos)
 	}
 	return d.sum()
@@ -71,7 +71,7 @@ func eventsDigest(tr *trace.Trace) string {
 		r := e.Req
 		d.floats(r.ArrivalMS)
 		d.ints(int64(r.Disk), r.Block, r.Bytes, int64(r.Kind))
-		d.str(r.File)
+		d.str(tr.FileName(r.File))
 		d.ints(r.Unit, int64(r.Nest), r.Iter)
 	}
 	return d.sum()
@@ -141,7 +141,7 @@ func TestFrontHalfDigests(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", b.Name, v, err)
 			}
-			fmt.Fprintf(&got, "%s %s sites=%d sha256=%s\n", b.Name, v, len(in.Sites), sitesDigest(in.Sites))
+			fmt.Fprintf(&got, "%s %s sites=%d sha256=%s\n", b.Name, v, len(in.Sites), sitesDigest(in.Sites, in.Files))
 			for _, mode := range []insert.Mode{insert.ModeTPM, insert.ModeDRPM} {
 				tr, plan, err := in.Instrumented(mode)
 				if err != nil {

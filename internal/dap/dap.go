@@ -80,9 +80,9 @@ func Build(sites []tracegen.Site, issueMS []float64, numDisks int, serviceMS fun
 		if inActive[dd] {
 			// Close the previous interval at its last request.
 			p := sites[lastSite[dd]]
-			d.Disks[dd] = append(d.Disks[dd], Entry{Nest: p.Nest, Iter: p.Iter + 1, Stat: Idle, AtMS: lastEnd[dd]})
+			d.Disks[dd] = append(d.Disks[dd], Entry{Nest: int(p.Nest), Iter: p.Iter + 1, Stat: Idle, AtMS: lastEnd[dd]})
 		}
-		d.Disks[dd] = append(d.Disks[dd], Entry{Nest: s.Nest, Iter: s.Iter, Stat: Active, AtMS: issueMS[i]})
+		d.Disks[dd] = append(d.Disks[dd], Entry{Nest: int(s.Nest), Iter: s.Iter, Stat: Active, AtMS: issueMS[i]})
 		inActive[dd] = true
 		lastEnd[dd] = end
 		lastSite[dd] = i
@@ -90,7 +90,7 @@ func Build(sites []tracegen.Site, issueMS []float64, numDisks int, serviceMS fun
 	for dd := range d.Disks {
 		if inActive[dd] {
 			p := sites[lastSite[dd]]
-			d.Disks[dd] = append(d.Disks[dd], Entry{Nest: p.Nest, Iter: p.Iter + 1, Stat: Idle, AtMS: lastEnd[dd]})
+			d.Disks[dd] = append(d.Disks[dd], Entry{Nest: int(p.Nest), Iter: p.Iter + 1, Stat: Idle, AtMS: lastEnd[dd]})
 		}
 	}
 	return d

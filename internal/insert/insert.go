@@ -72,6 +72,9 @@ type Options struct {
 	// by up to SafetyPct still hides the wake-up transition. Zero
 	// selects DefaultSafetyPct; negative disables the margin.
 	SafetyPct float64
+	// Files is the file-name table the sites' File fields index (as
+	// tracegen.Sites returns it); it becomes the trace's Files.
+	Files []string
 }
 
 // DefaultSafetyPct is the default idle-estimate safety margin.
@@ -239,6 +242,38 @@ func merge(sites []tracegen.Site, runs [][]pendingOp, visit func(at pos, op *tra
 	}
 }
 
+// searchFrom returns sort.Search(n, f) for a predicate f that is false
+// below some index and true from it on. It probes outward from hint
+// (clamped to [0, n]) in doubling steps until it brackets the answer,
+// then bisects the bracket, so a query whose answer lies near hint
+// costs a few probes rather than log2(n).
+func searchFrom(n, hint int, f func(int) bool) int {
+	hint = min(max(hint, 0), n)
+	// The answer lies in [lo, hi]: f is false below lo and true at hi
+	// (or hi == n).
+	lo, hi := 0, n
+	if hint < n && !f(hint) {
+		lo = hint + 1
+		for step := 1; hint+step < n; step *= 2 {
+			if f(hint + step) {
+				hi = hint + step
+				break
+			}
+			lo = hint + step + 1
+		}
+	} else {
+		hi = hint
+		for step := 1; hint-step >= 0; step *= 2 {
+			if !f(hint - step) {
+				lo = hint - step + 1
+				break
+			}
+			hi = hint - step
+		}
+	}
+	return lo + sort.Search(hi-lo, func(i int) bool { return f(lo + i) })
+}
+
 // Instrument builds the CMTPM/CMDRPM instrumented trace for the
 // given request sites on a numDisks-disk subsystem.
 func Instrument(program string, numDisks int, sites []tracegen.Site, opts Options) (*trace.Trace, *Plan, error) {
@@ -286,13 +321,19 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 		perDisk[sites[i].Disk] = append(perDisk[sites[i].Disk], i)
 	}
 
+	// Both searches below run over non-decreasing sequences (comp,
+	// and the CyclePos order Check verified), and one disk's ops ask
+	// about ever later times, so each starts from its previous answer.
+	var lastJ, lastAnchor int
+
 	// timeToCycle converts a predicted wall time into a compute-cycle
 	// position, snapping times that fall inside a service interval to
 	// its completion (the application executes no iterations while
 	// blocked on I/O).
 	timeToCycle := func(t float64) int64 {
 		// Find the last site whose completion is <= t.
-		j := sort.Search(len(sites), func(k int) bool { return comp[k] > t })
+		j := searchFrom(len(sites), lastJ, func(k int) bool { return comp[k] > t })
+		lastJ = j
 		var baseT float64
 		var baseC int64
 		if j > 0 {
@@ -311,7 +352,8 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 	// anchorFor returns the site index an op at cycle position c is
 	// ordered against: the first site with CyclePos >= c.
 	anchorFor := func(c int64) int {
-		return sort.Search(len(sites), func(k int) bool { return sites[k].CyclePos >= c })
+		lastAnchor = searchFrom(len(sites), lastAnchor, func(k int) bool { return sites[k].CyclePos >= c })
+		return lastAnchor
 	}
 
 	plan := &Plan{
@@ -362,6 +404,7 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 
 	for d := 0; d < numDisks; d++ {
 		runStart[d] = len(ops)
+		disk32 := int32(d)
 		nGaps := len(perDisk[d]) + 1
 		plan.Levels[d] = make([]int, nGaps)
 		plan.PredictedIdle[d] = make([]float64, nGaps)
@@ -401,23 +444,23 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 			switch level {
 			case p.MaxRPM: // stay at full speed
 			case disk.Standby:
-				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
+				addOp(start, afterSite, -1, trace.PowerOp{Disk: disk32, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
 				if !trailing && !opts.DisablePreactivation {
 					up := end - p.SpinUpMS - margin - opts.guard(p.SpinUpMS)
 					if min := start + p.SpinDownMS; up < min {
 						up = min
 					}
-					addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSpinUp})
+					addOp(up, -1, afterSite, trace.PowerOp{Disk: disk32, Kind: trace.OpSpinUp})
 				}
 			default:
-				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
+				addOp(start, afterSite, -1, trace.PowerOp{Disk: disk32, Kind: trace.OpSetRPM, RPM: int32(level), PredictedIdleMS: idle})
 				if !trailing && !opts.DisablePreactivation {
 					tr := p.TransitionTimeMS(level, p.MaxRPM)
 					up := end - tr - margin - opts.guard(tr)
 					if min := start + p.TransitionTimeMS(p.MaxRPM, level); up < min {
 						up = min
 					}
-					addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM})
+					addOp(up, -1, afterSite, trace.PowerOp{Disk: disk32, Kind: trace.OpSetRPM, RPM: int32(p.MaxRPM)})
 				}
 			}
 		}
@@ -431,7 +474,7 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 		plan.Calls = make([]Call, len(ops))
 		for i := range ops {
 			s := &sites[min(ops[i].anchor, len(sites)-1)]
-			plan.Calls[i] = Call{Nest: s.Nest, Iter: s.Iter, Op: ops[i].op}
+			plan.Calls[i] = Call{Nest: int(s.Nest), Iter: s.Iter, Op: ops[i].op}
 		}
 	}
 	runs := make([][]pendingOp, numDisks)
@@ -440,7 +483,7 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 	}
 
 	// Emit the instrumented trace with jittered actual gaps.
-	tr := &trace.Trace{Program: program, NumDisks: numDisks, Events: make([]trace.Event, len(sites)+len(ops))}
+	tr := &trace.Trace{Program: program, NumDisks: numDisks, Files: opts.Files, Events: make([]trace.Event, len(sites)+len(ops))}
 	var prevCyc int64
 	var arrival float64
 	i := 0
@@ -449,9 +492,9 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 		prevCyc = at.cyc
 		nest := 0
 		if at.anchor < len(sites) {
-			nest = sites[at.anchor].Nest
+			nest = int(sites[at.anchor].Nest)
 		} else if len(sites) > 0 {
-			nest = sites[len(sites)-1].Nest
+			nest = int(sites[len(sites)-1].Nest)
 		}
 		gap := m.ActualMSIn(gapCyc, uint64(i), nest)
 		arrival += gap

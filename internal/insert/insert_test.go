@@ -25,8 +25,8 @@ func rrSites(nd, n int, thinkMS float64) []tracegen.Site {
 	for i := range out {
 		out[i] = tracegen.Site{
 			Nest: 0, Iter: int64(i),
-			File: "u", Unit: int64(i),
-			Disk: i % nd, Block: int64(i/nd) * 128, Bytes: 65536,
+			Unit: int64(i),
+			Disk: int32(i % nd), Block: int64(i/nd) * 128, Bytes: 65536,
 			Kind:     trace.Read,
 			CyclePos: int64(i) * thinkCyc,
 		}
@@ -44,8 +44,8 @@ func burstSites(nd, perBurst int, thinkMS float64) []tracegen.Site {
 	for d := 0; d < nd; d++ {
 		for k := 0; k < perBurst; k++ {
 			out = append(out, tracegen.Site{
-				Nest: d, Iter: int64(k), File: "u", Unit: int64(i),
-				Disk: d, Block: int64(k) * 128, Bytes: 65536,
+				Nest: int32(d), Iter: int64(k), Unit: int64(i),
+				Disk: int32(d), Block: int64(k) * 128, Bytes: 65536,
 				Kind: trace.Read, CyclePos: int64(i) * thinkCyc,
 			})
 			i++
@@ -303,7 +303,7 @@ func TestDownOpsFollowTheirRequest(t *testing.T) {
 				sawDown := false
 				for j := lastReq + 1; j < i; j++ {
 					ev := tr.Events[j]
-					if ev.Kind == trace.EvPowerOp && ev.Op.Disk == 0 && ev.Op.RPM != p.MaxRPM {
+					if ev.Kind == trace.EvPowerOp && ev.Op.Disk == 0 && int(ev.Op.RPM) != p.MaxRPM {
 						sawDown = true
 					}
 				}
@@ -434,8 +434,8 @@ func TestInstrumentOrderingInvariant(t *testing.T) {
 			cluster := 1 + rng.Intn(4)
 			for c := 0; c < cluster && i < n; c++ {
 				ss = append(ss, tracegen.Site{
-					File: "u", Unit: int64(i), Iter: int64(i),
-					Disk: rng.Intn(nd), Block: int64(i) * 128, Bytes: 65536,
+					Unit: int64(i), Iter: int64(i),
+					Disk: int32(rng.Intn(nd)), Block: int64(i) * 128, Bytes: 65536,
 					Kind: trace.Read, CyclePos: cyc,
 				})
 				i++
@@ -454,7 +454,7 @@ func TestInstrumentOrderingInvariant(t *testing.T) {
 		pendingDown := make([]bool, nd)
 		for i, e := range tr.Events {
 			if e.Kind == trace.EvPowerOp {
-				if e.Op.RPM == p.MaxRPM {
+				if int(e.Op.RPM) == p.MaxRPM {
 					pendingDown[e.Op.Disk] = false
 				} else {
 					pendingDown[e.Op.Disk] = true
@@ -595,7 +595,7 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 			anchor = len(sites) - 1
 		}
 		if anchor >= 0 {
-			plan.Calls = append(plan.Calls, Call{Nest: sites[anchor].Nest, Iter: sites[anchor].Iter, Op: op})
+			plan.Calls = append(plan.Calls, Call{Nest: int(sites[anchor].Nest), Iter: sites[anchor].Iter, Op: op})
 		}
 	}
 
@@ -643,14 +643,14 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 				}
 				if level != p.MaxRPM {
 					plan.Levels[d][g] = level
-					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
+					addOp(start, afterSite, -1, trace.PowerOp{Disk: int32(d), Kind: trace.OpSetRPM, RPM: int32(level), PredictedIdleMS: idle})
 					if !trailing && !opts.DisablePreactivation {
 						tr := p.TransitionTimeMS(level, p.MaxRPM)
 						up := end - tr - margin - opts.guard(tr)
 						if min := start + p.TransitionTimeMS(p.MaxRPM, level); up < min {
 							up = min
 						}
-						addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM})
+						addOp(up, -1, afterSite, trace.PowerOp{Disk: int32(d), Kind: trace.OpSetRPM, RPM: int32(p.MaxRPM)})
 					}
 				}
 			case ModeTPM:
@@ -662,13 +662,13 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 				}
 				if worthIt {
 					plan.Levels[d][g] = 0
-					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
+					addOp(start, afterSite, -1, trace.PowerOp{Disk: int32(d), Kind: trace.OpSpinDown, PredictedIdleMS: idle})
 					if !trailing && !opts.DisablePreactivation {
 						up := end - p.SpinUpMS - margin - opts.guard(p.SpinUpMS)
 						if min := start + p.SpinDownMS; up < min {
 							up = min
 						}
-						addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSpinUp})
+						addOp(up, -1, afterSite, trace.PowerOp{Disk: int32(d), Kind: trace.OpSpinUp})
 					}
 				}
 			default:
@@ -741,9 +741,9 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 		prevCyc = it.cyc
 		nest := 0
 		if it.anchor < len(sites) {
-			nest = sites[it.anchor].Nest
+			nest = int(sites[it.anchor].Nest)
 		} else if len(sites) > 0 {
-			nest = sites[len(sites)-1].Nest
+			nest = int(sites[len(sites)-1].Nest)
 		}
 		gap := m.ActualMSIn(gapCyc, uint64(i), nest)
 		arrival += gap
@@ -784,8 +784,8 @@ func TestInstrumentMatchesStableSort(t *testing.T) {
 			cyc += m.CyclesForMS(rng.ExpFloat64() * []float64{0.5, 5, 60}[rng.Intn(3)])
 			for c := 1 + rng.Intn(4); c > 0 && len(ss) < n; c-- {
 				ss = append(ss, tracegen.Site{
-					Nest: len(ss) / 40, Iter: int64(len(ss)), File: "u", Unit: int64(len(ss)),
-					Disk: rng.Intn(nd), Block: int64(len(ss)) * 128, Bytes: int64(1+rng.Intn(16)) * 8192,
+					Nest: int32(len(ss) / 40), Iter: int64(len(ss)), Unit: int64(len(ss)),
+					Disk: int32(rng.Intn(nd)), Block: int64(len(ss)) * 128, Bytes: int64(1+rng.Intn(16)) * 8192,
 					Kind: trace.ReqKind(rng.Intn(2)), CyclePos: cyc,
 				})
 			}
@@ -823,7 +823,7 @@ func TestMergeHandBuiltRuns(t *testing.T) {
 	seq := 0
 	op := func(disk int, cyc int64, anchor, prio int) pendingOp {
 		seq++
-		return pendingOp{pos: pos{cyc: cyc, anchor: anchor, prio: prio}, op: trace.PowerOp{Disk: disk, PredictedIdleMS: float64(seq)}}
+		return pendingOp{pos: pos{cyc: cyc, anchor: anchor, prio: prio}, op: trace.PowerOp{Disk: int32(disk), PredictedIdleMS: float64(seq)}}
 	}
 	type mergeCase struct {
 		name  string

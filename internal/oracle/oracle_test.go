@@ -17,8 +17,8 @@ func rrSites(nd, n int, thinkMS float64) []tracegen.Site {
 	out := make([]tracegen.Site, n)
 	for i := range out {
 		out[i] = tracegen.Site{
-			File: "u", Unit: int64(i), Iter: int64(i),
-			Disk: i % nd, Block: int64(i/nd) * 128, Bytes: 65536,
+			Unit: int64(i), Iter: int64(i),
+			Disk: int32(i % nd), Block: int64(i/nd) * 128, Bytes: 65536,
 			Kind: trace.Read, CyclePos: int64(i) * thinkCyc,
 		}
 	}
@@ -31,7 +31,7 @@ func runBase(t *testing.T, ss []tracegen.Site, nd int, m *cycles.Model, p disk.P
 		Model:            m,
 		NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
 	})
-	res, err := sim.Run(bt, sim.Config{Disk: p})
+	res, err := sim.Run(bt, sim.Config{Disk: p, RecordIdles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func hetSites(nd, perNest, nests int) []tracegen.Site {
 		for k := 0; k < perNest; k++ {
 			cyc += thinkCyc
 			out = append(out, tracegen.Site{
-				Nest: n, Iter: int64(k), File: "u", Unit: int64(i),
-				Disk: i % nd, Block: int64(i/nd) * 128, Bytes: 65536,
+				Nest: int32(n), Iter: int64(k), Unit: int64(i),
+				Disk: int32(i % nd), Block: int64(i/nd) * 128, Bytes: 65536,
 				Kind: trace.Read, CyclePos: cyc,
 			})
 			i++

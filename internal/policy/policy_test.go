@@ -20,7 +20,7 @@ func roundRobinTrace(numDisks, n int, thinkMS float64) *trace.Trace {
 		tr.Events = append(tr.Events, trace.Event{
 			Kind:  trace.EvRequest,
 			GapMS: thinkMS,
-			Req:   trace.Request{ArrivalMS: arr, Disk: i % numDisks, Bytes: 65536, Kind: trace.Read},
+			Req:   trace.Request{ArrivalMS: arr, Disk: int32(i % numDisks), Bytes: 65536, Kind: trace.Read},
 		})
 	}
 	return tr
@@ -37,7 +37,7 @@ func burstTrace(numDisks, perBurst int, thinkMS float64) *trace.Trace {
 			tr.Events = append(tr.Events, trace.Event{
 				Kind:  trace.EvRequest,
 				GapMS: thinkMS,
-				Req:   trace.Request{ArrivalMS: arr, Disk: d, Bytes: 65536, Kind: trace.Read},
+				Req:   trace.Request{ArrivalMS: arr, Disk: int32(d), Bytes: 65536, Kind: trace.Read},
 			})
 		}
 	}

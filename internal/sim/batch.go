@@ -119,7 +119,7 @@ func (m *Machine) serviceRun(events []trace.Event, i int, clock float64, hz Hori
 	recTL := m.recTimeline
 	for i < len(events) {
 		ev := &events[i]
-		d := ev.Req.Disk
+		d := int(ev.Req.Disk)
 		s := &m.disks[d]
 		if s.status != StSpinning || s.accT != s.idleFrom {
 			// A power op or spin-up is in flight on this disk; the
@@ -143,7 +143,9 @@ func (m *Machine) serviceRun(events []trace.Event, i int, clock float64, hz Hori
 			c.refill(m, s, ev.Req.Bytes)
 		}
 		idleLen := t - s.idleFrom
-		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+		if m.recIdles {
+			s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+		}
 		if idleLen > 0 {
 			// Machine.advance's StSpinning branch for [accT, t].
 			e := c.pwIdle * idleLen / 1e3
@@ -198,7 +200,7 @@ func (m *Machine) serviceRun(events []trace.Event, i int, clock float64, hz Hori
 func (m *Machine) serviceRunLean(events []trace.Event, i int, clock float64, sc batchScratch) (int, float64) {
 	for i < len(events) {
 		ev := &events[i]
-		d := ev.Req.Disk
+		d := int(ev.Req.Disk)
 		s := &m.disks[d]
 		if s.status != StSpinning || s.accT != s.idleFrom {
 			return i, clock
@@ -209,7 +211,9 @@ func (m *Machine) serviceRunLean(events []trace.Event, i int, clock float64, sc 
 			c.refill(m, s, ev.Req.Bytes)
 		}
 		idleLen := t - s.idleFrom
-		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+		if m.recIdles {
+			s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+		}
 		if idleLen > 0 {
 			e := c.pwIdle * idleLen / 1e3
 			s.stats.EnergyJ += e

@@ -44,7 +44,7 @@ func randomBatchTrace(r *rand.Rand, nDisks int) *trace.Trace {
 			Kind:  trace.EvRequest,
 			GapMS: gap,
 			Req: trace.Request{
-				ArrivalMS: arrival, Disk: d, Block: block % (1 << 20),
+				ArrivalMS: arrival, Disk: int32(d), Block: block % (1 << 20),
 				Bytes: bytes, Kind: kind,
 			},
 		})
@@ -77,7 +77,7 @@ func randomBatchTrace(r *rand.Rand, nDisks int) *trace.Trace {
 			}
 		case 4: // embedded power op
 			d := r.Intn(nDisks)
-			op := trace.PowerOp{Disk: d}
+			op := trace.PowerOp{Disk: int32(d)}
 			switch r.Intn(3) {
 			case 0:
 				op.Kind = trace.OpSpinDown
@@ -85,7 +85,7 @@ func randomBatchTrace(r *rand.Rand, nDisks int) *trace.Trace {
 				op.Kind = trace.OpSpinUp
 			default:
 				op.Kind = trace.OpSetRPM
-				op.RPM = p.MinRPM + r.Intn(p.NumLevels())*p.RPMStep
+				op.RPM = int32(p.MinRPM + r.Intn(p.NumLevels())*p.RPMStep)
 				op.PredictedIdleMS = r.Float64() * 5000
 			}
 			tr.Events = append(tr.Events, trace.Event{

@@ -32,7 +32,7 @@ func hotTrace(nDisks, nReqs int, gapMS float64) *trace.Trace {
 			GapMS: gapMS,
 			Req: trace.Request{
 				ArrivalMS: arrival,
-				Disk:      i % nDisks,
+				Disk:      int32(i % nDisks),
 				Block:     int64(i) * 128,
 				Bytes:     65536,
 				Kind:      trace.Read,

@@ -134,7 +134,7 @@ func (m *Machine) emitBailout(ev *trace.Event, clock float64, reason string) {
 		Kind:    events.KindBailout,
 		Program: m.evProg,
 		Policy:  m.evPolicy,
-		Disk:    ev.Req.Disk,
+		Disk:    int(ev.Req.Disk),
 		Detail:  reason,
 	})
 }

@@ -25,11 +25,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func goldenTrace() *trace.Trace {
 	req := func(d int, block int64, gap float64) trace.Event {
 		return trace.Event{Kind: trace.EvRequest, GapMS: gap, Req: trace.Request{
-			Disk: d, Block: block, Bytes: 65536, Kind: trace.Read,
+			Disk: int32(d), Block: block, Bytes: 65536, Kind: trace.Read,
 		}}
 	}
 	op := func(d int, k trace.OpKind, rpm int) trace.Event {
-		return trace.Event{Kind: trace.EvPowerOp, Op: trace.PowerOp{Disk: d, Kind: k, RPM: rpm}}
+		return trace.Event{Kind: trace.EvPowerOp, Op: trace.PowerOp{Disk: int32(d), Kind: k, RPM: int32(rpm)}}
 	}
 	return &trace.Trace{Program: "golden", NumDisks: 2, Events: []trace.Event{
 		req(0, 0, 2),
@@ -147,11 +147,11 @@ func TestChromeTraceStructure(t *testing.T) {
 func faultTrace() *trace.Trace {
 	req := func(d int, block int64, gap, arrival float64) trace.Event {
 		return trace.Event{Kind: trace.EvRequest, GapMS: gap, Req: trace.Request{
-			ArrivalMS: arrival, Disk: d, Block: block, Bytes: 65536, Kind: trace.Read,
+			ArrivalMS: arrival, Disk: int32(d), Block: block, Bytes: 65536, Kind: trace.Read,
 		}}
 	}
 	op := func(d int, k trace.OpKind) trace.Event {
-		return trace.Event{Kind: trace.EvPowerOp, Op: trace.PowerOp{Disk: d, Kind: k}}
+		return trace.Event{Kind: trace.EvPowerOp, Op: trace.PowerOp{Disk: int32(d), Kind: k}}
 	}
 	return &trace.Trace{Program: "faulty", NumDisks: 1, Events: []trace.Event{
 		req(0, 0, 2, 2),

@@ -167,6 +167,9 @@ type Machine struct {
 	headPos   []int64
 	// timeline recording (disabled by default).
 	recTimeline bool
+	// recIdles records each disk's idle periods (off until
+	// ReserveIdles).
+	recIdles bool
 	// obs accumulates the run's per-request metrics when a collector
 	// is attached (see newRun); a detached one costs one branch per
 	// emit point. publishMetrics hands it the disks' accounts.
@@ -208,11 +211,14 @@ func NewMachine(n int, p disk.Params) *Machine {
 	return m
 }
 
-// ReserveIdles preallocates each disk's idle-period list for the
-// given per-disk request count (one idle period per request plus the
-// trailing one), eliminating append growth on the simulation hot
-// path. A single backing array serves all disks.
+// ReserveIdles turns on idle-period recording and preallocates each
+// disk's list for the given per-disk request count (one idle period
+// per request plus the trailing one), eliminating append growth on
+// the simulation hot path. A single backing array serves all disks.
+// Without it the machine records no idle periods and Finish returns
+// none.
 func (m *Machine) ReserveIdles(perDisk []int) {
+	m.recIdles = true
 	total := 0
 	for d := range m.disks {
 		if d < len(perDisk) {
@@ -505,7 +511,9 @@ func (m *Machine) SetRPMAt(d int, t float64, rpm int) {
 func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, error) {
 	s := &m.disks[d]
 	idleLen := t - s.idleFrom
-	s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+	if m.recIdles {
+		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+	}
 	pre := s.status
 	start := m.effectiveAt(d, t)
 	if s.status == StStandby {
@@ -618,11 +626,15 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 }
 
 // Finish commits all disks' energy up to the program end time and
-// returns the per-disk statistics and idle-period records (including
-// the trailing idle period of each disk).
+// returns the per-disk statistics and, when recording (see
+// ReserveIdles), the idle-period records (including the trailing idle
+// period of each disk).
 func (m *Machine) Finish(endT float64) ([]DiskStats, [][]IdlePeriod) {
 	stats := make([]DiskStats, len(m.disks))
-	idles := make([][]IdlePeriod, len(m.disks))
+	var idles [][]IdlePeriod
+	if m.recIdles {
+		idles = make([][]IdlePeriod, len(m.disks))
+	}
 	for d := range m.disks {
 		m.advance(d, endT)
 		s := &m.disks[d]
@@ -633,7 +645,10 @@ func (m *Machine) Finish(endT float64) ([]DiskStats, [][]IdlePeriod) {
 		if trail < 0 {
 			trail = 0
 		}
-		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: trail})
+		if m.recIdles {
+			s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: trail})
+			idles[d] = s.idles
+		}
 		if m.ev != nil {
 			// Trailing-period decisions resolve against the trailing
 			// oracle (no spin-up back is ever needed).
@@ -659,7 +674,6 @@ func (m *Machine) Finish(endT float64) ([]DiskStats, [][]IdlePeriod) {
 			}
 		}
 		stats[d] = s.stats
-		idles[d] = s.idles
 	}
 	return stats, idles
 }

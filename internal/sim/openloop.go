@@ -16,8 +16,11 @@ import "sdpm/internal/trace"
 // The result's ExecMS is the last completion time; TotalWaitMS
 // aggregates queueing plus readiness delays (completion - arrival -
 // service).
+//
+// A Config.Compiled form of tr spares the trace's validation walk, as
+// in Run; open-loop replay never batches, so no form is compiled here.
 func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
-	e, err := newRun(tr, &cfg, true, false)
+	e, err := newRun(tr, &cfg, true, cfg.compiledFor(tr))
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +29,6 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 	// event walk below IS the arrival order — materializing and
 	// stable-sorting an arrival queue (as earlier revisions did) was a
 	// per-run allocation that could never change the order.
-	e.m.ReserveIdles(tr.PerDiskRequests())
 	lastCompletion := make([]float64, tr.NumDisks)
 	for i := range tr.Events {
 		if tr.Events[i].Kind != trace.EvRequest {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sdpm/internal/disk"
@@ -15,7 +16,7 @@ func arrivalTrace(nd int, arrivals []float64, disks []int) *trace.Trace {
 		tr.Events = append(tr.Events, trace.Event{
 			Kind:  trace.EvRequest,
 			GapMS: at - prev,
-			Req:   trace.Request{ArrivalMS: at, Disk: disks[i], Bytes: 65536, Kind: trace.Read},
+			Req:   trace.Request{ArrivalMS: at, Disk: int32(disks[i]), Bytes: 65536, Kind: trace.Read},
 		})
 		prev = at
 	}
@@ -126,5 +127,40 @@ func TestOpenLoopInvalid(t *testing.T) {
 	badTr := arrivalTrace(1, []float64{0}, []int{5})
 	if _, err := RunOpenLoop(badTr, Config{Disk: p}); err == nil {
 		t.Error("bad trace accepted")
+	}
+}
+
+// TestOpenLoopCompiled: the trace's own compiled form spares open-loop
+// replay the validation walk and sizes its idle lists without changing
+// the result, and a form compiled from another trace vouches for
+// nothing: an invalid trace still gets its validation error.
+func TestOpenLoopCompiled(t *testing.T) {
+	p := disk.DefaultParams()
+	tr := arrivalTrace(2, []float64{0, 80, 160, 240, 320, 400}, []int{0, 1, 0, 1, 0, 1})
+	run := func(comp *trace.Compiled) *Result {
+		t.Helper()
+		res, err := RunOpenLoop(tr, Config{Disk: p, Policy: &testOraclePolicy{p: p}, RecordIdles: true, Compiled: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(nil)
+	if got := run(trace.Compile(tr)); !reflect.DeepEqual(got, want) {
+		t.Errorf("compiled form changed the result:\n%+v\nwant\n%+v", got, want)
+	}
+	for d, idles := range want.Idles {
+		if len(idles) != 4 {
+			t.Errorf("disk %d: %d idle periods, want 3 requests + the trailing one", d, len(idles))
+		}
+	}
+
+	other := arrivalTrace(2, []float64{0, 80}, []int{0, 1})
+	bad := arrivalTrace(2, []float64{0, 80}, []int{0, 5})
+	wantErr := bad.Validate()
+	for _, comp := range []*trace.Compiled{trace.Compile(other), trace.Compile(bad)} {
+		if _, err := RunOpenLoop(bad, Config{Disk: p, Policy: &testOraclePolicy{p: p}, Compiled: comp}); err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("invalid trace: err = %v, want %v", err, wantErr)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func randomTrace(rng *rand.Rand, nd, n int) *trace.Trace {
 			GapMS: gap,
 			Req: trace.Request{
 				ArrivalMS: arr,
-				Disk:      rng.Intn(nd),
+				Disk:      int32(rng.Intn(nd)),
 				Block:     int64(rng.Intn(1 << 20)),
 				Bytes:     sz,
 				Kind:      trace.ReqKind(rng.Intn(2)),

@@ -59,6 +59,9 @@ type Config struct {
 	// RecordTimeline collects per-disk state timelines into the
 	// result (Result.Timelines).
 	RecordTimeline bool
+	// RecordIdles collects every disk's idle periods into the result
+	// (Result.Idles), as Audit also does.
+	RecordIdles bool
 	// Audit verifies the conservation invariants of every run (see
 	// Audit): residency and energy-breakdown conservation, the
 	// timeline power integral, and state-machine transition legality.
@@ -85,9 +88,11 @@ type Config struct {
 	// trace.Compile), enabling the batched steady-state executor.
 	// When nil (and batching is not disabled or ineligible), Run
 	// compiles the trace itself; callers that run many schemes over
-	// one trace should pass a memoized form instead. A Compiled built
-	// from a different trace (see trace.Compiled.For) is ignored: the
-	// trace is validated and, when batching, compiled afresh.
+	// one trace should pass a memoized form instead. RunOpenLoop
+	// never batches; it reads only the form's Validated flag and
+	// PerDisk counts. A Compiled built from a different trace (see
+	// trace.Compiled.For) is ignored: the trace is validated and, when
+	// batching, compiled afresh.
 	Compiled *trace.Compiled
 	// DisableBatch forces the general per-request path even when a
 	// compiled form is available. Results are bit-identical either
@@ -108,6 +113,19 @@ type Config struct {
 	SchemeLabel string
 }
 
+// compiledFor returns cfg.Compiled when it was compiled from tr, else
+// nil. A compiled form carries a Validated flag from compile time;
+// trusting it saves a full trace walk per run (the engine runs many
+// schemes over one memoized trace). A form compiled from another trace
+// is ignored. A trace that failed validation when compiled is
+// validated again in newRun, which returns the error.
+func (cfg *Config) compiledFor(tr *trace.Trace) *trace.Compiled {
+	if cfg.Compiled != nil && cfg.Compiled.For(tr) {
+		return cfg.Compiled
+	}
+	return nil
+}
+
 // DefaultPowerCallOverheadMS is the default power-management call
 // overhead (Tm).
 const DefaultPowerCallOverheadMS = 0.05
@@ -123,7 +141,8 @@ type Result struct {
 	// Disks holds per-disk statistics.
 	Disks []DiskStats
 	// Idles holds, per disk, every inter-request idle period plus
-	// the trailing idle period.
+	// the trailing idle period when Config.RecordIdles or
+	// Config.Audit was set; nil otherwise.
 	Idles [][]IdlePeriod
 	// Requests is the number of I/O requests serviced.
 	Requests int
@@ -162,14 +181,15 @@ type runExec struct {
 // newRun validates cfg against tr and returns the run's executor over
 // a fresh machine with the configured models and observers attached.
 // open selects open-loop replay, which charges no power-call overhead
-// and suffixes the scheme name with "/open"; validated skips the
-// trace walk for a trace whose compiled form was validated when it
-// was compiled.
-func newRun(tr *trace.Trace, cfg *Config, open, validated bool) (runExec, error) {
+// and suffixes the scheme name with "/open". comp, when non-nil, is
+// tr's compiled form (Compiled.For holds): a form that was validated
+// when it was compiled spares the trace walk, and its PerDisk sizes
+// the recorded idle-period lists.
+func newRun(tr *trace.Trace, cfg *Config, open bool, comp *trace.Compiled) (runExec, error) {
 	if err := cfg.Disk.Validate(); err != nil {
 		return runExec{}, err
 	}
-	if !validated {
+	if comp == nil || !comp.Validated {
 		if err := tr.Validate(); err != nil {
 			return runExec{}, err
 		}
@@ -199,6 +219,16 @@ func newRun(tr *trace.Trace, cfg *Config, open, validated bool) (runExec, error)
 		// transition-legality checks even when the caller did not ask
 		// to keep it.
 		m.EnableTimeline()
+	}
+	if cfg.RecordIdles || cfg.Audit {
+		// The audit checks the idle periods against the residency.
+		// Each disk gets one idle period per request plus the
+		// trailing one, so the event loop never grows the lists.
+		if comp != nil {
+			m.ReserveIdles(comp.PerDisk)
+		} else {
+			m.ReserveIdles(tr.PerDiskRequests())
+		}
 	}
 	m.AttachFaults(cfg.Faults)
 	if cfg.Obs != nil {
@@ -288,13 +318,13 @@ func (e *runExec) step(i int) error {
 		// Trace-embedded ops are the compiler's hints; they carry its
 		// idle prediction into the decision event.
 		e.m.setTrigger(events.TrigHint, op.PredictedIdleMS)
-		switch op.Kind {
+		switch d := int(op.Disk); op.Kind {
 		case trace.OpSpinDown:
-			e.m.SpinDownAt(op.Disk, e.clock)
+			e.m.SpinDownAt(d, e.clock)
 		case trace.OpSpinUp:
-			e.m.SpinUpAt(op.Disk, e.clock)
+			e.m.SpinUpAt(d, e.clock)
 		case trace.OpSetRPM:
-			e.m.SetRPMAt(op.Disk, e.clock, op.RPM)
+			e.m.SetRPMAt(d, e.clock, int(op.RPM))
 		}
 		e.m.restoreTrigger()
 		e.powerOps++
@@ -314,7 +344,7 @@ func (e *runExec) step(i int) error {
 // time measured from `from` — the issue time in the closed loop, the
 // nominal arrival in open-loop replay. It returns the completion time.
 func (e *runExec) request(req *trace.Request, issue, from float64) (float64, error) {
-	d, pol := req.Disk, e.cfg.Policy
+	d, pol := int(req.Disk), e.cfg.Policy
 	if pol != nil {
 		pol.BeforeService(e.m, d, issue)
 	}
@@ -391,29 +421,13 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 			batching = false
 		}
 	}
-	// A compiled form carries a Validated flag from compile time;
-	// trusting it saves a full trace walk per run (the engine runs many
-	// schemes over one memoized trace). A form compiled from another
-	// trace is ignored. A trace that failed validation when compiled is
-	// validated again in newRun, which returns the error.
-	comp := cfg.Compiled
-	if comp != nil && !comp.For(tr) {
-		comp = nil
-	}
+	comp := cfg.compiledFor(tr)
 	if batching && comp == nil {
 		comp = trace.Compile(tr)
 	}
-	e, err := newRun(tr, &cfg, false, comp != nil && comp.Validated)
+	e, err := newRun(tr, &cfg, false, comp)
 	if err != nil {
 		return nil, err
-	}
-	// Size the per-disk idle-period lists exactly (one idle period per
-	// request plus the trailing one) so the event loop never grows
-	// them.
-	if comp != nil {
-		e.m.ReserveIdles(comp.PerDisk)
-	} else {
-		e.m.ReserveIdles(tr.PerDiskRequests())
 	}
 	return e.finish(e.walk(comp, batching, hz))
 }

@@ -9,11 +9,11 @@ import (
 )
 
 func req(gap float64, d int, bytes int64) trace.Event {
-	return trace.Event{Kind: trace.EvRequest, GapMS: gap, Req: trace.Request{Disk: d, Bytes: bytes, Kind: trace.Read}}
+	return trace.Event{Kind: trace.EvRequest, GapMS: gap, Req: trace.Request{Disk: int32(d), Bytes: bytes, Kind: trace.Read}}
 }
 
 func op(gap float64, d int, k trace.OpKind, rpm int) trace.Event {
-	return trace.Event{Kind: trace.EvPowerOp, GapMS: gap, Op: trace.PowerOp{Disk: d, Kind: k, RPM: rpm}}
+	return trace.Event{Kind: trace.EvPowerOp, GapMS: gap, Op: trace.PowerOp{Disk: int32(d), Kind: k, RPM: int32(rpm)}}
 }
 
 func mkTrace(nd int, evs ...trace.Event) *trace.Trace {
@@ -241,7 +241,7 @@ func (*testOraclePolicy) Finish(*Machine, float64)                     {}
 func TestIdlePeriodsRecorded(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := mkTrace(2, req(10, 0, 65536), req(5, 1, 65536), req(5, 0, 65536))
-	res, err := Run(tr, Config{Disk: p})
+	res, err := Run(tr, Config{Disk: p, RecordIdles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +340,30 @@ func TestSetRPMOnStandbyIsNoOp(t *testing.T) {
 	}
 	if res.Disks[0].RPMShifts != 0 {
 		t.Error("set_rpm on standby disk shifted")
+	}
+}
+
+// TestIdlesRecordedOnRequest: a run records idle periods only under
+// RecordIdles or Audit, in both loops.
+func TestIdlesRecordedOnRequest(t *testing.T) {
+	p := disk.DefaultParams()
+	tr := mkTrace(2, req(10, 0, 65536), req(5, 1, 65536), req(5, 0, 65536))
+	for _, open := range []bool{false, true} {
+		for _, cfg := range []Config{{}, {RecordIdles: true}, {Audit: true}} {
+			cfg.Disk = p
+			cfg.Policy = &testOraclePolicy{p: p}
+			run := Run
+			if open {
+				run = RunOpenLoop
+			}
+			res, err := run(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := cfg.RecordIdles || cfg.Audit; (res.Idles != nil) != want {
+				t.Errorf("open=%t RecordIdles=%t Audit=%t: Idles = %v", open, cfg.RecordIdles, cfg.Audit, res.Idles)
+			}
+		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 // FuzzDecode exercises the trace decoder with arbitrary inputs: it
 // must never panic, anything it accepts must survive an
-// encode-and-redecode round trip at the record level, and Compile
-// must take it without panicking, vouching for it exactly when it
-// validates.
+// encode-and-redecode round trip at the record level, with every
+// request's file name intact, and Compile must take it without
+// panicking, vouching for it exactly when it validates.
 func FuzzDecode(f *testing.F) {
 	var seed bytes.Buffer
 	_ = sampleTrace().Encode(&seed)
@@ -23,6 +23,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add("H p 1\nR nan 0 0 64 r 0 - 0 0 0")
 	f.Add("H p -1\nR 0 0 0 64 r 0 - 0 0 0")
 	f.Add("H 0 030000000000000")
+	// Out of int32 range: a decode error, never a wrapped value.
+	f.Add("H p 1\nR 0 4294967296 0 64 r 0 - 0 0 0")
+	f.Add("H p 1\nR 0 0 0 64 r 0 - 0 4294967296 0")
+	f.Add("H p 1\nP 0 set_rpm 4294967296 0 0")
 	f.Fuzz(func(t *testing.T, src string) {
 		tr, err := Decode(strings.NewReader(src))
 		if err != nil {
@@ -47,6 +51,9 @@ func FuzzDecode(f *testing.F) {
 		for i := range tr.Events {
 			if tr.Events[i].Kind != tr2.Events[i].Kind {
 				t.Fatalf("event %d kind changed", i)
+			}
+			if a, b := tr.FileName(tr.Events[i].Req.File), tr2.FileName(tr2.Events[i].Req.File); a != b {
+				t.Fatalf("event %d file changed: %q -> %q", i, a, b)
 			}
 		}
 	})

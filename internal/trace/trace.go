@@ -6,11 +6,11 @@
 // request carries the four attributes of the paper's simulator input
 // (arrival time, start block, size, type) plus the closed-loop
 // compute gap that separates it from the previous event, and
-// provenance (file, stripe unit, nest, iteration) used by the oracle
-// policies and the misprediction analysis. Power-management events
-// are the explicit spin_down / spin_up / set_RPM calls inserted by
-// the compiler; they occupy positions in program order exactly where
-// the compiler placed them in the code.
+// provenance (file, stripe unit, nest, iteration), which only the
+// text codec reads. Power-management events are the explicit
+// spin_down / spin_up / set_RPM calls inserted by the compiler; they
+// occupy positions in program order exactly where the compiler placed
+// them in the code.
 package trace
 
 import (
@@ -45,25 +45,30 @@ func (k ReqKind) String() string {
 
 // Request is one disk I/O request. Requests are issued at
 // stripe-unit granularity, so each touches exactly one disk.
+//
+// Requests and power ops hold no pointer, so the garbage collector
+// never scans a trace's events; the fields run from widest to
+// narrowest so no padding is wasted.
 type Request struct {
 	// ArrivalMS is the nominal arrival time in the unperturbed
 	// (full-speed, no-power-management) schedule; the paper's trace
 	// format field. The simulator recomputes actual issue times from
 	// the closed-loop gaps.
 	ArrivalMS float64
-	// Disk, Block, Bytes, Kind describe the physical access.
-	Disk  int
+	// Block and Bytes, with Disk and Kind, describe the physical
+	// access.
 	Block int64
 	Bytes int64
-	Kind  ReqKind
-	// File and Unit identify the stripe unit for cache/oracle
-	// bookkeeping.
-	File string
+	// Unit and File identify the stripe unit; File indexes the
+	// trace's file-name table (see Trace.Files).
 	Unit int64
-	// Nest and Iter locate the request in the program's iteration
+	// Iter and Nest locate the request in the program's iteration
 	// space (linearized iteration within the nest).
-	Nest int
 	Iter int64
+	Disk int32
+	Nest int32
+	File int32
+	Kind ReqKind
 }
 
 // OpKind is the power-management call type.
@@ -91,14 +96,14 @@ func (k OpKind) String() string {
 // PowerOp is an explicit power-management call inserted by the
 // compiler.
 type PowerOp struct {
-	Disk int
-	Kind OpKind
-	// RPM is the target speed for OpSetRPM.
-	RPM int
 	// PredictedIdleMS is the compiler's estimate of the idle period
 	// this call begins (for spin_down/set_rpm to a lower level);
 	// recorded for the Table 3 misprediction analysis.
 	PredictedIdleMS float64
+	Disk            int32
+	// RPM is the target speed for OpSetRPM.
+	RPM  int32
+	Kind OpKind
 }
 
 // EventKind discriminates trace events.
@@ -126,8 +131,20 @@ type Trace struct {
 	Program string
 	// NumDisks is the size of the disk subsystem the trace targets.
 	NumDisks int
+	// Files is the file-name table the requests' File fields index:
+	// File f names Files[f-1], and File 0 names no file.
+	Files []string
 	// Events is the program-order event stream.
 	Events []Event
+}
+
+// FileName returns the name of file index f: "" for 0, else
+// Files[f-1]. Validate reports an index outside the table.
+func (t *Trace) FileName(f int32) string {
+	if f == 0 {
+		return ""
+	}
+	return t.Files[f-1]
 }
 
 // NumRequests returns the number of I/O requests in the trace.
@@ -180,19 +197,38 @@ func (t *Trace) PerDiskRequests() []int {
 // anchors are meaningless across programs), and the compute gaps are
 // recomputed as arrival deltas, so the merged trace is intended for
 // open-loop replay — the server scenario the paper's single-program
-// evaluation sets aside.
+// evaluation sets aside. The merged file-name table holds each
+// distinct input file name once.
 func MergeOpen(numDisks int, traces ...*Trace) (*Trace, error) {
 	out := &Trace{NumDisks: numDisks}
 	var names []string
+	fileIdx := make(map[string]int32)
 	for _, t := range traces {
 		if t.NumDisks > numDisks {
 			return nil, fmt.Errorf("trace: input uses %d disks, merged subsystem has %d", t.NumDisks, numDisks)
 		}
 		names = append(names, t.Program)
-		for i := range t.Events {
-			if t.Events[i].Kind == EvRequest {
-				out.Events = append(out.Events, t.Events[i])
+		// remap[f] is the merged index of the input's file index f.
+		remap := make([]int32, len(t.Files)+1)
+		for i, name := range t.Files {
+			k, ok := fileIdx[name]
+			if !ok {
+				out.Files = append(out.Files, name)
+				k = int32(len(out.Files))
+				fileIdx[name] = k
 			}
+			remap[i+1] = k
+		}
+		for i := range t.Events {
+			if t.Events[i].Kind != EvRequest {
+				continue
+			}
+			ev := t.Events[i]
+			if ev.Req.File < 0 || int(ev.Req.File) >= len(remap) {
+				return nil, fmt.Errorf("trace: input %q event %d file %d out of range", t.Program, i, ev.Req.File)
+			}
+			ev.Req.File = remap[ev.Req.File]
+			out.Events = append(out.Events, ev)
 		}
 	}
 	out.Program = strings.Join(names, "+")
@@ -214,8 +250,8 @@ func MergeOpen(numDisks int, traces ...*Trace) (*Trace, error) {
 const maxDisks = 1 << 16
 
 // Validate checks trace invariants: a disk count in [1, maxDisks],
-// disks in range, positive request sizes, non-negative gaps, and
-// non-decreasing nominal arrivals.
+// disks and file indexes in range, positive request sizes,
+// non-negative gaps, and non-decreasing nominal arrivals.
 func (t *Trace) Validate() error {
 	if t.NumDisks <= 0 {
 		return fmt.Errorf("trace: non-positive disk count %d", t.NumDisks)
@@ -237,8 +273,11 @@ func (t *Trace) Validate() error {
 			if !isFinite(r.ArrivalMS) {
 				return fmt.Errorf("trace: event %d has non-finite arrival %v", i, r.ArrivalMS)
 			}
-			if r.Disk < 0 || r.Disk >= t.NumDisks {
+			if r.Disk < 0 || int(r.Disk) >= t.NumDisks {
 				return fmt.Errorf("trace: event %d disk %d out of range", i, r.Disk)
+			}
+			if r.File < 0 || int(r.File) > len(t.Files) {
+				return fmt.Errorf("trace: event %d file %d out of range", i, r.File)
 			}
 			if r.Bytes <= 0 {
 				return fmt.Errorf("trace: event %d has non-positive size", i)
@@ -252,7 +291,7 @@ func (t *Trace) Validate() error {
 			prevArrival = r.ArrivalMS
 		case EvPowerOp:
 			o := &ev.Op
-			if o.Disk < 0 || o.Disk >= t.NumDisks {
+			if o.Disk < 0 || int(o.Disk) >= t.NumDisks {
 				return fmt.Errorf("trace: event %d op disk %d out of range", i, o.Disk)
 			}
 			if o.Kind == OpSetRPM && o.RPM <= 0 {
@@ -275,6 +314,9 @@ func (t *Trace) Validate() error {
 //	H <program> <numdisks>
 //	R <arrival_ms> <disk> <block> <bytes> <r|w> <gap_ms> <file> <unit> <nest> <iter>
 //	P <disk> <spin_down|spin_up|set_rpm> <rpm> <gap_ms> <predicted_idle_ms>
+//
+// A request's file is written by name, "-" for none; an index outside
+// the file-name table is an error.
 func (t *Trace) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# sdpm-trace v1")
@@ -284,8 +326,11 @@ func (t *Trace) Encode(w io.Writer) error {
 		switch ev.Kind {
 		case EvRequest:
 			r := &ev.Req
+			if r.File < 0 || int(r.File) > len(t.Files) {
+				return fmt.Errorf("trace: event %d file %d out of range", i, r.File)
+			}
 			fmt.Fprintf(bw, "R %.6f %d %d %d %s %.6f %s %d %d %d\n",
-				r.ArrivalMS, r.Disk, r.Block, r.Bytes, r.Kind, ev.GapMS, nonEmpty(r.File), r.Unit, r.Nest, r.Iter)
+				r.ArrivalMS, r.Disk, r.Block, r.Bytes, r.Kind, ev.GapMS, nonEmpty(t.FileName(r.File)), r.Unit, r.Nest, r.Iter)
 		case EvPowerOp:
 			o := &ev.Op
 			fmt.Fprintf(bw, "P %d %s %d %.6f %.6f\n", o.Disk, o.Kind, o.RPM, ev.GapMS, o.PredictedIdleMS)
@@ -308,11 +353,20 @@ func fromDash(s string) string {
 	return s
 }
 
-// Decode parses a trace in the textual interchange format.
+// parseInt32 parses a decimal field that the trace holds as an int32;
+// a value out of that range is an error, not a wrapped number.
+func parseInt32(s string) (int32, error) {
+	v, err := strconv.ParseInt(s, 10, 32)
+	return int32(v), err
+}
+
+// Decode parses a trace in the textual interchange format. The
+// file-name table lists the request files in order of first use.
 func Decode(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	t := &Trace{}
+	fileIdx := make(map[string]int32)
 	sawHeader := false
 	line := 0
 	for sc.Scan() {
@@ -347,7 +401,7 @@ func Decode(r io.Reader) (*Trace, error) {
 			if ev.Req.ArrivalMS, err = strconv.ParseFloat(fields[1], 64); err != nil {
 				return nil, fmt.Errorf("trace: line %d: arrival: %v", line, err)
 			}
-			if ev.Req.Disk, err = strconv.Atoi(fields[2]); err != nil {
+			if ev.Req.Disk, err = parseInt32(fields[2]); err != nil {
 				return nil, fmt.Errorf("trace: line %d: disk: %v", line, err)
 			}
 			if ev.Req.Block, err = strconv.ParseInt(fields[3], 10, 64); err != nil {
@@ -367,11 +421,19 @@ func Decode(r io.Reader) (*Trace, error) {
 			if ev.GapMS, err = strconv.ParseFloat(fields[6], 64); err != nil {
 				return nil, fmt.Errorf("trace: line %d: gap: %v", line, err)
 			}
-			ev.Req.File = fromDash(fields[7])
+			if name := fields[7]; name != "-" {
+				k, ok := fileIdx[name]
+				if !ok {
+					t.Files = append(t.Files, name)
+					k = int32(len(t.Files))
+					fileIdx[name] = k
+				}
+				ev.Req.File = k
+			}
 			if ev.Req.Unit, err = strconv.ParseInt(fields[8], 10, 64); err != nil {
 				return nil, fmt.Errorf("trace: line %d: unit: %v", line, err)
 			}
-			if ev.Req.Nest, err = strconv.Atoi(fields[9]); err != nil {
+			if ev.Req.Nest, err = parseInt32(fields[9]); err != nil {
 				return nil, fmt.Errorf("trace: line %d: nest: %v", line, err)
 			}
 			if ev.Req.Iter, err = strconv.ParseInt(fields[10], 10, 64); err != nil {
@@ -388,7 +450,7 @@ func Decode(r io.Reader) (*Trace, error) {
 			var ev Event
 			ev.Kind = EvPowerOp
 			var err error
-			if ev.Op.Disk, err = strconv.Atoi(fields[1]); err != nil {
+			if ev.Op.Disk, err = parseInt32(fields[1]); err != nil {
 				return nil, fmt.Errorf("trace: line %d: disk: %v", line, err)
 			}
 			switch fields[2] {
@@ -401,7 +463,7 @@ func Decode(r io.Reader) (*Trace, error) {
 			default:
 				return nil, fmt.Errorf("trace: line %d: bad op kind %q", line, fields[2])
 			}
-			if ev.Op.RPM, err = strconv.Atoi(fields[3]); err != nil {
+			if ev.Op.RPM, err = parseInt32(fields[3]); err != nil {
 				return nil, fmt.Errorf("trace: line %d: rpm: %v", line, err)
 			}
 			if ev.GapMS, err = strconv.ParseFloat(fields[4], 64); err != nil {

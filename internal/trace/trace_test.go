@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,13 +12,14 @@ func sampleTrace() *Trace {
 	return &Trace{
 		Program:  "demo",
 		NumDisks: 4,
+		Files:    []string{"u", "v"},
 		Events: []Event{
-			{Kind: EvRequest, GapMS: 3.44, Req: Request{ArrivalMS: 0, Disk: 0, Block: 0, Bytes: 65536, Kind: Read, File: "u", Unit: 0, Nest: 0, Iter: 0}},
+			{Kind: EvRequest, GapMS: 3.44, Req: Request{ArrivalMS: 0, Disk: 0, Block: 0, Bytes: 65536, Kind: Read, File: 1, Unit: 0, Nest: 0, Iter: 0}},
 			{Kind: EvPowerOp, GapMS: 1.0, Op: PowerOp{Disk: 2, Kind: OpSetRPM, RPM: 4200, PredictedIdleMS: 73.5}},
-			{Kind: EvRequest, GapMS: 2.44, Req: Request{ArrivalMS: 10, Disk: 1, Block: 128, Bytes: 65536, Kind: Write, File: "u", Unit: 1, Nest: 0, Iter: 8192}},
+			{Kind: EvRequest, GapMS: 2.44, Req: Request{ArrivalMS: 10, Disk: 1, Block: 128, Bytes: 65536, Kind: Write, File: 1, Unit: 1, Nest: 0, Iter: 8192}},
 			{Kind: EvPowerOp, GapMS: 0, Op: PowerOp{Disk: 2, Kind: OpSpinUp}},
 			{Kind: EvPowerOp, GapMS: 0, Op: PowerOp{Disk: 3, Kind: OpSpinDown, PredictedIdleMS: 20000}},
-			{Kind: EvRequest, GapMS: 3.44, Req: Request{ArrivalMS: 20, Disk: 2, Block: 0, Bytes: 4096, Kind: Read, File: "v", Unit: 0, Nest: 1, Iter: 5}},
+			{Kind: EvRequest, GapMS: 3.44, Req: Request{ArrivalMS: 20, Disk: 2, Block: 0, Bytes: 4096, Kind: Read, File: 2, Unit: 0, Nest: 1, Iter: 5}},
 		},
 	}
 }
@@ -51,6 +53,8 @@ func TestValidateCatches(t *testing.T) {
 		func(tr *Trace) { tr.NumDisks = maxDisks + 1 },
 		func(tr *Trace) { tr.Events[0].GapMS = -1 },
 		func(tr *Trace) { tr.Events[0].Req.Disk = 9 },
+		func(tr *Trace) { tr.Events[0].Req.File = 3 }, // the table holds 2 names
+		func(tr *Trace) { tr.Events[0].Req.File = -1 },
 		func(tr *Trace) { tr.Events[0].Req.Bytes = 0 },
 		func(tr *Trace) { tr.Events[0].Req.Block = -1 },
 		func(tr *Trace) { tr.Events[2].Req.ArrivalMS = -5 }, // before event 0's arrival 0
@@ -102,7 +106,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if a.Kind == EvRequest {
 			if a.Req.Disk != b.Req.Disk || a.Req.Block != b.Req.Block ||
 				a.Req.Bytes != b.Req.Bytes || a.Req.Kind != b.Req.Kind ||
-				a.Req.File != b.Req.File || a.Req.Unit != b.Req.Unit ||
+				tr.FileName(a.Req.File) != got.FileName(b.Req.File) || a.Req.Unit != b.Req.Unit ||
 				a.Req.Nest != b.Req.Nest || a.Req.Iter != b.Req.Iter {
 				t.Fatalf("event %d request mismatch: %+v vs %+v", i, a.Req, b.Req)
 			}
@@ -127,6 +131,12 @@ func TestDecodeErrors(t *testing.T) {
 		"H demo 4\nP 0 spin_up",            // short op
 		"H demo 4\nQ 1 2 3",                // unknown record
 		"H demo 4\nP 0 spin_up x 0 0",      // bad rpm
+		// The int32 fields must not wrap: disk 4294967296 would
+		// otherwise decode as disk 0 and pass Validate.
+		"H demo 4\nR 0 4294967296 0 64 r 0 - 0 0 0",
+		"H demo 4\nR 0 0 0 64 r 0 - 0 2147483648 0", // nest
+		"H demo 4\nP 4294967296 spin_up 0 0 0",
+		"H demo 4\nP 0 set_rpm 4294967296 0 0",
 	}
 	for i, c := range cases {
 		if _, err := Decode(strings.NewReader(c)); err == nil {
@@ -145,8 +155,37 @@ func TestDecodeSkipsCommentsAndBlank(t *testing.T) {
 		t.Fatalf("NumRequests = %d", tr.NumRequests())
 	}
 	r := tr.Events[0].Req
-	if r.Disk != 1 || r.Block != 2 || r.Bytes != 512 || r.Kind != Write || r.File != "f" || r.Unit != 3 || r.Nest != 1 || r.Iter != 42 {
+	if r.Disk != 1 || r.Block != 2 || r.Bytes != 512 || r.Kind != Write || tr.FileName(r.File) != "f" || r.Unit != 3 || r.Nest != 1 || r.Iter != 42 {
 		t.Errorf("request = %+v", r)
+	}
+}
+
+// TestNoFile: file index 0 names no file, with or without a table; it
+// is valid and encodes as "-".
+func TestNoFile(t *testing.T) {
+	for _, files := range [][]string{nil, {"u"}} {
+		tr := &Trace{NumDisks: 1, Files: files, Events: []Event{{Kind: EvRequest, Req: Request{Bytes: 512}}}}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("files %q: %v", files, err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := "R 0.000000 0 0 512 r 0.000000 - 0 0 0\n"; !strings.HasSuffix(buf.String(), want) {
+			t.Errorf("files %q: encoded %q, want a last line %q", files, buf.String(), want)
+		}
+		got, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Events[0].Req.File != 0 || len(got.Files) != 0 {
+			t.Errorf("files %q: decoded file %d, table %q", files, got.Events[0].Req.File, got.Files)
+		}
+	}
+	bad := &Trace{NumDisks: 1, Events: []Event{{Kind: EvRequest, Req: Request{Bytes: 512, File: 1}}}}
+	if err := bad.Encode(&bytes.Buffer{}); err == nil {
+		t.Error("encoded a file index outside the table")
 	}
 }
 
@@ -210,5 +249,39 @@ func TestMergeOpen(t *testing.T) {
 	// Disk overflow rejected.
 	if _, err := MergeOpen(2, a, b); err == nil {
 		t.Error("merged despite disk overflow")
+	}
+}
+
+// TestMergeOpenFiles: each request keeps its file name through the
+// merged table, which lists a name shared by two inputs once.
+func TestMergeOpenFiles(t *testing.T) {
+	a := &Trace{Program: "a", NumDisks: 1, Files: []string{"u", "v"}, Events: []Event{
+		{Kind: EvRequest, Req: Request{ArrivalMS: 1, Bytes: 512, File: 2}},
+		{Kind: EvRequest, Req: Request{ArrivalMS: 3, Bytes: 512, File: 1}},
+	}}
+	b := &Trace{Program: "b", NumDisks: 1, Files: []string{"w", "u"}, Events: []Event{
+		{Kind: EvRequest, Req: Request{ArrivalMS: 2, Bytes: 512, File: 1}},
+		{Kind: EvRequest, Req: Request{ArrivalMS: 4, Bytes: 512, File: 2}},
+		{Kind: EvRequest, Req: Request{ArrivalMS: 5, Bytes: 512}},
+	}}
+	m, err := MergeOpen(1, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"u", "v", "w"}; !slices.Equal(m.Files, want) {
+		t.Errorf("merged table %q, want %q", m.Files, want)
+	}
+	want := []string{"v", "w", "u", "u", ""}
+	for i, e := range m.Events {
+		if got := m.FileName(e.Req.File); got != want[i] {
+			t.Errorf("event %d: file %q, want %q", i, got, want[i])
+		}
+	}
+	b.Events[0].Req.File = 3
+	if _, err := MergeOpen(1, a, b); err == nil {
+		t.Error("merged a file index outside its input's table")
 	}
 }

@@ -14,6 +14,7 @@ package tracegen
 
 import (
 	"fmt"
+	"sync"
 
 	"sdpm/internal/access"
 	"sdpm/internal/cache"
@@ -28,41 +29,55 @@ import (
 const DefaultCacheUnits = 64
 
 // Site is one I/O request site: a buffer cache miss, located in the
-// program's iteration space and on the disk subsystem.
+// program's iteration space and on the disk subsystem. Like
+// trace.Request it holds no pointer, with its fields ordered from
+// widest to narrowest, so a site slice is compact and the garbage
+// collector never scans it.
 type Site struct {
-	// Nest and Iter locate the request in iteration space.
-	Nest int
+	// Iter and Nest locate the request in iteration space.
 	Iter int64
-	// File, Unit, Disk, Block, Bytes, Kind describe the access.
-	File  string
+	// Unit, Block, Bytes, File, Disk and Kind describe the access.
+	// File indexes the file-name table that came with the sites as
+	// trace.Request.File indexes trace.Trace.Files: File f names
+	// files[f-1], and 0 names no file.
 	Unit  int64
-	Disk  int
 	Block int64
 	Bytes int64
-	Kind  trace.ReqKind
 	// CyclePos is the cumulative compute-cycle position of the
 	// issuing iteration from program start.
 	CyclePos int64
+	Nest     int32
+	File     int32
+	Disk     int32
+	Kind     trace.ReqKind
 }
 
 // Sites runs the access-pattern walker through the buffer cache model
-// and returns the program's request sites in program order.
-// cacheUnits <= 0 selects DefaultCacheUnits; use SitesNoCache for a
-// cacheless run.
-func Sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error) {
+// and returns the program's request sites in program order, with the
+// file-name table their File fields index (the files in order of
+// first request). cacheUnits <= 0 selects DefaultCacheUnits; use
+// SitesNoCache for a cacheless run.
+func Sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, []string, error) {
 	if cacheUnits <= 0 {
 		cacheUnits = DefaultCacheUnits
 	}
 	return sites(p, sub, cacheUnits)
 }
 
-// SitesNoCache returns the request sites with the buffer cache
-// disabled: every stripe-unit touch becomes a request.
-func SitesNoCache(p *ir.Program, sub *layout.Subsystem) ([]Site, error) {
+// SitesNoCache returns the request sites and their file-name table
+// with the buffer cache disabled: every stripe-unit touch becomes a
+// request.
+func SitesNoCache(p *ir.Program, sub *layout.Subsystem) ([]Site, []string, error) {
 	return sites(p, sub, 0)
 }
 
-func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error) {
+// siteBufs recycles the walk's site buffers. A walk appends into one
+// and copies the result out at its final length, so the slice a
+// caller keeps is allocated once; the buffer's growth is paid once
+// per pooled buffer instead of once per walk.
+var siteBufs = sync.Pool{New: func() any { return new([]Site) }}
+
+func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, []string, error) {
 	// Cumulative cycle base of each nest.
 	base := make([]int64, len(p.Nests))
 	var cum int64
@@ -71,7 +86,12 @@ func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error)
 		cum += n.TotalCost()
 	}
 	bc := cache.New(cacheUnits)
-	var out []Site
+	var files []string
+	// fileOf[a] is the file index of the walk's array a, 0 until the
+	// array's first request.
+	var fileOf []int32
+	buf := siteBufs.Get().(*[]Site)
+	out := (*buf)[:0]
 	err := access.Walk(p, sub, func(t access.Touch) error {
 		if bc.Touch(cache.Key{Array: t.Array, Unit: t.Unit}) {
 			return nil
@@ -84,19 +104,32 @@ func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error)
 		if t.Kind == ir.Write {
 			kind = trace.Write
 		}
+		for t.Array >= len(fileOf) {
+			fileOf = append(fileOf, 0)
+		}
+		if fileOf[t.Array] == 0 {
+			files = append(files, t.File)
+			fileOf[t.Array] = int32(len(files))
+		}
 		out = append(out, Site{
-			Nest: t.Nest, Iter: t.Iter,
-			File: t.File, Unit: t.Unit,
-			Disk: ext.Disk, Block: ext.Block, Bytes: ext.Bytes,
+			Nest: int32(t.Nest), Iter: t.Iter,
+			File: fileOf[t.Array], Unit: t.Unit,
+			Disk: int32(ext.Disk), Block: ext.Block, Bytes: ext.Bytes,
 			Kind:     kind,
 			CyclePos: base[t.Nest] + t.Iter*p.Nests[t.Nest].IterCost(),
 		})
 		return nil
 	})
+	// Copy the sites out before the buffer goes back to the pool,
+	// where another walk may take it.
+	ss := make([]Site, len(out))
+	copy(ss, out)
+	*buf = out[:0]
+	siteBufs.Put(buf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return ss, files, nil
 }
 
 // Options configures trace generation.
@@ -109,6 +142,9 @@ type Options struct {
 	// paper's trace format. If nil, arrivals reflect compute gaps
 	// only.
 	NominalServiceMS func(bytes int64) float64
+	// Files is the file-name table the sites' File fields index (as
+	// Sites returns it); it becomes the trace's Files.
+	Files []string
 }
 
 func (o *Options) model() *cycles.Model {
@@ -122,7 +158,7 @@ func (o *Options) model() *cycles.Model {
 // sites, with actual (jittered) closed-loop compute gaps.
 func FromSites(program string, numDisks int, ss []Site, opts Options) *trace.Trace {
 	m := opts.model()
-	tr := &trace.Trace{Program: program, NumDisks: numDisks}
+	tr := &trace.Trace{Program: program, NumDisks: numDisks, Files: opts.Files}
 	tr.Events = make([]trace.Event, 0, len(ss))
 	var prevCycles int64
 	var arrival float64
@@ -132,7 +168,7 @@ func FromSites(program string, numDisks int, ss []Site, opts Options) *trace.Tra
 			gapCycles = 0
 		}
 		prevCycles = s.CyclePos
-		gap := m.ActualMSIn(gapCycles, uint64(i), s.Nest)
+		gap := m.ActualMSIn(gapCycles, uint64(i), int(s.Nest))
 		arrival += gap
 		tr.Events = append(tr.Events, trace.Event{
 			Kind:  trace.EvRequest,
@@ -179,7 +215,7 @@ func PredictedIssueMS(ss []Site, m *cycles.Model, serviceMS func(bytes int64) fl
 func Check(ss []Site, numDisks int) error {
 	var prev int64
 	for i, s := range ss {
-		if s.Disk < 0 || s.Disk >= numDisks {
+		if s.Disk < 0 || int(s.Disk) >= numDisks {
 			return fmt.Errorf("tracegen: site %d disk %d out of range", i, s.Disk)
 		}
 		if s.CyclePos < prev {

@@ -35,17 +35,18 @@ func sweepProgram(t *testing.T, elems int64, sweeps int, costPerIter int64) (*ir
 // cacheUnits-unit buffer cache.
 func generate(t *testing.T, p *ir.Program, sub *layout.Subsystem, cacheUnits int, opts Options) *trace.Trace {
 	t.Helper()
-	ss, err := Sites(p, sub, cacheUnits)
+	ss, files, err := Sites(p, sub, cacheUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts.Files = files
 	return FromSites(p.Name, sub.NumDisks(), ss, opts)
 }
 
 func TestSitesCountMatchesUnitsTimesSweeps(t *testing.T) {
 	// 2MB array = 32 units of 64KB; 3 sweeps -> 96 requests.
 	p, sub := sweepProgram(t, 256*1024, 3, 100)
-	ss, err := Sites(p, sub, 16)
+	ss, _, err := Sites(p, sub, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSitesCountMatchesUnitsTimesSweeps(t *testing.T) {
 	}
 	// Round-robin over 8 disks.
 	for i, s := range ss {
-		if s.Disk != i%8 {
+		if int(s.Disk) != i%8 {
 			t.Fatalf("site %d disk = %d", i, s.Disk)
 		}
 		if s.Bytes != 65536 {
@@ -77,7 +78,7 @@ func TestCacheSuppressesRepeats(t *testing.T) {
 	if err := access.PlaceArrays(p, sub, layout.Striping{StartDisk: 0, Factor: 4, UnitBytes: 16384}); err != nil {
 		t.Fatal(err)
 	}
-	ss, err := Sites(p, sub, 8)
+	ss, _, err := Sites(p, sub, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestCacheSuppressesRepeats(t *testing.T) {
 		t.Fatalf("sites = %d, want 4 (second sweep cached)", len(ss))
 	}
 	// No-cache mode: both sweeps fetch.
-	ss, err = SitesNoCache(p, sub)
+	ss, _, err = SitesNoCache(p, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestCacheSuppressesRepeats(t *testing.T) {
 
 func TestCyclePositions(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*4, 2, 100) // 4 units per sweep
-	ss, err := Sites(p, sub, 2)
+	ss, _, err := Sites(p, sub, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +240,16 @@ func TestWriteKindPropagates(t *testing.T) {
 	if err := access.PlaceArrays(p, sub, layout.Striping{StartDisk: 0, Factor: 2, UnitBytes: 16384}); err != nil {
 		t.Fatal(err)
 	}
-	ss, err := Sites(p, sub, 8)
+	ss, files, err := Sites(p, sub, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var reads, writes int
 	for _, s := range ss {
 		switch {
-		case s.File == "u" && s.Kind == trace.Read:
+		case files[s.File-1] == "u" && s.Kind == trace.Read:
 			reads++
-		case s.File == "v" && s.Kind == trace.Write:
+		case files[s.File-1] == "v" && s.Kind == trace.Write:
 			writes++
 		default:
 			t.Fatalf("unexpected site %+v", s)

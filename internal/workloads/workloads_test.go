@@ -22,15 +22,16 @@ func baseRun(t *testing.T, b *Benchmark) (*sim.Result, []tracegen.Site) {
 	if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes, nil); err != nil {
 		t.Fatal(err)
 	}
-	sites, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
+	sites, files, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tracegen.FromSites(b.Name, DefaultDisks, sites, tracegen.Options{
 		Model:            b.Model(),
 		NominalServiceMS: func(n int64) float64 { return p.ServiceTimeMS(p.MaxRPM, n) },
+		Files:            files,
 	})
-	res, err := sim.Run(tr, sim.Config{Disk: p})
+	res, err := sim.Run(tr, sim.Config{Disk: p, RecordIdles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func nestRequestCounts(t *testing.T, b *Benchmark) []float64 {
 	if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes, nil); err != nil {
 		t.Fatal(err)
 	}
-	sites, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
+	sites, _, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestRequestsSpreadAcrossDisks(t *testing.T) {
 		if err := access.PlaceArraysStaggered(b.Program, sub, DefaultDisks, UnitBytes, nil); err != nil {
 			t.Fatal(err)
 		}
-		sites, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
+		sites, _, err := tracegen.Sites(b.Program, sub, b.CacheUnits)
 		if err != nil {
 			t.Fatal(err)
 		}
