@@ -25,19 +25,20 @@ vet:
 
 # race runs the race detector where concurrency lives: the worker
 # pool (including cancellation), the memoizing instance cache, the
-# site walk's buffer pool shared by concurrent preparations, the
-# simulator, the fault-injection plan shared across workers, the
-# journal appended to by concurrent experiment cells, the
-# observability layer (collector snapshots and the event ring, both
-# written by concurrent simulation runs), the fault-injecting
-# filesystem (one op counter shared by concurrent handles), the
-# atomic-write helpers (concurrent writers to one destination), and
-# the serving layer (admission control, idempotency cache, and drain
-# racing a burst of concurrent requests), plus the network-fault tier
-# (the chaos proxy's connection pumps and the resilient client's
-# hedged attempts).
+# site walk's buffer free list shared by concurrent preparations, the
+# experiment grid (an original and its code versions prepared
+# concurrently through one cache), the simulator, the fault-injection
+# plan shared across workers, the journal appended to by concurrent
+# experiment cells, the observability layer (collector snapshots and
+# the event ring, both written by concurrent simulation runs), the
+# fault-injecting filesystem (one op counter shared by concurrent
+# handles), the atomic-write helpers (concurrent writers to one
+# destination), and the serving layer (admission control, idempotency
+# cache, and drain racing a burst of concurrent requests), plus the
+# network-fault tier (the chaos proxy's connection pumps and the
+# resilient client's hedged attempts).
 race:
-	$(GO) test -race ./internal/runner ./internal/core ./internal/tracegen ./internal/sim ./internal/faults ./internal/fsx ./internal/cli ./internal/journal ./internal/obs ./internal/obs/events ./internal/serve ./internal/netx ./internal/client
+	$(GO) test -race ./internal/runner ./internal/core ./internal/tracegen ./internal/experiments ./internal/sim ./internal/faults ./internal/fsx ./internal/cli ./internal/journal ./internal/obs ./internal/obs/events ./internal/serve ./internal/netx ./internal/client
 
 # fuzz-smoke gives each fuzz target a short budget — enough to shake
 # out parser and numeric regressions on every CI run without turning
@@ -97,11 +98,12 @@ bench-diff:
 # tree, runs 10 alternating pairs and compares the medians at
 # BENCH_TOLERANCE, so the host's speed cancels out (see
 # tools/bench-diff-rev.sh). BENCH_REV selects the compiler front half,
-# the experiments it dominates, the 42 scheme runs of a cached dpmd
-# round and the BENCH_SMOKE hot paths.
+# the experiments it dominates, the whole sweep bench's `sweep`
+# workload measures, the 42 scheme runs of a cached dpmd round and the
+# BENCH_SMOKE hot paths.
 #
 #	make bench-diff-rev REV=HEAD~1
-BENCH_REV ?= Figure3$$|Figure13$$|TraceGeneration$$|CompilerInstrumentation$$|Prepare$$|Instrument$$|RunAllSchemes$$|$(BENCH_SMOKE)
+BENCH_REV ?= Figure3$$|Figure13$$|SweepAll$$|TraceGeneration$$|CompilerInstrumentation$$|Prepare$$|Instrument$$|RunAllSchemes$$|$(BENCH_SMOKE)
 bench-diff-rev:
 	@test -n "$(REV)" || { echo "usage: make bench-diff-rev REV=<commit>" >&2; exit 2; }
 	GO=$(GO) tools/bench-diff-rev.sh '$(REV)' '$(BENCH_REV)' $(BENCH_TOLERANCE)

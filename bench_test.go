@@ -14,7 +14,11 @@ package sdpm
 // full regeneration paths.
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -180,6 +184,33 @@ func benchSuite(b *testing.B, workers int) {
 		if err := RunExperiments("fig3", io.Discard, Options{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSweepAll regenerates every experiment as bench/run.sh's
+// sweep workload does: RunExperiments("all") on a fresh suite at
+// GOMAXPROCS workers, after one untimed warm-up, with each
+// iteration's output checked against results/experiments.txt.
+func BenchmarkSweepAll(b *testing.B) {
+	want, err := os.ReadFile(filepath.Join("results", "experiments.txt"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The golden output is rendered with dpmexp's default fault seed.
+	opts := Options{Workers: runtime.GOMAXPROCS(0), FaultSeed: 1}
+	sweep := func() {
+		var buf bytes.Buffer
+		if err := RunExperiments("all", &buf, opts); err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			b.Fatalf("sweep output differs from results/experiments.txt (%d vs %d bytes)", buf.Len(), len(want))
+		}
+	}
+	sweep()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
 	}
 }
 

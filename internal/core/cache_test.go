@@ -8,6 +8,9 @@ import (
 
 	"sdpm/internal/cycles"
 	"sdpm/internal/faults"
+	"sdpm/internal/insert"
+	"sdpm/internal/obs"
+	"sdpm/internal/obs/events"
 	"sdpm/internal/sim"
 	"sdpm/internal/workloads"
 )
@@ -317,6 +320,162 @@ func TestCacheAuditFollowsRequest(t *testing.T) {
 		}
 		if c.Len() != 1 {
 			t.Errorf("audit on and off left %d cache entries, want 1", c.Len())
+		}
+	}
+}
+
+// TestCacheSharesUnchangedVersions: Prepare and PrepareVersion for
+// every version of swim and wupwise, called concurrently on one cache
+// with a collector and an event log. VOrig and every version that
+// leaves the program unchanged share the original's sites and
+// compiled forms; every trace an instance hands out carries the
+// instance's own name; every run equals an uncached preparation's;
+// and each public call counts once.
+func TestCacheSharesUnchangedVersions(t *testing.T) {
+	c := NewCache()
+	c.Obs, c.Events = obs.New(), events.NewLog(0)
+	schemes := []Scheme{Base, CMDRPM}
+	type call struct {
+		b       *workloads.Benchmark
+		v       Version // "" for a Prepare of the original
+		in      *Instance
+		applied bool
+		res     []*sim.Result
+	}
+	var calls []*call
+	for _, name := range []string{"swim", "wupwise"} {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The versions start first, so VOrig's lookup tends to
+		// prepare the original under its own name while Prepare
+		// calls copy the instance.
+		for rep := 0; rep < 2; rep++ {
+			for _, v := range ExtendedVersions() {
+				calls = append(calls, &call{b: b, v: v})
+			}
+			calls = append(calls, &call{b: b})
+		}
+	}
+	config := func(b *workloads.Benchmark) Config {
+		cfg := DefaultConfig()
+		cfg.Model = b.Model()
+		return cfg
+	}
+	var wg sync.WaitGroup
+	for _, cl := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if cl.v == "" {
+				cl.in, err = c.Prepare(cl.b.Name, cl.b.Program, config(cl.b), nil)
+			} else {
+				cl.in, cl.applied, err = c.PrepareVersion(cl.b.Name, cl.b.Program, cl.v, config(cl.b))
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, s := range schemes {
+				res, err := cl.in.Run(s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cl.res = append(cl.res, res)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// TL+DL's derivation also looks the original up, once per
+	// benchmark.
+	public := int64(len(calls) + 2)
+	hits, misses, waits := c.Obs.Value(obs.CacheHits), c.Obs.Value(obs.CacheMisses), c.Obs.Value(obs.CacheWaits)
+	if hits+misses+waits != public {
+		t.Errorf("hits %d + misses %d + waits %d != %d public calls", hits, misses, waits, public)
+	}
+
+	orig := make(map[string]*Instance)
+	for _, cl := range calls {
+		if cl.v == "" {
+			orig[cl.b.Name] = cl.in
+		}
+	}
+	checked := make(map[string]bool)
+	for _, cl := range calls {
+		name := cl.b.Name
+		if cl.v != "" {
+			name = versionName(name, cl.v)
+		}
+		in, o := cl.in, orig[cl.b.Name]
+		if in.Name != name {
+			t.Errorf("%s: instance named %q", name, in.Name)
+		}
+		if tr := in.BaseTrace(); tr.Program != name {
+			t.Errorf("%s: base trace names %q", name, tr.Program)
+		}
+		for _, mode := range []insert.Mode{insert.ModeTPM, insert.ModeDRPM} {
+			tr, _, err := in.Instrumented(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Program != name {
+				t.Errorf("%s: %v trace names %q", name, mode, tr.Program)
+			}
+		}
+		shared := cl.v == "" || cl.v == VOrig || !cl.applied
+		if got := &in.Sites[0] == &o.Sites[0]; got != shared {
+			t.Errorf("%s: shares the original's sites: %t, want %t", name, got, shared)
+		}
+		for _, s := range AllSchemes() {
+			tr, err := in.Trace(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Program != name {
+				t.Errorf("%s: %s trace names %q", name, s, tr.Program)
+			}
+			otr, err := o.Trace(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared && in.Compiled(tr) != o.Compiled(otr) {
+				t.Errorf("%s: %s compiled form not the original's", name, s)
+			}
+		}
+
+		if checked[name] {
+			continue
+		}
+		checked[name] = true
+		var cold *Instance
+		var err error
+		applied := cl.applied
+		if cl.v == "" {
+			cold, err = Prepare(cl.b.Name, cl.b.Program, config(cl.b), nil)
+		} else {
+			cold, applied, err = PrepareVersion(cl.b.Name, cl.b.Program, cl.v, config(cl.b))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied != cl.applied {
+			t.Errorf("%s: applied %t, uncached %t", name, cl.applied, applied)
+		}
+		for i, s := range schemes {
+			want, err := cold.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cl.res[i], want) {
+				t.Errorf("%s, %s: the cached run differs from an uncached one", name, s)
+			}
 		}
 	}
 }

@@ -289,7 +289,8 @@ type Instance struct {
 	Events *events.Log
 
 	// derived holds the lazy artifacts, which depend only on what
-	// Prepare reads: copies under other run-only settings share them.
+	// Prepare reads: copies under other names and run-only settings
+	// share them.
 	*derived
 }
 
@@ -297,7 +298,10 @@ type derived struct {
 	mu        sync.Mutex // guards the lazy caches below
 	baseTrace *trace.Trace
 	instr     map[insert.Mode]*instrumented
-	compiled  map[*trace.Trace]*trace.Compiled
+	// compiled is keyed on a trace's first event, the identity
+	// trace.Compiled.For checks, so traces that share one event slice
+	// under different names share one compiled form.
+	compiled map[*trace.Event]*trace.Compiled
 }
 
 type instrumented struct {
@@ -338,18 +342,30 @@ func Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout
 	}, nil
 }
 
-// withRun returns the instance under cfg, which has in.Cfg's
-// prepKey: the instance itself when cfg's run-only settings equal its
-// own, otherwise a copy that carries cfg and shares in's derived
+// withRun returns the instance under name and cfg, which has
+// in.Cfg's prepKey: the instance itself when both equal its own,
+// otherwise a copy that carries them and shares in's derived
 // artifacts.
-func (in *Instance) withRun(cfg Config) *Instance {
+func (in *Instance) withRun(name string, cfg Config) *Instance {
 	mine := in.Cfg
 	mine.Model = cfg.Model // equal in value, as prepKey resolves models
-	if mine == cfg {
+	if mine == cfg && in.Name == name {
 		return in
 	}
 	cp := *in
-	cp.Cfg = cfg
+	cp.Name, cp.Cfg = name, cfg
+	return &cp
+}
+
+// named returns tr under the instance's name: tr itself when it was
+// built under that name, else a header copy that shares its events
+// (the derived artifacts are built under whichever name asked first).
+func (in *Instance) named(tr *trace.Trace) *trace.Trace {
+	if tr.Program == in.Name {
+		return tr
+	}
+	cp := *tr
+	cp.Program = in.Name
 	return &cp
 }
 
@@ -367,7 +383,7 @@ func (in *Instance) BaseTrace() *trace.Trace {
 			Files:            in.Files,
 		})
 	}
-	return in.baseTrace
+	return in.named(in.baseTrace)
 }
 
 // Instrumented returns (and caches) the compiler-instrumented trace
@@ -377,7 +393,7 @@ func (in *Instance) Instrumented(mode insert.Mode) (*trace.Trace, *insert.Plan, 
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if got, ok := in.instr[mode]; ok {
-		return got.tr, got.plan, nil
+		return in.named(got.tr), got.plan, nil
 	}
 	tr, plan, err := insert.Instrument(in.Name, in.Cfg.NumDisks, in.Sites, insert.Options{
 		Mode: mode, Disk: in.Cfg.Disk, Model: in.Cfg.model(),
@@ -392,18 +408,23 @@ func (in *Instance) Instrumented(mode insert.Mode) (*trace.Trace, *insert.Plan, 
 }
 
 // Compiled returns (and caches) the run-length compiled form of a
-// trace owned by this instance (the base trace or an instrumented
-// one), so every scheme sharing a trace shares its compiled form.
+// trace this instance handed out (the base trace or an instrumented
+// one), so every scheme and name sharing a trace's events shares its
+// compiled form.
 func (in *Instance) Compiled(tr *trace.Trace) *trace.Compiled {
+	var first *trace.Event
+	if len(tr.Events) > 0 {
+		first = &tr.Events[0]
+	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.compiled == nil {
-		in.compiled = make(map[*trace.Trace]*trace.Compiled)
+		in.compiled = make(map[*trace.Event]*trace.Compiled)
 	}
-	c, ok := in.compiled[tr]
+	c, ok := in.compiled[first]
 	if !ok {
 		c = trace.Compile(tr)
-		in.compiled[tr] = c
+		in.compiled[first] = c
 	}
 	return c
 }
@@ -657,23 +678,27 @@ func DeriveVersion(p *ir.Program, v Version, cfg Config, orig func() (*Instance,
 }
 
 // PrepareVersion applies the version to the program and prepares the
-// result. The returned bool reports whether the transformation
-// actually applied.
+// result under the name "name/version". The returned bool reports
+// whether the transformation actually applied.
 func PrepareVersion(name string, p *ir.Program, v Version, cfg Config) (*Instance, bool, error) {
-	return prepareVersion(name, p, v, cfg, Prepare)
+	return prepareVersion(name, p, v, cfg, Prepare, Prepare)
 }
 
-// prepareVersion is PrepareVersion with the original program's
-// preparation, when DeriveVersion needs it, left to prepare.
+// versionName names the preparation of a code version.
+func versionName(name string, v Version) string { return name + "/" + string(v) }
+
+// prepareVersion is PrepareVersion with the preparations left to the
+// caller: orig prepares the original program, when DeriveVersion
+// needs it, and prepare the version's result.
 func prepareVersion(name string, p *ir.Program, v Version, cfg Config,
-	prepare func(string, *ir.Program, Config, map[string]layout.Striping) (*Instance, error)) (*Instance, bool, error) {
+	orig, prepare func(string, *ir.Program, Config, map[string]layout.Striping) (*Instance, error)) (*Instance, bool, error) {
 	tp, overrides, applied, err := DeriveVersion(p, v, cfg, func() (*Instance, error) {
-		return prepare(name, p, cfg, nil)
+		return orig(name, p, cfg, nil)
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	in, err := Prepare(name+"/"+string(v), tp, cfg, overrides)
+	in, err := prepare(versionName(name, v), tp, cfg, overrides)
 	if err != nil {
 		return nil, false, err
 	}

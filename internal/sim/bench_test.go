@@ -165,10 +165,11 @@ func BenchmarkSimHotPathObserved(b *testing.B) {
 func BenchmarkOpenLoopHotPath(b *testing.B) {
 	p := disk.DefaultParams()
 	tr := hotTrace(8, 10000, 2.0)
+	comp := trace.Compile(tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := sim.Config{Disk: p, Policy: policy.NewBase()}
+		cfg := sim.Config{Disk: p, Policy: policy.NewBase(), Compiled: comp}
 		if _, err := sim.RunOpenLoop(tr, cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -14,7 +14,7 @@ package tracegen
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 
 	"sdpm/internal/access"
 	"sdpm/internal/cache"
@@ -71,11 +71,15 @@ func SitesNoCache(p *ir.Program, sub *layout.Subsystem) ([]Site, []string, error
 	return sites(p, sub, 0)
 }
 
-// siteBufs recycles the walk's site buffers. A walk appends into one
-// and copies the result out at its final length, so the slice a
-// caller keeps is allocated once; the buffer's growth is paid once
-// per pooled buffer instead of once per walk.
-var siteBufs = sync.Pool{New: func() any { return new([]Site) }}
+// siteBufs holds idle site buffers, a leaky free list. A walk appends
+// into one and copies the result out at its final length, so the slice
+// a caller keeps is allocated once; a buffer's growth is paid once,
+// not once per walk. Unlike a sync.Pool, the list keeps its buffers
+// across garbage collections, so the heap it retains does not change
+// under a caller that measures it. It holds one idle buffer per
+// processor, as many as can walk at once; a walk finding it empty
+// starts a new buffer, and one finding it full drops its own.
+var siteBufs = make(chan []Site, runtime.GOMAXPROCS(0))
 
 func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, []string, error) {
 	// Cumulative cycle base of each nest.
@@ -90,8 +94,11 @@ func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, []stri
 	// fileOf[a] is the file index of the walk's array a, 0 until the
 	// array's first request.
 	var fileOf []int32
-	buf := siteBufs.Get().(*[]Site)
-	out := (*buf)[:0]
+	var out []Site
+	select {
+	case out = <-siteBufs:
+	default:
+	}
 	err := access.Walk(p, sub, func(t access.Touch) error {
 		if bc.Touch(cache.Key{Array: t.Array, Unit: t.Unit}) {
 			return nil
@@ -120,12 +127,14 @@ func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, []stri
 		})
 		return nil
 	})
-	// Copy the sites out before the buffer goes back to the pool,
+	// Copy the sites out before the buffer goes back to the list,
 	// where another walk may take it.
 	ss := make([]Site, len(out))
 	copy(ss, out)
-	*buf = out[:0]
-	siteBufs.Put(buf)
+	select {
+	case siteBufs <- out[:0]:
+	default:
+	}
 	if err != nil {
 		return nil, nil, err
 	}
