@@ -17,7 +17,7 @@
 //
 // Resilience knobs:
 //
-//	-seed N             jitter/idempotency/breaker-probe seed; fixed
+//	-seed N             backoff-jitter and idempotency-key seed; fixed
 //	                    seed + fixed fault schedule = identical runs
 //	-retries N          extra attempts per call (-1 = none, 0 = 4)
 //	-base-backoff D     first retry's jittered sleep cap (doubles)
@@ -61,7 +61,7 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("dpmctl", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "dpmd base URL")
-	seed := fs.Int64("seed", 1, "seed for backoff jitter, idempotency keys, and breaker probe jitter")
+	seed := fs.Int64("seed", 1, "seed for backoff jitter and idempotency keys")
 	retries := fs.Int("retries", 0, "extra attempts per call beyond the first (0 = 4, -1 = none)")
 	baseBackoff := fs.Duration("base-backoff", 0, "cap of the first retry's jittered sleep; doubles per retry (0 = 50ms)")
 	maxBackoff := fs.Duration("max-backoff", 0, "cap on backoff growth (0 = 2s)")

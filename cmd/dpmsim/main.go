@@ -183,7 +183,7 @@ func main() {
 	}
 
 	cfg := baseCfg
-	cfg.Policy, cfg.IgnorePowerOps, err = policyFor(*pol, p, tr.NumDisks)
+	cfg.Policy, cfg.IgnorePowerOps, err = policyFor(*pol, p)
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -327,13 +327,13 @@ func writeTraceFile(path string, res *sim.Result, log *events.Log) {
 // matched case-insensitively); the second result says whether the
 // trace's embedded power ops must be dropped (true for every reactive
 // policy, false for "embedded").
-func policyFor(name string, p disk.Params, numDisks int) (sim.Policy, bool, error) {
+func policyFor(name string, p disk.Params) (sim.Policy, bool, error) {
 	if strings.EqualFold(name, "embedded") {
 		// No policy: the trace's explicit power ops drive the disks.
 		return nil, false, nil
 	}
 	if s, ok := core.ParseScheme(name); ok {
-		if pol, ok := s.Policy(p, numDisks); ok {
+		if pol, ok := s.Policy(p); ok {
 			return pol, true, nil
 		}
 	}
@@ -363,7 +363,7 @@ func runAll(ctx context.Context, report io.Writer, tr *trace.Trace, baseCfg sim.
 		cfg := baseCfg
 		cfg.RecordTimeline = false
 		var err error
-		cfg.Policy, cfg.IgnorePowerOps, err = policyFor(allPolicies[i], baseCfg.Disk, tr.NumDisks)
+		cfg.Policy, cfg.IgnorePowerOps, err = policyFor(allPolicies[i], baseCfg.Disk)
 		if err != nil {
 			return err
 		}

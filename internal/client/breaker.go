@@ -3,8 +3,6 @@ package client
 import (
 	"fmt"
 	"sync"
-
-	"sdpm/internal/faults"
 )
 
 // BreakerConfig tunes the deterministic circuit breaker. The zero
@@ -17,20 +15,14 @@ type BreakerConfig struct {
 	// absorbs before going half-open and letting one probe attempt
 	// through (0 = 8). Counting rejections instead of wall-clock makes
 	// the schedule a pure function of the call sequence — the breaker
-	// opens and closes at exactly the same points run after run.
+	// opens and closes at exactly the same points run after run. A
+	// failed probe doubles the next budget, up to 16x ProbeAfter.
 	ProbeAfter int
-	// ProbeJitter widens each open period by a seeded extra rejection
-	// count in [0, ProbeJitter), drawn per open from the client's seed
-	// (0 = none). Deterministic for a fixed seed; spreads probes out
-	// across a fleet of clients with distinct seeds.
-	ProbeJitter int
-	// ProbeSuccesses is how many consecutive probe successes close a
-	// half-open breaker (0 = 1).
-	ProbeSuccesses int
-	// MaxProbeAfter caps the doubling of ProbeAfter across consecutive
-	// re-opens (0 = 16x the base ProbeAfter).
-	MaxProbeAfter int
 }
+
+// maxProbeDoublings caps the doubling of ProbeAfter across consecutive
+// re-opens: the budget never exceeds 16x the base.
+const maxProbeDoublings = 4
 
 func (c *BreakerConfig) complete() {
 	if c.FailureThreshold == 0 {
@@ -38,12 +30,6 @@ func (c *BreakerConfig) complete() {
 	}
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = 8
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 1
-	}
-	if c.MaxProbeAfter <= 0 {
-		c.MaxProbeAfter = 16 * c.ProbeAfter
 	}
 }
 
@@ -54,27 +40,21 @@ const (
 	breakerHalf   = "half-open"
 )
 
-const streamProbeJitter = 0x636c69656e740a01
-
 // breaker is a deterministic circuit breaker: closed until
 // FailureThreshold consecutive failures, then open (every call is
-// rejected instantly) for a seeded number of rejections, then
-// half-open (one probe at a time) until ProbeSuccesses consecutive
-// probe successes close it again; a failed probe re-opens with a
-// doubled (capped) rejection budget. All scheduling is counted in
-// calls, not wall time, so a fixed call sequence yields a fixed
-// transition sequence.
+// rejected instantly) for ProbeAfter rejections, then half-open (one
+// probe at a time) until a probe succeeds and closes it again; a
+// failed probe re-opens with a doubled (capped) rejection budget. All
+// scheduling is counted in calls, not wall time, so a fixed call
+// sequence yields a fixed transition sequence.
 type breaker struct {
 	mu  sync.Mutex
 	cfg BreakerConfig
-	// seed drives the per-open probe-schedule jitter.
-	seed int64
 
 	state       string
 	consecFails int
 	rejections  int
 	probeBudget int // rejections to absorb before the next probe
-	successRun  int
 	probing     bool
 	openStreak  int64 // consecutive opens since the last full close; drives doubling
 	opens       int64
@@ -86,29 +66,18 @@ type breaker struct {
 	transitions []string
 }
 
-func newBreaker(cfg BreakerConfig, seed int64) *breaker {
+func newBreaker(cfg BreakerConfig) *breaker {
 	cfg.complete()
-	return &breaker{cfg: cfg, seed: seed, state: breakerClosed}
+	return &breaker{cfg: cfg, state: breakerClosed}
 }
 
 // disabled reports whether the breaker never opens.
 func (b *breaker) disabled() bool { return b.cfg.FailureThreshold < 0 }
 
-// budget derives the rejection budget for the k-th open: the base
-// doubles per consecutive re-open (capped), plus a seeded jitter.
+// budget derives the rejection budget for the k-th consecutive open:
+// the base doubles per re-open, at most maxProbeDoublings times.
 func (b *breaker) budget(k int64) int {
-	base := b.cfg.ProbeAfter
-	for i := int64(1); i < k; i++ {
-		base *= 2
-		if base >= b.cfg.MaxProbeAfter {
-			base = b.cfg.MaxProbeAfter
-			break
-		}
-	}
-	if b.cfg.ProbeJitter > 0 {
-		base += int(faults.Uniform(b.seed, streamProbeJitter, uint64(k)) * float64(b.cfg.ProbeJitter))
-	}
-	return base
+	return b.cfg.ProbeAfter << min(k-1, maxProbeDoublings)
 }
 
 func (b *breaker) transition(state string) {
@@ -157,12 +126,9 @@ func (b *breaker) success() {
 	b.consecFails = 0
 	if b.state == breakerHalf {
 		b.probing = false
-		b.successRun++
-		if b.successRun >= b.cfg.ProbeSuccesses {
-			b.closes++
-			b.openStreak = 0 // a full recovery resets the budget doubling
-			b.transition(breakerClosed)
-		}
+		b.closes++
+		b.openStreak = 0 // a full recovery resets the budget doubling
+		b.transition(breakerClosed)
 	}
 }
 
@@ -199,7 +165,6 @@ func (b *breaker) failure() {
 	case breakerHalf:
 		// The probe failed: back to open with a doubled budget.
 		b.probing = false
-		b.successRun = 0
 		b.open()
 	}
 }
@@ -208,7 +173,6 @@ func (b *breaker) open() {
 	b.opens++
 	b.openStreak++
 	b.rejections = 0
-	b.successRun = 0
 	b.probeBudget = b.budget(b.openStreak)
 	b.transition(breakerOpen)
 }

@@ -23,7 +23,7 @@ func drive(b *breaker, seq string) []bool {
 }
 
 func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(BreakerConfig{FailureThreshold: -1}, 1)
+	b := newBreaker(BreakerConfig{FailureThreshold: -1})
 	for i := 0; i < 100; i++ {
 		if !b.allow() {
 			t.Fatalf("disabled breaker rejected call %d", i)
@@ -37,7 +37,7 @@ func TestBreakerDisabled(t *testing.T) {
 }
 
 func TestBreakerOpensAtExactDecision(t *testing.T) {
-	b := newBreaker(BreakerConfig{FailureThreshold: 3, ProbeAfter: 2}, 1)
+	b := newBreaker(BreakerConfig{FailureThreshold: 3, ProbeAfter: 2})
 	// Three allow+failure pairs: the third failure is decision 6.
 	allows := drive(b, "afafaf")
 	if !reflect.DeepEqual(allows, []bool{true, true, true}) {
@@ -53,7 +53,7 @@ func TestBreakerOpensAtExactDecision(t *testing.T) {
 }
 
 func TestBreakerRejectsThenProbesThenCloses(t *testing.T) {
-	b := newBreaker(BreakerConfig{FailureThreshold: 3, ProbeAfter: 2}, 1)
+	b := newBreaker(BreakerConfig{FailureThreshold: 3, ProbeAfter: 2})
 	drive(b, "afafaf") // open@6
 	// Two rejections absorb the budget: the second allow is the probe.
 	allows := drive(b, "aa")
@@ -72,7 +72,7 @@ func TestBreakerRejectsThenProbesThenCloses(t *testing.T) {
 }
 
 func TestBreakerFailedProbeDoublesBudget(t *testing.T) {
-	b := newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 2}, 1)
+	b := newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 2})
 	drive(b, "af")  // open, budget 2
 	drive(b, "aaf") // reject, probe, probe fails -> reopen, budget 4
 	allows := drive(b, "aaaaa")
@@ -96,44 +96,17 @@ func TestBreakerFailedProbeDoublesBudget(t *testing.T) {
 }
 
 func TestBreakerBudgetCap(t *testing.T) {
-	b := newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 2, MaxProbeAfter: 4}, 1)
-	if got := b.budget(1); got != 2 {
-		t.Fatalf("budget(1) = %d", got)
-	}
-	if got := b.budget(2); got != 4 {
-		t.Fatalf("budget(2) = %d", got)
-	}
-	for k := int64(3); k < 10; k++ {
-		if got := b.budget(k); got != 4 {
-			t.Fatalf("budget(%d) = %d, want capped at 4", k, got)
+	b := newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 2})
+	// The budget doubles per consecutive open, capped at 16x the base.
+	for i, want := range []int{2, 4, 8, 16, 32, 32, 32, 32, 32} {
+		if got := b.budget(int64(i + 1)); got != want {
+			t.Fatalf("budget(%d) = %d, want %d", i+1, got, want)
 		}
-	}
-}
-
-func TestBreakerProbeJitterDeterministic(t *testing.T) {
-	mk := func(seed int64) *breaker {
-		return newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 4, ProbeJitter: 8}, seed)
-	}
-	a, b := mk(42), mk(42)
-	for k := int64(1); k <= 6; k++ {
-		if a.budget(k) != b.budget(k) {
-			t.Fatalf("same seed, different budget at open %d: %d vs %d", k, a.budget(k), b.budget(k))
-		}
-	}
-	other := mk(43)
-	differ := false
-	for k := int64(1); k <= 6; k++ {
-		if a.budget(k) != other.budget(k) {
-			differ = true
-		}
-	}
-	if !differ {
-		t.Fatalf("different seeds produced identical jittered budgets across 6 opens")
 	}
 }
 
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	b := newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 1, ProbeSuccesses: 2}, 1)
+	b := newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 1})
 	drive(b, "af") // open
 	allows := drive(b, "a")
 	if !reflect.DeepEqual(allows, []bool{true}) {
@@ -143,16 +116,12 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	if b.allow() {
 		t.Fatalf("second concurrent probe allowed")
 	}
-	b.success() // probe 1 of 2: still half-open
 	if state, _, _, _, _ := b.snapshot(); state != breakerHalf {
-		t.Fatalf("state after first probe success = %s, want half-open", state)
+		t.Fatalf("state with the probe in flight = %s, want half-open", state)
 	}
-	if !b.allow() {
-		t.Fatalf("second probe rejected")
-	}
-	b.success()
+	b.success() // one probe success closes the breaker
 	if state, _, _, closes, _ := b.snapshot(); state != breakerClosed || closes != 1 {
-		t.Fatalf("state=%s closes=%d after two probe successes", state, closes)
+		t.Fatalf("state=%s closes=%d after the probe succeeded", state, closes)
 	}
 }
 
@@ -160,7 +129,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 // releases the probe slot without counting a success or failure, so
 // the breaker can probe again instead of wedging half-open.
 func TestBreakerAbortReleasesProbe(t *testing.T) {
-	b := newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 1}, 1)
+	b := newBreaker(BreakerConfig{FailureThreshold: 1, ProbeAfter: 1})
 	b.failure() // closed -> open
 	if !b.allow() {
 		t.Fatalf("probe rejected")

@@ -10,13 +10,14 @@
 // latency.
 //
 // Determinism is a design constraint, not an accident: backoff jitter
-// and breaker probe scheduling are splitmix64 draws keyed by the
-// client's seed and attempt sequence, the breaker schedule counts
-// calls rather than wall time, and hedges reuse the primary's
-// idempotency key. For a fixed seed and a fixed fault schedule (see
-// internal/netx) the full metrics snapshot — retries, breaker
-// transitions, hedges won and lost — is identical run after run,
-// which is exactly what tools/soaksmoke proves end to end.
+// and idempotency keys are splitmix64 draws keyed by the client's seed
+// and request or attempt sequence, the breaker schedule has no jitter
+// and counts calls rather than wall time, every attempt opens a fresh
+// connection (keep-alive is always off), and hedges reuse the
+// primary's idempotency key. For a fixed seed and a fixed fault
+// schedule (see internal/netx) the full metrics snapshot — retries,
+// breaker transitions, hedges won and lost — is identical run after
+// run, which is exactly what tools/soaksmoke proves end to end.
 //
 // cmd/dpmctl is the CLI over this package; docs/serving.md documents
 // the client contract.
@@ -50,9 +51,10 @@ const (
 type Config struct {
 	// BaseURL is the dpmd endpoint, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Seed drives the backoff jitter, idempotency-key generation, and
-	// breaker probe jitter. Clients with the same seed and request
-	// sequence behave identically; give fleet members distinct seeds.
+	// Seed drives the backoff jitter and idempotency-key generation;
+	// the breaker has no jitter. Clients with the same seed and
+	// request sequence behave identically; give fleet members
+	// distinct seeds.
 	Seed int64
 	// MaxRetries is how many extra attempts a logical request gets
 	// beyond its first (0 = 4; negative = none).
@@ -72,10 +74,6 @@ type Config struct {
 	// DisableDigestCheck turns off verification of the server's
 	// X-Sdpm-Digest response header.
 	DisableDigestCheck bool
-	// KeepAlive re-enables HTTP keep-alive. The default (off) opens a
-	// fresh connection per attempt, which keeps connection-indexed
-	// fault schedules (internal/netx) aligned with attempt order.
-	KeepAlive bool
 	// Breaker tunes the circuit breaker.
 	Breaker BreakerConfig
 	// Transport overrides the HTTP transport (tests).
@@ -117,12 +115,15 @@ func New(cfg Config) *Client {
 	cfg.complete()
 	tr := cfg.Transport
 	if tr == nil {
-		tr = &http.Transport{DisableKeepAlives: !cfg.KeepAlive}
+		// Keep-alive is off: a fresh connection per attempt keeps
+		// connection-indexed fault schedules (internal/netx) aligned
+		// with attempt order.
+		tr = &http.Transport{DisableKeepAlives: true}
 	}
 	return &Client{
 		cfg:   cfg,
 		http:  &http.Client{Transport: tr},
-		brk:   newBreaker(cfg.Breaker, cfg.Seed),
+		brk:   newBreaker(cfg.Breaker),
 		sleep: sleepCtx,
 	}
 }

@@ -49,17 +49,17 @@ const (
 // with power calls, which then drive the disks.
 type schemeRun struct {
 	scheme Scheme
-	policy func(p disk.Params, numDisks int) sim.Policy
+	policy func(p disk.Params) sim.Policy
 	mode   insert.Mode
 }
 
 // schemeTable lists every scheme in the paper's Figure 3 order.
 var schemeTable = []schemeRun{
-	{Base, func(disk.Params, int) sim.Policy { return policy.NewBase() }, 0},
-	{TPM, func(p disk.Params, _ int) sim.Policy { return policy.NewTPM(p, 0) }, 0},
-	{ITPM, func(p disk.Params, _ int) sim.Policy { return policy.NewITPM(p) }, 0},
-	{DRPM, func(p disk.Params, n int) sim.Policy { return policy.NewDRPM(p, n) }, 0},
-	{IDRPM, func(p disk.Params, _ int) sim.Policy { return policy.NewIDRPM(p) }, 0},
+	{Base, func(disk.Params) sim.Policy { return policy.NewBase() }, 0},
+	{TPM, func(p disk.Params) sim.Policy { return policy.NewTPM(p) }, 0},
+	{ITPM, func(p disk.Params) sim.Policy { return policy.NewITPM(p) }, 0},
+	{DRPM, func(p disk.Params) sim.Policy { return policy.NewDRPM(p) }, 0},
+	{IDRPM, func(p disk.Params) sim.Policy { return policy.NewIDRPM(p) }, 0},
 	{CMTPM, nil, insert.ModeTPM},
 	{CMDRPM, nil, insert.ModeDRPM},
 }
@@ -93,12 +93,11 @@ func (s Scheme) run() (schemeRun, bool) {
 	return schemeRun{}, false
 }
 
-// Policy builds the simulator policy of a reactive or oracle scheme
-// on numDisks disks; ok is false for a compiler-managed or unknown
-// scheme.
-func (s Scheme) Policy(p disk.Params, numDisks int) (sim.Policy, bool) {
+// Policy builds the simulator policy of a reactive or oracle scheme;
+// ok is false for a compiler-managed or unknown scheme.
+func (s Scheme) Policy(p disk.Params) (sim.Policy, bool) {
 	if r, ok := s.run(); ok && r.policy != nil {
-		return r.policy(p, numDisks), true
+		return r.policy(p), true
 	}
 	return nil, false
 }
@@ -147,7 +146,8 @@ type Config struct {
 	NumDisks int
 	// UnitBytes is the default stripe unit size.
 	UnitBytes int64
-	// CacheUnits is the buffer cache capacity in stripe units.
+	// CacheUnits is the buffer cache capacity in stripe units; it
+	// must be positive unless NoCache is set.
 	CacheUnits int
 	// Model is the cycle/jitter model (nil: exact 750 MHz).
 	Model *cycles.Model
@@ -232,6 +232,17 @@ func (c *Config) SetFaults(spec string, seed int64) error {
 	return nil
 }
 
+// CacheUnitsError reports a configuration whose buffer cache holds no
+// stripe unit while the cache is on: a capacity of 0 is the cacheless
+// walk, which only NoCache asks for.
+type CacheUnitsError struct {
+	CacheUnits int
+}
+
+func (e *CacheUnitsError) Error() string {
+	return fmt.Sprintf("core: buffer cache of %d units; set NoCache to run without a cache", e.CacheUnits)
+}
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if err := c.Disk.Validate(); err != nil {
@@ -242,6 +253,9 @@ func (c *Config) Validate() error {
 	}
 	if c.UnitBytes <= 0 || c.UnitBytes%layout.BlockSize != 0 {
 		return fmt.Errorf("core: bad stripe unit %d", c.UnitBytes)
+	}
+	if c.CacheUnits <= 0 && !c.NoCache {
+		return &CacheUnitsError{CacheUnits: c.CacheUnits}
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -326,13 +340,11 @@ func Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout
 	if err := access.PlaceArraysStaggered(p, sub, cfg.NumDisks, cfg.UnitBytes, overrides); err != nil {
 		return nil, err
 	}
-	var sites []tracegen.Site
-	var files []string
+	cacheUnits := cfg.CacheUnits
 	if cfg.NoCache {
-		sites, files, err = tracegen.SitesNoCache(p, sub)
-	} else {
-		sites, files, err = tracegen.Sites(p, sub, cfg.CacheUnits)
+		cacheUnits = 0
 	}
+	sites, files, err := tracegen.Sites(p, sub, cacheUnits)
 	if err != nil {
 		return nil, err
 	}
@@ -376,11 +388,8 @@ func (in *Instance) BaseTrace() *trace.Trace {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.baseTrace == nil {
-		p := in.Cfg.Disk
-		in.baseTrace = tracegen.FromSites(in.Name, in.Cfg.NumDisks, in.Sites, tracegen.Options{
-			Model:            in.Cfg.model(),
-			NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
-			Files:            in.Files,
+		in.baseTrace = insert.Base(in.Name, in.Cfg.NumDisks, in.Sites, insert.Options{
+			Disk: in.Cfg.Disk, Model: in.Cfg.model(), Files: in.Files,
 		})
 	}
 	return in.named(in.baseTrace)
@@ -491,7 +500,7 @@ func (in *Instance) simConfig(s Scheme) (*trace.Trace, sim.Config, error) {
 	}
 	// A compiler-managed scheme gets no policy: its trace's power
 	// calls drive the disks.
-	cfg.Policy, _ = s.Policy(in.Cfg.Disk, in.Cfg.NumDisks)
+	cfg.Policy, _ = s.Policy(in.Cfg.Disk)
 	return tr, cfg, nil
 }
 
@@ -583,12 +592,13 @@ func (in *Instance) NestRequests() []float64 {
 }
 
 // DAP builds the disk access pattern of the instance on the
-// compiler's predicted timeline.
-func (in *Instance) DAP(coalesceMS float64) *dap.DAP {
+// compiler's predicted timeline, with dap.Build's default coalescing
+// window.
+func (in *Instance) DAP() *dap.DAP {
 	p := in.Cfg.Disk
 	svc := func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) }
 	issue := tracegen.PredictedIssueMS(in.Sites, in.Cfg.model(), svc)
-	return dap.Build(in.Sites, issue, in.Cfg.NumDisks, svc, coalesceMS)
+	return dap.Build(in.Sites, issue, in.Cfg.NumDisks, svc, 0)
 }
 
 // ApplyVersion applies a Section 6 code/layout version to a program.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -212,7 +213,7 @@ func TestInstanceHelpers(t *testing.T) {
 	if int(tot) != len(in.Sites) {
 		t.Errorf("nest requests %v sum to %.0f, want %d", nr, tot, len(in.Sites))
 	}
-	d := in.DAP(0)
+	d := in.DAP()
 	if len(d.Disks) != in.Cfg.NumDisks {
 		t.Error("DAP disk count")
 	}
@@ -236,6 +237,20 @@ func TestConfigValidate(t *testing.T) {
 	cfg.Disk.RPMStep = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("bad disk accepted")
+	}
+	// A cache of no unit is the cacheless walk, which only NoCache
+	// asks for.
+	for _, units := range []int{0, -4} {
+		cfg = DefaultConfig()
+		cfg.CacheUnits = units
+		var cuErr *CacheUnitsError
+		if err := cfg.Validate(); !errors.As(err, &cuErr) || cuErr.CacheUnits != units {
+			t.Errorf("cache of %d units: err = %v, want a *CacheUnitsError", units, err)
+		}
+		cfg.NoCache = true
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("cacheless config with %d units rejected: %v", units, err)
+		}
 	}
 }
 

@@ -48,14 +48,12 @@ func (s *Suite) AblationPreactivation() (*stats.Table, error) {
 	}))
 }
 
-// AblationNoise sweeps the cycle-estimation bias on one benchmark and
-// reports the resulting misprediction rate and the CMDRPM energy and
-// time (normalized) — the mechanism behind Table 3.
-func (s *Suite) AblationNoise(benchName string, biasLevels []float64) (*stats.Table, error) {
-	if len(biasLevels) == 0 {
-		biasLevels = []float64{0, 10, 20, 40}
-	}
-	b, err := s.bench(benchName)
+// AblationNoise sweeps the cycle-estimation bias on mesa and reports
+// the resulting misprediction rate and the CMDRPM energy and time
+// (normalized) — the mechanism behind Table 3.
+func (s *Suite) AblationNoise() (*stats.Table, error) {
+	biasLevels := []float64{0, 10, 20, 40}
+	b, err := s.bench("mesa")
 	if err != nil {
 		return nil, err
 	}

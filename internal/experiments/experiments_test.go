@@ -116,7 +116,7 @@ func TestFigures56Shapes(t *testing.T) {
 		t.Skip()
 	}
 	s := NewSuite()
-	fig5, fig6, err := s.Figures56(nil)
+	fig5, fig6, err := s.Figures56()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFigures78Shapes(t *testing.T) {
 		t.Skip()
 	}
 	s := NewSuite()
-	fig7, fig8, err := s.Figures78(nil)
+	fig7, fig8, err := s.Figures78()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("no-preactivation not slower: %.3f vs %.3f", offT, onT)
 	}
 
-	noise, err := s.AblationNoise("mesa", nil)
+	noise, err := s.AblationNoise()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,14 +319,17 @@ func TestAblations(t *testing.T) {
 func TestUnknownSensitivityBenchmark(t *testing.T) {
 	s := NewSuite()
 	s.Benchmarks = s.Benchmarks[:1] // wupwise only: no swim
-	if _, _, err := s.Figures56(nil); err == nil {
+	if _, _, err := s.Figures56(); err == nil {
 		t.Error("missing swim accepted")
 	}
-	if _, _, err := s.Figures78(nil); err == nil {
+	if _, _, err := s.Figures78(); err == nil {
 		t.Error("missing swim accepted")
 	}
-	if _, err := s.AblationNoise("nope", nil); err == nil {
-		t.Error("unknown ablation benchmark accepted")
+	if _, err := s.AblationNoise(); err == nil {
+		t.Error("missing mesa accepted")
+	}
+	if _, _, err := s.FaultImpact(); err == nil {
+		t.Error("missing swim accepted")
 	}
 }
 

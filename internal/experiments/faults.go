@@ -7,7 +7,7 @@ import (
 	"sdpm/internal/workloads"
 )
 
-// FaultImpact runs every scheme on one benchmark at the named fault
+// FaultImpact runs every scheme on swim at the named fault
 // severities (off/light/moderate/heavy) and returns the energy and
 // execution-time tables, both normalized to the fault-free Base run —
 // so a cell reads directly as "this scheme under these faults, versus
@@ -18,10 +18,11 @@ import (
 // seeks, and degradation windows invalidate the idle-window estimates
 // behind the paper's fault-free savings.
 //
-// The fault schedule is derived from (seed, nDisks, severity) only,
-// so one seed produces byte-identical tables at any worker count.
-func (s *Suite) FaultImpact(benchName string, seed int64) (*stats.Table, *stats.Table, error) {
-	b, err := s.bench(benchName)
+// The fault schedule is derived from (s.FaultSeed, nDisks, severity)
+// only, so one seed produces byte-identical tables at any worker
+// count.
+func (s *Suite) FaultImpact() (*stats.Table, *stats.Table, error) {
+	b, err := s.bench("swim")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -35,7 +36,7 @@ func (s *Suite) FaultImpact(benchName string, seed int64) (*stats.Table, *stats.
 	}, func(i int) (*workloads.Benchmark, core.Config, []string) {
 		cfg := s.configFor(b)
 		cfg.Faults, _ = faults.Preset(severities[i])
-		cfg.FaultSeed = seed
+		cfg.FaultSeed = s.FaultSeed
 		return b, cfg, []string{b.Name, severities[i]}
 	})
 }

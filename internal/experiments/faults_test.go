@@ -16,7 +16,8 @@ func TestFaultImpactDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
 		s := NewSuite()
 		s.Workers = workers
-		energy, times, err := s.FaultImpact("swim", 12345)
+		s.FaultSeed = 12345
+		energy, times, err := s.FaultImpact()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,8 @@ func TestFaultImpactShape(t *testing.T) {
 		t.Skip()
 	}
 	s := NewSuite()
-	energy, times, err := s.FaultImpact("swim", 1)
+	s.FaultSeed = 1
+	energy, times, err := s.FaultImpact()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,23 +25,23 @@ var registry = []experiment{
 	{id: "fig3", table: half(0, (*Suite).Figures34)},
 	{id: "fig4", table: half(1, (*Suite).Figures34)},
 	{id: "table3", table: (*Suite).Table3},
-	{id: "fig5", table: half(0, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.Figures56(nil) })},
-	{id: "fig6", table: half(1, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.Figures56(nil) })},
-	{id: "fig7", table: half(0, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.Figures78(nil) })},
-	{id: "fig8", table: half(1, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.Figures78(nil) })},
+	{id: "fig5", table: half(0, (*Suite).Figures56)},
+	{id: "fig6", table: half(1, (*Suite).Figures56)},
+	{id: "fig7", table: half(0, (*Suite).Figures78)},
+	{id: "fig8", table: half(1, (*Suite).Figures78)},
 	{id: "fig13", table: (*Suite).Figure13},
 	{id: "applicability", table: (*Suite).VersionApplicability},
 	{id: "ext-interchange", table: (*Suite).ExtensionInterchange},
 	{id: "ext-multiprogram", table: (*Suite).ExtensionMultiprogram},
 	{id: "ablation-preactivation", table: (*Suite).AblationPreactivation},
-	{id: "ablation-noise", table: func(s *Suite) (*stats.Table, error) { return s.AblationNoise("mesa", nil) }},
+	{id: "ablation-noise", table: (*Suite).AblationNoise},
 	{id: "ablation-cache", table: (*Suite).AblationCache},
 	{id: "ablation-clustering", table: (*Suite).AblationClustering},
 	{id: "ablation-openloop", table: (*Suite).AblationOpenLoop},
 	{id: "ablation-seek", table: (*Suite).AblationSeekModel},
 	{id: "breakdown", table: (*Suite).EnergyBreakdown},
-	{id: "faults-energy", table: half(0, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.FaultImpact("swim", s.FaultSeed) })},
-	{id: "faults-time", table: half(1, func(s *Suite) (*stats.Table, *stats.Table, error) { return s.FaultImpact("swim", s.FaultSeed) })},
+	{id: "faults-energy", table: half(0, (*Suite).FaultImpact)},
+	{id: "faults-time", table: half(1, (*Suite).FaultImpact)},
 }
 
 // half builds a two-table experiment and keeps table i (0 or 1).

@@ -8,12 +8,6 @@ import (
 	"sdpm/internal/workloads"
 )
 
-// DefaultStripeSizes are the stripe-unit sizes swept by Figures 5/6.
-var DefaultStripeSizes = []int64{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
-
-// DefaultStripeFactors are the disk counts swept by Figures 7/8.
-var DefaultStripeFactors = []int{2, 4, 8, 12, 16}
-
 // sensitivitySchemes are the schemes the sensitivity figures track.
 var sensitivitySchemes = []core.Scheme{core.DRPM, core.IDRPM, core.CMDRPM}
 
@@ -39,10 +33,8 @@ func (s *Suite) sweep(labels []string, titles [2]string, vary func(cfg *core.Con
 // Figures56 computes Figures 5 and 6: swim's normalized energy and
 // execution time across stripe sizes (normalized to the base scheme
 // at each size).
-func (s *Suite) Figures56(sizes []int64) (*stats.Table, *stats.Table, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultStripeSizes
-	}
+func (s *Suite) Figures56() (*stats.Table, *stats.Table, error) {
+	sizes := []int64{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 	labels := make([]string, len(sizes))
 	for i, size := range sizes {
 		labels[i] = fmt.Sprintf("%dKB", size/1024)
@@ -55,10 +47,8 @@ func (s *Suite) Figures56(sizes []int64) (*stats.Table, *stats.Table, error) {
 
 // Figures78 computes Figures 7 and 8: swim's normalized energy and
 // execution time across stripe factors (= subsystem sizes).
-func (s *Suite) Figures78(factors []int) (*stats.Table, *stats.Table, error) {
-	if len(factors) == 0 {
-		factors = DefaultStripeFactors
-	}
+func (s *Suite) Figures78() (*stats.Table, *stats.Table, error) {
+	factors := []int{2, 4, 8, 12, 16}
 	labels := make([]string, len(factors))
 	for i, f := range factors {
 		labels[i] = fmt.Sprintf("%d disks", f)

@@ -156,7 +156,7 @@ func (s *Suite) ExtensionMultiprogram() (*stats.Table, error) {
 			}
 			var r [3]*sim.Result
 			for i, sc := range []core.Scheme{core.Base, core.DRPM, core.IDRPM} {
-				pol, _ := sc.Policy(s.Cfg.Disk, s.Cfg.NumDisks)
+				pol, _ := sc.Policy(s.Cfg.Disk)
 				if r[i], err = sim.RunOpenLoop(merged, sim.Config{Disk: s.Cfg.Disk, Policy: pol}); err != nil {
 					return nil, err
 				}

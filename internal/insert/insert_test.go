@@ -55,10 +55,7 @@ func burstSites(nd, perBurst int, thinkMS float64) []tracegen.Site {
 }
 
 func baseTrace(nd int, ss []tracegen.Site, m *cycles.Model, p disk.Params) *trace.Trace {
-	return tracegen.FromSites("t", nd, ss, tracegen.Options{
-		Model:            m,
-		NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
-	})
+	return Base("t", nd, ss, Options{Disk: p, Model: m})
 }
 
 func TestCMDRPMCloseToOracleNoJitter(t *testing.T) {
@@ -161,7 +158,7 @@ func TestCMTPMSavesOnBurstsWithoutPenalty(t *testing.T) {
 	}
 	bt := baseTrace(4, ss, m, p)
 	base, _ := sim.Run(bt, sim.Config{Disk: p})
-	rtpm, _ := sim.Run(bt, sim.Config{Disk: p, Policy: policy.NewTPM(p, 0)})
+	rtpm, _ := sim.Run(bt, sim.Config{Disk: p, Policy: policy.NewTPM(p)})
 
 	if cm.EnergyJ >= base.EnergyJ {
 		t.Errorf("CMTPM saved nothing: %.0f vs %.0f", cm.EnergyJ, base.EnergyJ)
@@ -364,29 +361,6 @@ func TestEstimateMatchesManualCase(t *testing.T) {
 	}
 	if est >= plan.BaseEnergyJ {
 		t.Error("dip estimate not below base")
-	}
-}
-
-func TestOptionKnobSwitches(t *testing.T) {
-	o := &Options{}
-	if o.safety() != DefaultSafetyPct {
-		t.Error("default safety")
-	}
-	o.SafetyPct = -1
-	if o.safety() != 0 {
-		t.Error("disabled safety")
-	}
-	o.SafetyPct = 7
-	if o.safety() != 7 {
-		t.Error("explicit safety")
-	}
-	o = &Options{GuardMS: -1}
-	if o.guard(100) != 0 {
-		t.Error("disabled guard")
-	}
-	o.GuardMS = 2.5
-	if o.guard(100) != 2.5 {
-		t.Error("explicit guard")
 	}
 }
 
@@ -632,7 +606,7 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 			// by up to that margin still hides the wake-up
 			// transition. The power-mode choice itself uses the
 			// unbiased estimate (what Table 3 compares).
-			margin := idle * opts.safety() / 100
+			margin := idle * safetyPct / 100
 			switch opts.Mode {
 			case ModeDRPM:
 				var level int
@@ -646,7 +620,7 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 					addOp(start, afterSite, -1, trace.PowerOp{Disk: int32(d), Kind: trace.OpSetRPM, RPM: int32(level), PredictedIdleMS: idle})
 					if !trailing && !opts.DisablePreactivation {
 						tr := p.TransitionTimeMS(level, p.MaxRPM)
-						up := end - tr - margin - opts.guard(tr)
+						up := end - tr - margin - guardMS(m, tr)
 						if min := start + p.TransitionTimeMS(p.MaxRPM, level); up < min {
 							up = min
 						}
@@ -664,7 +638,7 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 					plan.Levels[d][g] = 0
 					addOp(start, afterSite, -1, trace.PowerOp{Disk: int32(d), Kind: trace.OpSpinDown, PredictedIdleMS: idle})
 					if !trailing && !opts.DisablePreactivation {
-						up := end - p.SpinUpMS - margin - opts.guard(p.SpinUpMS)
+						up := end - p.SpinUpMS - margin - guardMS(m, p.SpinUpMS)
 						if min := start + p.SpinDownMS; up < min {
 							up = min
 						}
@@ -769,14 +743,16 @@ func stableSortInstrument(program string, numDisks int, sites []tracegen.Site, o
 // TestInstrumentMatchesStableSort compares Instrument with the
 // stable-sort reference on seeded random site streams: 1–8 disks,
 // clusters of sites at one cycle position, both modes, with and
-// without pre-activation, negative guard and safety margins, and
-// jittered, biased cycle models. Trace and plan must be deeply equal.
+// without pre-activation, and jittered, biased cycle models. The
+// guard grows with the noise, so the 50% level puts about three times
+// as many pre-activations on their gap's floor as no noise does.
+// Trace and plan must be deeply equal.
 func TestInstrumentMatchesStableSort(t *testing.T) {
 	p := disk.DefaultParams()
 	rng := rand.New(rand.NewSource(1717))
 	for trial := 0; trial < 300; trial++ {
 		nd := 1 + rng.Intn(8)
-		m := cycles.New(cycles.DefaultClockHz, float64(rng.Intn(3))*5, uint64(rng.Int63()))
+		m := cycles.New(cycles.DefaultClockHz, []float64{0, 5, 10, 50}[rng.Intn(4)], uint64(rng.Int63()))
 		m.BiasPct = float64(rng.Intn(3)) * 4
 		var ss []tracegen.Site
 		var cyc int64
@@ -793,8 +769,6 @@ func TestInstrumentMatchesStableSort(t *testing.T) {
 		opts := Options{
 			Mode: Mode(rng.Intn(2)), Disk: p, Model: m,
 			DisablePreactivation: rng.Intn(4) == 0,
-			GuardMS:              []float64{0, -1, 0.5, 25}[rng.Intn(4)],
-			SafetyPct:            []float64{0, -1, 10, 60}[rng.Intn(4)],
 		}
 		name := fmt.Sprintf("trial %d (%d disks, %d sites, %+v)", trial, nd, len(ss), opts)
 		wantTr, wantPlan, err := stableSortInstrument("r", nd, ss, opts)

@@ -14,9 +14,9 @@
 // the other *At fields) force a fault on specific connections
 // regardless of the draws.
 // Connections are indexed in accept order — with a sequential client
-// that disables HTTP keep-alive (internal/client's default), one
-// connection is one request attempt and the schedule is aligned with
-// the client's retry stream.
+// that disables HTTP keep-alive (internal/client always does, and its
+// circuit breaker has no jitter), one connection is one request
+// attempt and the schedule is aligned with the client's retry stream.
 //
 // See docs/robustness.md "Network faults" for the fault semantics.
 package netx

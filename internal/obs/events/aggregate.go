@@ -1,9 +1,9 @@
 package events
 
-// Aggregation helpers shared by the dpmquery CLI and the dpmsim/dpmexp
-// regret report blocks. All helpers are pure functions over decoded
-// event slices, so they work identically on a live log's Events()
-// copy and on a JSONL file read back from disk.
+// Aggregation helpers for the dpmquery CLI, their only caller. All
+// helpers are pure functions over decoded event slices, so they work
+// identically on a live log's Events() copy and on a JSONL file read
+// back from disk.
 
 import "sort"
 

@@ -27,10 +27,7 @@ func rrSites(nd, n int, thinkMS float64) []tracegen.Site {
 
 func runBase(t *testing.T, ss []tracegen.Site, nd int, m *cycles.Model, p disk.Params) *sim.Result {
 	t.Helper()
-	bt := tracegen.FromSites("t", nd, ss, tracegen.Options{
-		Model:            m,
-		NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
-	})
+	bt := insert.Base("t", nd, ss, insert.Options{Disk: p, Model: m})
 	res, err := sim.Run(bt, sim.Config{Disk: p, RecordIdles: true})
 	if err != nil {
 		t.Fatal(err)

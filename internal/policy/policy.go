@@ -52,22 +52,17 @@ func (*Base) Horizon() sim.Horizon { return sim.Horizon{} }
 func (*Base) DecisionTrigger() string { return "" }
 
 // TPM is the traditional reactive spin-down policy: after a disk has
-// been idle for ThresholdMS it is spun down; the next request pays
-// the full spin-up delay.
+// been idle for the break-even time it is spun down; the next request
+// pays the full spin-up delay.
 type TPM struct {
-	p disk.Params
-	// ThresholdMS is the idleness threshold.
-	ThresholdMS float64
+	p         disk.Params
+	threshold float64 // p.TPMBreakEvenMS()
 }
 
-// NewTPM returns a reactive TPM policy with the given idleness
-// threshold; a non-positive threshold selects the break-even
-// threshold.
-func NewTPM(p disk.Params, thresholdMS float64) *TPM {
-	if thresholdMS <= 0 {
-		thresholdMS = p.TPMBreakEvenMS()
-	}
-	return &TPM{p: p, ThresholdMS: thresholdMS}
+// NewTPM returns a reactive TPM policy whose idleness threshold is the
+// disk's break-even time.
+func NewTPM(p disk.Params) *TPM {
+	return &TPM{p: p, threshold: p.TPMBreakEvenMS()}
 }
 
 // Name implements sim.Policy.
@@ -82,8 +77,8 @@ func (*TPM) DecisionTrigger() string { return events.TrigThreshold }
 // on-demand spin-up to this request.
 func (t *TPM) BeforeService(m *sim.Machine, d int, now float64) {
 	start := m.IdleFrom(d)
-	if now-start > t.ThresholdMS && m.StatusOf(d) == sim.StSpinning && m.CurRPM(d) == t.p.MaxRPM {
-		m.SpinDownAt(d, start+t.ThresholdMS)
+	if now-start > t.threshold && m.StatusOf(d) == sim.StSpinning && m.CurRPM(d) == t.p.MaxRPM {
+		m.SpinDownAt(d, start+t.threshold)
 	}
 }
 
@@ -98,7 +93,7 @@ func (*TPM) AfterService(*sim.Machine, int, float64, float64) {}
 func (t *TPM) Horizon() sim.Horizon {
 	return sim.Horizon{
 		NoOpBefore: func(d int, start, now float64, rpm int) bool {
-			return !(now-start > t.ThresholdMS && rpm == t.p.MaxRPM)
+			return !(now-start > t.threshold && rpm == t.p.MaxRPM)
 		},
 	}
 }
@@ -108,8 +103,8 @@ func (t *TPM) Horizon() sim.Horizon {
 func (t *TPM) Finish(m *sim.Machine, endT float64) {
 	for d := 0; d < m.NumDisks(); d++ {
 		start := m.IdleFrom(d)
-		if endT-start > t.ThresholdMS && m.StatusOf(d) == sim.StSpinning {
-			m.SpinDownAt(d, start+t.ThresholdMS)
+		if endT-start > t.threshold && m.StatusOf(d) == sim.StSpinning {
+			m.SpinDownAt(d, start+t.threshold)
 		}
 	}
 }
@@ -199,13 +194,13 @@ func (o *Ideal) apply(m *sim.Machine, d int, start, end float64, trailing bool) 
 	}
 }
 
-// DefaultIdleStepMS is the idleness per one-step RPM ramp of the
-// reactive DRPM controller.
-const DefaultIdleStepMS = 40
+// idleStepMS is the idleness per one-step RPM ramp of the reactive
+// DRPM controller.
+const idleStepMS = 40
 
 // DRPM is the reactive dynamic-RPM policy of Gurumurthi et al.: each
 // disk autonomously ramps down during idleness, one RPM step per
-// IdleStepMS, and requests are serviced at whatever level the disk
+// idleStepMS, and requests are serviced at whatever level the disk
 // has reached — the reactive scheme's performance penalty. The array
 // controller watches the average response time over
 // WindowSize-request windows (array-wide): if the change since the
@@ -214,8 +209,6 @@ const DefaultIdleStepMS = 40
 // it stays below the lower tolerance, ramping is allowed again.
 type DRPM struct {
 	p disk.Params
-	// IdleStepMS is the idle time per one-step ramp.
-	IdleStepMS float64
 
 	rampOK   bool
 	winSum   float64
@@ -224,11 +217,10 @@ type DRPM struct {
 	havePrev bool
 }
 
-// NewDRPM returns a reactive DRPM policy for a subsystem of numDisks
-// disks.
-func NewDRPM(p disk.Params, numDisks int) *DRPM {
-	_ = numDisks // the controller state is array-wide
-	return &DRPM{p: p, IdleStepMS: DefaultIdleStepMS, rampOK: true}
+// NewDRPM returns a reactive DRPM policy. Its controller state is
+// array-wide, so it serves a subsystem of any size.
+func NewDRPM(p disk.Params) *DRPM {
+	return &DRPM{p: p, rampOK: true}
 }
 
 // Name implements sim.Policy.
@@ -240,7 +232,7 @@ func (*DRPM) Name() string { return "DRPM" }
 func (*DRPM) DecisionTrigger() string { return events.TrigRamp }
 
 // BeforeService ramps the disk down through the idle period that just
-// ended: one RPM step per IdleStepMS of idleness, floored by the
+// ended: one RPM step per idleStepMS of idleness, floored by the
 // controller. The request is then serviced at whatever level the
 // disk reached — the reactive scheme's performance penalty.
 func (r *DRPM) BeforeService(m *sim.Machine, d int, now float64) {
@@ -255,14 +247,14 @@ func (r *DRPM) rampDown(m *sim.Machine, d int, start, end float64) {
 		return
 	}
 	cur := m.CurRPM(d)
-	t := start + r.IdleStepMS
+	t := start + idleStepMS
 	for cur > r.p.MinRPM && t <= end {
 		cur -= r.p.RPMStep
 		if cur < r.p.MinRPM {
 			cur = r.p.MinRPM
 		}
 		m.SetRPMAt(d, t, cur)
-		t += r.IdleStepMS
+		t += idleStepMS
 	}
 }
 
@@ -282,7 +274,7 @@ func (r *DRPM) Horizon() sim.Horizon {
 			if rpm <= r.p.MinRPM {
 				return true
 			}
-			return start+r.IdleStepMS > now
+			return start+idleStepMS > now
 		},
 		AfterPerRequest: true,
 	}

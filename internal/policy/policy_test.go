@@ -74,7 +74,7 @@ func TestTPMUselessOnShortGaps(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := roundRobinTrace(8, 800, 3.44)
 	base := run(t, tr, NewBase())
-	tpm := run(t, tr, NewTPM(p, 0))
+	tpm := run(t, tr, NewTPM(p))
 	if math.Abs(tpm.EnergyJ-base.EnergyJ) > 1e-6 {
 		t.Errorf("TPM energy %g != base %g", tpm.EnergyJ, base.EnergyJ)
 	}
@@ -94,7 +94,7 @@ func TestTPMSpinsDownOnLongGapsWithPenalty(t *testing.T) {
 	// burst's first request pays the spin-up delay.
 	tr := burstTrace(4, 3000, 10) // 30s per burst
 	base := run(t, tr, NewBase())
-	tpm := run(t, tr, NewTPM(p, 0))
+	tpm := run(t, tr, NewTPM(p))
 	if tpm.EnergyJ >= base.EnergyJ {
 		t.Errorf("TPM saved nothing on long gaps: %g >= %g", tpm.EnergyJ, base.EnergyJ)
 	}
@@ -133,7 +133,7 @@ func TestITPMNeverWorseAndNeverSlower(t *testing.T) {
 func TestITPMBeatsReactiveTPMOnLongGaps(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := burstTrace(4, 3000, 10)
-	tpm := run(t, tr, NewTPM(p, 0))
+	tpm := run(t, tr, NewTPM(p))
 	itpm := run(t, tr, NewITPM(p))
 	if itpm.EnergyJ >= tpm.EnergyJ {
 		t.Errorf("ITPM %g not better than TPM %g", itpm.EnergyJ, tpm.EnergyJ)
@@ -159,7 +159,7 @@ func TestReactiveDRPMSavesLessWithPenalty(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := roundRobinTrace(8, 2000, 3.44)
 	base := run(t, tr, NewBase())
-	dr := run(t, tr, NewDRPM(p, 8))
+	dr := run(t, tr, NewDRPM(p))
 	id := run(t, tr, NewIDRPM(p))
 	if dr.EnergyJ >= base.EnergyJ {
 		t.Fatalf("DRPM saved nothing: %g >= %g", dr.EnergyJ, base.EnergyJ)
@@ -179,7 +179,7 @@ func TestReactiveDRPMSavesLessWithPenalty(t *testing.T) {
 func TestDRPMShiftsAndStaysAboveFloor(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := roundRobinTrace(8, 3000, 3.44)
-	res := run(t, tr, NewDRPM(p, 8))
+	res := run(t, tr, NewDRPM(p))
 	shifts := 0
 	for _, st := range res.Disks {
 		shifts += st.RPMShifts
@@ -190,11 +190,11 @@ func TestDRPMShiftsAndStaysAboveFloor(t *testing.T) {
 }
 
 func TestDRPMTooShortGapsNoShift(t *testing.T) {
-	// Per-disk gaps below IdleStepMS never trigger ramping: the
+	// Per-disk gaps below the 40 ms idle step never trigger ramping: the
 	// reactive controller cannot exploit them.
 	p := disk.DefaultParams()
 	tr := roundRobinTrace(2, 500, 3.44) // ~13.5ms gaps
-	res := run(t, tr, NewDRPM(p, 2))
+	res := run(t, tr, NewDRPM(p))
 	for d, st := range res.Disks {
 		if st.RPMShifts != 0 {
 			t.Errorf("disk %d shifted %d times on sub-step gaps", d, st.RPMShifts)
@@ -234,9 +234,9 @@ func TestSchemeOrderingOnDefaultShape(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := roundRobinTrace(8, 2000, 3.44)
 	base := run(t, tr, NewBase())
-	tpm := run(t, tr, NewTPM(p, 0))
+	tpm := run(t, tr, NewTPM(p))
 	itpm := run(t, tr, NewITPM(p))
-	dr := run(t, tr, NewDRPM(p, 8))
+	dr := run(t, tr, NewDRPM(p))
 	id := run(t, tr, NewIDRPM(p))
 
 	if math.Abs(tpm.EnergyJ-base.EnergyJ) > base.EnergyJ*0.01 {

@@ -98,18 +98,18 @@ func randomBatchTrace(r *rand.Rand, nDisks int) *trace.Trace {
 
 // diffPolicy builds one fresh policy per name; fresh instances per
 // run keep the stateful controllers (DRPM's window) independent.
-func diffPolicy(name string, p disk.Params, nDisks int) sim.Policy {
+func diffPolicy(name string, p disk.Params) sim.Policy {
 	switch name {
 	case "none":
 		return nil
 	case "base":
 		return policy.NewBase()
 	case "tpm":
-		return policy.NewTPM(p, 0)
+		return policy.NewTPM(p)
 	case "itpm":
 		return policy.NewITPM(p)
 	case "drpm":
-		return policy.NewDRPM(p, nDisks)
+		return policy.NewDRPM(p)
 	case "idrpm":
 		return policy.NewIDRPM(p)
 	}
@@ -155,15 +155,15 @@ func TestBatchDifferential(t *testing.T) {
 						cfg.Faults = plan
 					}
 					batched := cfg
-					batched.Policy = diffPolicy(pol, p, nDisks)
+					batched.Policy = diffPolicy(pol, p)
 					batched.Compiled = comp
 					want := cfg
-					want.Policy = diffPolicy(pol, p, nDisks)
+					want.Policy = diffPolicy(pol, p)
 					want.DisableBatch = true
 					// Event tracing attached to the batched path must
 					// change no result bit (the log only reads state).
 					traced := cfg
-					traced.Policy = diffPolicy(pol, p, nDisks)
+					traced.Policy = diffPolicy(pol, p)
 					traced.Compiled = comp
 					traced.Events = events.NewLog(1 << 16)
 

@@ -129,7 +129,7 @@ func BenchmarkSimHotPathDRPM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := sim.Config{Disk: p, Policy: policy.NewDRPM(p, 8), Compiled: comp}
+		cfg := sim.Config{Disk: p, Policy: policy.NewDRPM(p), Compiled: comp}
 		if _, err := sim.Run(tr, cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func BenchmarkSimHotPathObserved(b *testing.B) {
 	comp := trace.Compile(tr)
 	coll, log := obs.New(), events.NewLog(0)
 	run := func() {
-		cfg := sim.Config{Disk: p, Policy: policy.NewDRPM(p, 8), Compiled: comp, Obs: coll, Events: log}
+		cfg := sim.Config{Disk: p, Policy: policy.NewDRPM(p), Compiled: comp, Obs: coll, Events: log}
 		if _, err := sim.Run(tr, cfg); err != nil {
 			b.Fatal(err)
 		}

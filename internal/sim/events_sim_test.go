@@ -44,7 +44,7 @@ func TestEventsTPMProvenanceAndRegret(t *testing.T) {
 	const gap = 30000.0
 	tr := idleTrace(3, gap)
 	log := events.NewLog(0)
-	cfg := sim.Config{Disk: p, Policy: policy.NewTPM(p, 0), Events: log, DisableBatch: true}
+	cfg := sim.Config{Disk: p, Policy: policy.NewTPM(p), Events: log, DisableBatch: true}
 	res, err := sim.Run(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestEventsMatchCollector(t *testing.T) {
 			coll := obs.New()
 			log := events.NewLog(1 << 16)
 			cfg := sim.Config{
-				Disk: p, Policy: diffPolicy(pol, p, nDisks),
+				Disk: p, Policy: diffPolicy(pol, p),
 				PowerCallOverheadMS: sim.DefaultPowerCallOverheadMS,
 				Obs:                 coll, Events: log, Faults: plan,
 			}
@@ -215,7 +215,7 @@ func TestEventsBailoutReasons(t *testing.T) {
 			t.Fatalf("compiled to %d runs, want 1", len(comp.Runs))
 		}
 		log := events.NewLog(0)
-		cfg := sim.Config{Disk: p, Policy: policy.NewTPM(p, 0), Events: log, Compiled: comp}
+		cfg := sim.Config{Disk: p, Policy: policy.NewTPM(p), Events: log, Compiled: comp}
 		if _, err := sim.Run(tr, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -327,8 +327,8 @@ func TestEventsResultUnperturbed(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := idleTrace(50, 4000)
 	for _, pol := range []string{"base", "tpm", "itpm", "drpm", "idrpm"} {
-		plain := sim.Config{Disk: p, Policy: diffPolicy(pol, p, 1), DisableBatch: true}
-		traced := sim.Config{Disk: p, Policy: diffPolicy(pol, p, 1), DisableBatch: true, Events: events.NewLog(0)}
+		plain := sim.Config{Disk: p, Policy: diffPolicy(pol, p), DisableBatch: true}
+		traced := sim.Config{Disk: p, Policy: diffPolicy(pol, p), DisableBatch: true, Events: events.NewLog(0)}
 		a, err := sim.Run(tr, plain)
 		if err != nil {
 			t.Fatal(err)
@@ -349,7 +349,7 @@ func TestEventsOpenLoop(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := idleTrace(5, 20000)
 	log := events.NewLog(0)
-	cfg := sim.Config{Disk: p, Policy: policy.NewTPM(p, 0), Events: log}
+	cfg := sim.Config{Disk: p, Policy: policy.NewTPM(p), Events: log}
 	if _, err := sim.RunOpenLoop(tr, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestRunAllocsAttachedEvents(t *testing.T) {
 	log := events.NewLog(1 << 16)
 	measure := func(nReqs int) float64 {
 		tr := hotTrace(4, nReqs, 2.0)
-		cfg := sim.Config{Disk: disk.DefaultParams(), Policy: policy.NewTPM(disk.DefaultParams(), 0), Events: log}
+		cfg := sim.Config{Disk: disk.DefaultParams(), Policy: policy.NewTPM(disk.DefaultParams()), Events: log}
 		run := func() {
 			if _, err := sim.Run(tr, cfg); err != nil {
 				t.Fatal(err)

@@ -45,7 +45,7 @@ func TestCollectorTransitionResidency(t *testing.T) {
 			coll := obs.New()
 			cfg := sim.Config{
 				Disk:                p,
-				Policy:              diffPolicy(tc.pol, p, nDisks),
+				Policy:              diffPolicy(tc.pol, p),
 				PowerCallOverheadMS: sim.DefaultPowerCallOverheadMS,
 				// The reactive policies run on the trace's requests
 				// alone; the embedded ops drive the policy-free run.

@@ -62,9 +62,9 @@ func TestSimulatorInvariantsRandomTraces(t *testing.T) {
 
 		pols := []sim.Policy{
 			policy.NewBase(),
-			policy.NewTPM(p, 0),
+			policy.NewTPM(p),
 			policy.NewITPM(p),
-			policy.NewDRPM(p, nd),
+			policy.NewDRPM(p),
 			policy.NewIDRPM(p),
 		}
 		for _, pol := range pols {

@@ -1,4 +1,4 @@
-package tracegen
+package tracegen_test
 
 import (
 	"math"
@@ -6,9 +6,12 @@ import (
 
 	"sdpm/internal/access"
 	"sdpm/internal/cycles"
+	"sdpm/internal/disk"
+	"sdpm/internal/insert"
 	"sdpm/internal/ir"
 	"sdpm/internal/layout"
 	"sdpm/internal/trace"
+	"sdpm/internal/tracegen"
 )
 
 // sweepProgram builds a program that sweeps a single 64KB-unit-
@@ -31,29 +34,28 @@ func sweepProgram(t *testing.T, elems int64, sweeps int, costPerIter int64) (*ir
 	return p, sub
 }
 
-// generate builds the program's runtime trace from its sites under a
-// cacheUnits-unit buffer cache.
-func generate(t *testing.T, p *ir.Program, sub *layout.Subsystem, cacheUnits int, opts Options) *trace.Trace {
+// generate builds the program's base runtime trace from its sites
+// under a cacheUnits-unit buffer cache, on the default disk.
+func generate(t *testing.T, p *ir.Program, sub *layout.Subsystem, cacheUnits int, m *cycles.Model) *trace.Trace {
 	t.Helper()
-	ss, files, err := Sites(p, sub, cacheUnits)
+	ss, files, err := tracegen.Sites(p, sub, cacheUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Files = files
-	return FromSites(p.Name, sub.NumDisks(), ss, opts)
+	return insert.Base(p.Name, sub.NumDisks(), ss, insert.Options{Disk: disk.DefaultParams(), Model: m, Files: files})
 }
 
 func TestSitesCountMatchesUnitsTimesSweeps(t *testing.T) {
 	// 2MB array = 32 units of 64KB; 3 sweeps -> 96 requests.
 	p, sub := sweepProgram(t, 256*1024, 3, 100)
-	ss, _, err := Sites(p, sub, 16)
+	ss, _, err := tracegen.Sites(p, sub, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ss) != 96 {
 		t.Fatalf("sites = %d, want 96", len(ss))
 	}
-	if err := Check(ss, 8); err != nil {
+	if err := tracegen.Check(ss, 8); err != nil {
 		t.Fatal(err)
 	}
 	// Round-robin over 8 disks.
@@ -78,7 +80,7 @@ func TestCacheSuppressesRepeats(t *testing.T) {
 	if err := access.PlaceArrays(p, sub, layout.Striping{StartDisk: 0, Factor: 4, UnitBytes: 16384}); err != nil {
 		t.Fatal(err)
 	}
-	ss, _, err := Sites(p, sub, 8)
+	ss, _, err := tracegen.Sites(p, sub, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestCacheSuppressesRepeats(t *testing.T) {
 		t.Fatalf("sites = %d, want 4 (second sweep cached)", len(ss))
 	}
 	// No-cache mode: both sweeps fetch.
-	ss, _, err = SitesNoCache(p, sub)
+	ss, _, err = tracegen.Sites(p, sub, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestCacheSuppressesRepeats(t *testing.T) {
 
 func TestCyclePositions(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*4, 2, 100) // 4 units per sweep
-	ss, _, err := Sites(p, sub, 2)
+	ss, _, err := tracegen.Sites(p, sub, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestCyclePositions(t *testing.T) {
 func TestGenerateGapsMeanNoNoise(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*4, 1, 750) // 750 cycles/iter at 750MHz = 1us/iter
 	m := cycles.New(750e6, 0, 1)
-	tr := generate(t, p, sub, 2, Options{Model: m})
+	tr := generate(t, p, sub, 2, m)
 	if tr.NumRequests() != 4 {
 		t.Fatalf("requests = %d", tr.NumRequests())
 	}
@@ -139,12 +141,13 @@ func TestGenerateGapsMeanNoNoise(t *testing.T) {
 func TestGenerateNominalArrivals(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*4, 1, 750)
 	m := cycles.New(750e6, 0, 1)
-	svc := func(bytes int64) float64 { return 6.5 }
-	tr := generate(t, p, sub, 0, Options{Model: m, NominalServiceMS: svc})
-	// arrival[i] = arrival[i-1] + 6.5 + 8.192.
+	tr := generate(t, p, sub, 64, m)
+	dp := disk.DefaultParams()
+	svc := dp.ServiceTimeMS(dp.MaxRPM, 65536)
+	// arrival[i] = arrival[i-1] + the full-speed service time + 8.192.
 	for i := 1; i < len(tr.Events); i++ {
 		d := tr.Events[i].Req.ArrivalMS - tr.Events[i-1].Req.ArrivalMS
-		if math.Abs(d-14.692) > 1e-9 {
+		if math.Abs(d-(svc+8.192)) > 1e-9 {
 			t.Errorf("arrival delta %d = %g", i, d)
 		}
 	}
@@ -153,8 +156,8 @@ func TestGenerateNominalArrivals(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*8, 2, 500)
 	m := cycles.New(750e6, 20, 42)
-	a := generate(t, p, sub, 0, Options{Model: m})
-	b := generate(t, p, sub, 0, Options{Model: m})
+	a := generate(t, p, sub, 64, m)
+	b := generate(t, p, sub, 64, m)
 	if len(a.Events) != len(b.Events) {
 		t.Fatal("lengths differ")
 	}
@@ -169,8 +172,8 @@ func TestJitterChangesGapsNotSites(t *testing.T) {
 	p, sub := sweepProgram(t, 8192*8, 1, 500)
 	m0 := cycles.New(750e6, 0, 1)
 	m1 := cycles.New(750e6, 25, 1)
-	a := generate(t, p, sub, 0, Options{Model: m0})
-	b := generate(t, p, sub, 0, Options{Model: m1})
+	a := generate(t, p, sub, 64, m0)
+	b := generate(t, p, sub, 64, m1)
 	if len(a.Events) != len(b.Events) {
 		t.Fatal("jitter changed request count")
 	}
@@ -190,14 +193,14 @@ func TestJitterChangesGapsNotSites(t *testing.T) {
 }
 
 func TestPredictedIssueMS(t *testing.T) {
-	ss := []Site{
+	ss := []tracegen.Site{
 		{CyclePos: 0, Bytes: 65536},
 		{CyclePos: 750000, Bytes: 65536},  // 1ms of compute later
 		{CyclePos: 2250000, Bytes: 65536}, // 2ms later
 	}
 	m := cycles.New(750e6, 0, 1)
 	svc := func(int64) float64 { return 6.5 }
-	got := PredictedIssueMS(ss, m, svc)
+	got := tracegen.PredictedIssueMS(ss, m, svc)
 	want := []float64{0, 0 + 6.5 + 1, 7.5 + 6.5 + 2}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -205,7 +208,7 @@ func TestPredictedIssueMS(t *testing.T) {
 		}
 	}
 	// nil service: pure compute offsets.
-	got = PredictedIssueMS(ss, m, nil)
+	got = tracegen.PredictedIssueMS(ss, m, nil)
 	want = []float64{0, 1, 3}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -215,17 +218,17 @@ func TestPredictedIssueMS(t *testing.T) {
 }
 
 func TestCheckCatches(t *testing.T) {
-	ok := []Site{{Disk: 0, Bytes: 1, CyclePos: 0}, {Disk: 1, Bytes: 1, CyclePos: 5}}
-	if err := Check(ok, 2); err != nil {
+	ok := []tracegen.Site{{Disk: 0, Bytes: 1, CyclePos: 0}, {Disk: 1, Bytes: 1, CyclePos: 5}}
+	if err := tracegen.Check(ok, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := Check([]Site{{Disk: 2, Bytes: 1}}, 2); err == nil {
+	if err := tracegen.Check([]tracegen.Site{{Disk: 2, Bytes: 1}}, 2); err == nil {
 		t.Error("bad disk accepted")
 	}
-	if err := Check([]Site{{Disk: 0, Bytes: 0}}, 2); err == nil {
+	if err := tracegen.Check([]tracegen.Site{{Disk: 0, Bytes: 0}}, 2); err == nil {
 		t.Error("zero bytes accepted")
 	}
-	if err := Check([]Site{{Disk: 0, Bytes: 1, CyclePos: 5}, {Disk: 0, Bytes: 1, CyclePos: 1}}, 2); err == nil {
+	if err := tracegen.Check([]tracegen.Site{{Disk: 0, Bytes: 1, CyclePos: 5}, {Disk: 0, Bytes: 1, CyclePos: 1}}, 2); err == nil {
 		t.Error("decreasing cycles accepted")
 	}
 }
@@ -240,7 +243,7 @@ func TestWriteKindPropagates(t *testing.T) {
 	if err := access.PlaceArrays(p, sub, layout.Striping{StartDisk: 0, Factor: 2, UnitBytes: 16384}); err != nil {
 		t.Fatal(err)
 	}
-	ss, files, err := Sites(p, sub, 8)
+	ss, files, err := tracegen.Sites(p, sub, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"sdpm/internal/access"
 	"sdpm/internal/disk"
+	"sdpm/internal/insert"
 	"sdpm/internal/layout"
 	"sdpm/internal/sim"
 	"sdpm/internal/tracegen"
@@ -26,11 +27,7 @@ func baseRun(t *testing.T, b *Benchmark) (*sim.Result, []tracegen.Site) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tracegen.FromSites(b.Name, DefaultDisks, sites, tracegen.Options{
-		Model:            b.Model(),
-		NominalServiceMS: func(n int64) float64 { return p.ServiceTimeMS(p.MaxRPM, n) },
-		Files:            files,
-	})
+	tr := insert.Base(b.Name, DefaultDisks, sites, insert.Options{Disk: p, Model: b.Model(), Files: files})
 	res, err := sim.Run(tr, sim.Config{Disk: p, RecordIdles: true})
 	if err != nil {
 		t.Fatal(err)

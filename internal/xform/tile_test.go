@@ -183,26 +183,6 @@ func TestTileUntileable(t *testing.T) {
 	}
 }
 
-func TestTileAllNestsExtension(t *testing.T) {
-	b := ir.NewBuilder("multi")
-	u := b.Array2D("u", 256, 256)
-	v := b.Array2D("v", 256, 256)
-	b.Nest("n0", ir.L("i", 256), ir.L("j", 256)).Stmt(1, ir.R(u, ir.Var(0), ir.Var(1)))
-	b.Nest("n1", ir.L("i", 256), ir.L("j", 256)).Stmt(1, ir.W(v, ir.Var(0), ir.Var(1)))
-	b.Nest("n2", ir.L("i", 100)).Stmt(1, ir.R(u, ir.Var(0), ir.Cnst(0))) // untileable
-	p := b.MustBuild()
-	res, err := Tile(p, TileOptions{UnitBytes: 65536, NumDisks: 8, AllNests: true, LayoutAware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.TiledNests) != 2 {
-		t.Errorf("tiled nests = %v", res.TiledNests)
-	}
-	if res.Program.ArrayByName("u").Block == nil || res.Program.ArrayByName("v").Block == nil {
-		t.Error("arrays not blocked in AllNests mode")
-	}
-}
-
 func TestTileCostliestSelection(t *testing.T) {
 	b := ir.NewBuilder("pick")
 	small := b.Array2D("small", 128, 128)

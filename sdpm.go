@@ -417,7 +417,7 @@ func (w *Workload) DAP(cfg Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return in.DAP(0).String(), nil
+	return in.DAP().String(), nil
 }
 
 // WriteTrace writes the workload's I/O trace in the textual trace
