@@ -32,7 +32,7 @@ vet:
 # experiment cells, the observability layer (collector snapshots and
 # the event ring, both written by concurrent simulation runs), the
 # fault-injecting filesystem (one op counter shared by concurrent
-# handles), the atomic-write helpers (concurrent writers to one
+# handles) and its atomic writer (concurrent writers to one
 # destination), and the serving layer (admission control, idempotency
 # cache, and drain racing a burst of concurrent requests), plus the
 # network-fault tier (the chaos proxy's connection pumps and the
@@ -63,7 +63,7 @@ fuzz-smoke:
 # layer's degraded-mode acceptance tests (journal faults must not fail
 # requests). See docs/robustness.md "Crash consistency".
 crash-smoke:
-	$(GO) test -run 'TestCrash|TestFaulty|TestExplore|TestAppend|TestDegraded|TestDurable' -count=1 ./internal/fsx ./internal/journal ./internal/cli ./internal/serve
+	$(GO) test -run 'TestCrash|TestFaulty|TestExplore|TestAppend|TestDegraded|TestDurable' -count=1 ./internal/fsx ./internal/journal ./internal/serve
 
 # bench records the root experiment benchmarks (including the
 # Sequential/Parallel suite pair) and the simulator hot-path

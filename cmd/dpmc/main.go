@@ -12,6 +12,10 @@
 //	dpmc -dsl prog.sdpm -mode drpm -o out.trace # instrument
 //	dpmc -bench mesa -version TL+DL -print      # show transformed code
 //
+// -o writes the trace atomically: a temp file is fsynced and renamed
+// over the destination, so a failed run leaves the old file (or none)
+// and never a partial trace. "-o -", the default, writes to stdout.
+//
 // -v enables debug-level structured logs on stderr; -q keeps only
 // warnings and errors.
 package main
@@ -19,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 
@@ -34,7 +39,7 @@ func main() {
 	dap := flag.Bool("dap", false, "print the disk access pattern and exit")
 	show := flag.Bool("print", false, "print the (transformed) program in DSL form and exit")
 	annotate := flag.Bool("calls", false, "print the program with the inserted power calls as comments and exit")
-	out := flag.String("o", "", "write the trace to this file (default stdout)")
+	out := flag.String("o", "-", "write the trace to this file (- for stdout)")
 	disks := flag.Int("disks", 8, "number of disks")
 	unit := flag.Int64("unit", 64<<10, "stripe unit bytes")
 	layoutSpecs := flag.String("layout", "", "per-array layouts: array=start:factor:unitKB,...")
@@ -85,16 +90,10 @@ func main() {
 		}
 		fmt.Print(d)
 	default:
-		dst := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				cli.Fatal(err)
-			}
-			defer f.Close()
-			dst = f
-		}
-		if err := w.WriteTrace(dst, scheme, cfg); err != nil {
+		err := cli.WriteOutput(*out, os.Stdout, func(dst io.Writer) error {
+			return w.WriteTrace(dst, scheme, cfg)
+		})
+		if err != nil {
 			cli.Fatal(err)
 		}
 	}

@@ -13,8 +13,7 @@
 //	                    per-disk residency, instance-cache hit/miss/
 //	                    singleflight counts, worker-pool utilization)
 //	                    after the experiments complete; "-" writes to
-//	                    stderr so stdout keeps only the tables. Files
-//	                    are written atomically (tmp + fsync + rename).
+//	                    stderr so stdout keeps only the tables
 //	-events-out FILE    write the suite's decision-provenance event
 //	                    log as JSON Lines after the experiments (every
 //	                    power decision with trigger, inputs, measured
@@ -25,6 +24,10 @@
 //	                    /metrics (Prometheus), /status (JSON snapshot
 //	                    of the runner's gauges), /debug/pprof/
 //	-v / -q             debug-level / warnings-only structured logs
+//
+// Every output file (-metrics-out, -events-out) is written atomically:
+// a temp file is fsynced and renamed over the destination, so a failed
+// or killed run never leaves a partial file.
 //
 // Robustness:
 //
@@ -105,26 +108,15 @@ func main() {
 		Journal: *journalPath, Resume: *resume,
 		Audit: *audit, Retries: *retries,
 	}
-	var metricsBuf *bytes.Buffer
+	// The tables own stdout, so "-" routes metrics and events to
+	// stderr. Both are buffered and written once the run returns: a
+	// file destination is then replaced atomically, never truncated.
+	var metricsBuf, eventsBuf bytes.Buffer
 	if *metricsOut != "" {
-		// The tables own stdout; "-" routes the exposition to stderr.
-		// A file destination is buffered and written atomically below,
-		// so a crash mid-dump never leaves a truncated metrics file.
-		var dst io.Writer = os.Stderr
-		if *metricsOut != "-" {
-			metricsBuf = &bytes.Buffer{}
-			dst = metricsBuf
-		}
-		opts.Metrics = dst
+		opts.Metrics = &metricsBuf
 	}
-	var eventsBuf *bytes.Buffer
 	if *eventsOut != "" {
-		var dst io.Writer = os.Stderr
-		if *eventsOut != "-" {
-			eventsBuf = &bytes.Buffer{}
-			dst = eventsBuf
-		}
-		opts.Events = dst
+		opts.Events = &eventsBuf
 		opts.EventCapacity = *eventsCap
 	}
 	if *httpAddr != "" {
@@ -141,30 +133,23 @@ func main() {
 		defer shutdown()
 	}
 	runErr := sdpm.RunExperiments(*run, os.Stdout, opts)
-	if metricsBuf != nil {
-		// RunExperiments wrote (possibly partial) metrics even on
-		// failure or cancellation; flush whatever it produced.
-		err := cli.WriteFileAtomic(*metricsOut, func(w io.Writer) error {
-			_, werr := w.Write(metricsBuf.Bytes())
-			return werr
+	// RunExperiments wrote (possibly partial) metrics and events even
+	// on failure or cancellation; flush whatever it produced.
+	flush := func(path, what string, buf *bytes.Buffer) {
+		if path == "" {
+			return
+		}
+		err := cli.WriteOutput(path, os.Stderr, func(w io.Writer) error {
+			_, err := buf.WriteTo(w)
+			return err
 		})
 		if err != nil && runErr == nil {
 			runErr = err
 		}
-		slog.Debug("metrics written", "path", *metricsOut)
+		slog.Debug(what+" written", "path", path)
 	}
-	if eventsBuf != nil {
-		// Like metrics, the (possibly partial) event log is flushed
-		// even when the run failed or was canceled.
-		err := cli.WriteFileAtomic(*eventsOut, func(w io.Writer) error {
-			_, werr := w.Write(eventsBuf.Bytes())
-			return werr
-		})
-		if err != nil && runErr == nil {
-			runErr = err
-		}
-		slog.Debug("event log written", "path", *eventsOut)
-	}
+	flush(*metricsOut, "metrics", &metricsBuf)
+	flush(*eventsOut, "event log", &eventsBuf)
 	if runErr != nil {
 		cli.Fatal(runErr)
 	}

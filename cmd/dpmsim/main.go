@@ -40,8 +40,10 @@
 //	                    does, with partial metrics still flushed
 //	-v / -q             debug-level / warnings-only structured logs
 //
-// File outputs (-metrics-out, -trace-out) are written atomically:
-// a temp file is fsynced and renamed over the destination.
+// Every output file (-metrics-out, -events-out, -trace-out) is written
+// atomically: a temp file is fsynced and renamed over the destination,
+// so a failed or killed run never leaves a partial file. "-" writes
+// the output to stdout instead.
 package main
 
 import (
@@ -172,18 +174,17 @@ func main() {
 		if *traceOut != "" {
 			slog.Warn("-trace-out applies to single-policy runs; ignoring it with -policy all")
 		}
-		if err := runAll(ctx, report, tr, baseCfg, *openLoop, *workers, coll); err != nil {
-			writeMetrics(*metricsOut, coll)
-			writeEvents(*eventsOut, evLog)
-			cli.Fatal(err)
-		}
+		err := runAll(ctx, report, tr, baseCfg, *openLoop, *workers, coll)
 		writeMetrics(*metricsOut, coll)
 		writeEvents(*eventsOut, evLog)
+		if err != nil {
+			cli.Fatal(err)
+		}
 		return
 	}
 
 	cfg := baseCfg
-	cfg.Policy, cfg.IgnorePowerOps, err = policyFor(*pol, p)
+	cfg.Policy, err = policyFor(*pol, p)
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -248,36 +249,39 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		writeTraceFile(*traceOut, res, evLog)
+		// With an event log, its decision and fault events are merged
+		// in as annotated instants on the disk tracks.
+		output(*traceOut, "trace timeline", func(w io.Writer) error {
+			return sim.WriteChromeTrace(w, res, evLog.Events())
+		})
 	}
 	writeMetrics(*metricsOut, coll)
 	writeEvents(*eventsOut, evLog)
 }
 
+// output writes one output through cli.WriteOutput ("-" for stdout)
+// and exits on failure.
+func output(path, what string, write func(io.Writer) error) {
+	if err := cli.WriteOutput(path, os.Stdout, write); err != nil {
+		cli.Fatal(err)
+	}
+	slog.Debug(what+" written", "path", path)
+}
+
 // writeMetrics dumps the collector in Prometheus text format to the
-// named file ("-" for stdout); empty name is a no-op. File writes go
-// through a temp-file + rename so a crash never truncates the dump.
+// named file ("-" for stdout); empty name is a no-op.
 func writeMetrics(path string, coll *obs.Collector) {
 	if path == "" || coll == nil {
 		return
 	}
-	var err error
-	if path == "-" {
-		err = obs.WritePrometheus(os.Stdout, coll)
-	} else {
-		err = cli.WriteFileAtomic(path, func(w io.Writer) error {
-			return obs.WritePrometheus(w, coll)
-		})
-	}
-	if err != nil {
-		cli.Fatal(err)
-	}
-	slog.Debug("metrics written", "path", path)
+	output(path, "metrics", func(w io.Writer) error {
+		return obs.WritePrometheus(w, coll)
+	})
 }
 
 // writeEvents dumps the decision-provenance event log as JSON Lines
 // to the named file ("-" for stdout); empty name or nil log is a
-// no-op. File writes are atomic (temp file + fsync + rename).
+// no-op.
 func writeEvents(path string, log *events.Log) {
 	if path == "" || log == nil {
 		return
@@ -286,58 +290,24 @@ func writeEvents(path string, log *events.Log) {
 	if n := log.Dropped(); n > 0 {
 		slog.Warn("event ring overflowed; oldest events dropped", "dropped", n, "kept", len(evs))
 	}
-	var err error
-	if path == "-" {
-		err = events.WriteJSONL(os.Stdout, evs)
-	} else {
-		err = cli.WriteFileAtomic(path, func(w io.Writer) error {
-			return events.WriteJSONL(w, evs)
-		})
-	}
-	if err != nil {
-		cli.Fatal(err)
-	}
-	slog.Debug("event log written", "path", path, "events", len(evs))
-}
-
-// writeTraceFile dumps the run's recorded timelines as Chrome
-// trace-event JSON ("-" for stdout); file writes are atomic. When an
-// event log was collected, its decision and fault events are merged
-// in as annotated instants on the disk tracks.
-func writeTraceFile(path string, res *sim.Result, log *events.Log) {
-	write := func(w io.Writer) error {
-		if log != nil {
-			return sim.WriteChromeTraceAnnotated(w, res, log.Events())
-		}
-		return sim.WriteChromeTrace(w, res)
-	}
-	var err error
-	if path == "-" {
-		err = write(os.Stdout)
-	} else {
-		err = cli.WriteFileAtomic(path, write)
-	}
-	if err != nil {
-		cli.Fatal(err)
-	}
-	slog.Debug("trace timeline written", "path", path)
+	output(path, "event log", func(w io.Writer) error {
+		return events.WriteJSONL(w, evs)
+	})
 }
 
 // policyFor builds the named policy (a reactive or oracle scheme,
-// matched case-insensitively); the second result says whether the
-// trace's embedded power ops must be dropped (true for every reactive
-// policy, false for "embedded").
-func policyFor(name string, p disk.Params) (sim.Policy, bool, error) {
+// matched case-insensitively). "embedded" is no policy: the trace's
+// explicit power ops drive the disks, which a run with a policy drops.
+func policyFor(name string, p disk.Params) (sim.Policy, error) {
 	if strings.EqualFold(name, "embedded") {
-		// No policy: the trace's explicit power ops drive the disks.
-		return nil, false, nil
+		return nil, nil
 	}
 	if s, ok := core.ParseScheme(name); ok {
 		if pol, ok := s.Policy(p); ok {
-			return pol, true, nil
+			return pol, nil
 		}
 	}
-	return nil, false, fmt.Errorf("unknown policy %q", name)
+	return nil, fmt.Errorf("unknown policy %q", name)
 }
 
 // runOnce executes one simulation in the selected loop mode.
@@ -363,7 +333,7 @@ func runAll(ctx context.Context, report io.Writer, tr *trace.Trace, baseCfg sim.
 		cfg := baseCfg
 		cfg.RecordTimeline = false
 		var err error
-		cfg.Policy, cfg.IgnorePowerOps, err = policyFor(allPolicies[i], baseCfg.Disk)
+		cfg.Policy, err = policyFor(allPolicies[i], baseCfg.Disk)
 		if err != nil {
 			return err
 		}

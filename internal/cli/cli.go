@@ -1,15 +1,29 @@
 // Package cli holds the shared helpers of the command-line tools:
-// workload loading, layout-spec parsing and spec-file expansion.
+// workload loading, layout-spec parsing, spec-file expansion and
+// output files.
 package cli
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"sdpm"
+	"sdpm/internal/fsx"
 )
+
+// WriteOutput writes one output of a tool: path "-" (or an empty
+// path) sends it to std, and any other path is replaced atomically
+// through fsx.WriteFileAtomic, so a failed or interrupted write leaves
+// the old file (or none) and never a partial one.
+func WriteOutput(path string, std io.Writer, write func(io.Writer) error) error {
+	if path == "-" || path == "" {
+		return write(std)
+	}
+	return fsx.WriteFileAtomic(fsx.OS, path, write)
+}
 
 // LoadWorkload resolves the -bench / -dsl flag pair common to the
 // tools: exactly one must be set.

@@ -1,6 +1,9 @@
 package cli
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,5 +98,63 @@ func TestApplyLayoutSpecs(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "layout") && !strings.Contains(err.Error(), "array") {
 			t.Errorf("spec %q: unhelpful error %v", bad, err)
 		}
+	}
+}
+
+// "-" and an empty path hand the writer the standard stream itself,
+// so no file is created.
+func TestWriteOutputDash(t *testing.T) {
+	for _, path := range []string{"-", ""} {
+		var std bytes.Buffer
+		err := WriteOutput(path, &std, func(w io.Writer) error {
+			if w != &std {
+				return errors.New("writer is not the standard stream")
+			}
+			_, err := io.WriteString(w, "report\n")
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%q: %v", path, err)
+		}
+		if std.String() != "report\n" {
+			t.Fatalf("%q: std got %q", path, std.String())
+		}
+	}
+	if _, err := os.Lstat("-"); !errors.Is(err, os.ErrNotExist) {
+		os.Remove("-")
+		t.Fatalf("a file named - exists: %v", err)
+	}
+}
+
+// A file output is replaced atomically: a failing writer leaves the
+// old bytes and no tmp sibling, and a good one lands its bytes.
+func TestWriteOutputFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteOutput(path, io.Discard, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("error = %v, want the writer's", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("failed write changed the file to %q", got)
+	}
+	if left, _ := filepath.Glob(path + ".tmp*"); len(left) != 0 {
+		t.Fatalf("tmp files left behind: %v", left)
+	}
+	err = WriteOutput(path, io.Discard, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Fatalf("file holds %q, want %q", got, "new")
 	}
 }

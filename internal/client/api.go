@@ -99,19 +99,6 @@ func (c *Client) getList(ctx context.Context, path string) ([]string, error) {
 	return out, nil
 }
 
-// Status returns the server's /status JSON snapshot.
-func (c *Client) Status(ctx context.Context) (map[string]any, error) {
-	res, err := c.Do(ctx, http.MethodGet, "/status", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	var out map[string]any
-	if err := json.Unmarshal(res.Body, &out); err != nil {
-		return nil, fmt.Errorf("client: decoding status: %w", err)
-	}
-	return out, nil
-}
-
 // Health probes /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	_, err := c.Do(ctx, http.MethodGet, "/healthz", nil, "")

@@ -263,10 +263,7 @@ func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	if fault, _ := f.step(opOpen); fault != nil {
 		return nil, &os.PathError{Op: "createtemp", Path: pattern, Err: fault}
 	}
-	prefix, suffix := pattern, ""
-	if i := lastStar(pattern); i >= 0 {
-		prefix, suffix = pattern[:i], pattern[i+1:]
-	}
+	prefix, suffix := splitPattern(pattern)
 	var name string
 	for {
 		name = filepath.Join(dir, prefix+strconv.Itoa(f.tempSeq)+suffix)
@@ -278,16 +275,6 @@ func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	n := &memNode{}
 	f.volatile[name] = n
 	return &memFile{fs: f, node: n, name: name}, nil
-}
-
-// lastStar finds the last "*" in an os.CreateTemp pattern.
-func lastStar(pattern string) int {
-	for i := len(pattern) - 1; i >= 0; i-- {
-		if pattern[i] == '*' {
-			return i
-		}
-	}
-	return -1
 }
 
 func (f *Faulty) ReadFile(name string) ([]byte, error) {

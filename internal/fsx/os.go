@@ -1,13 +1,18 @@
 package fsx
 
 import (
+	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
+	"path/filepath"
+	"strconv"
 )
 
 // OS is the passthrough filesystem: every method delegates straight
 // to package os, so code threaded through fsx behaves byte-identically
-// to code calling os directly.
+// to code calling os directly. CreateTemp differs from os.CreateTemp
+// only in the mode it gives the file.
 var OS FS = osFS{}
 
 type osFS struct{}
@@ -16,8 +21,23 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 
+// CreateTemp names its file as os.CreateTemp does, but creates it with
+// mode 0644 less the umask, as OpenFile(name, O_CREATE, 0o644) would,
+// instead of os.CreateTemp's 0600: a file renamed into place keeps the
+// mode a direct create would have given it.
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
-	return os.CreateTemp(dir, pattern)
+	prefix, suffix := splitPattern(pattern)
+	for try := 0; ; try++ {
+		name := filepath.Join(dir, prefix+strconv.FormatUint(uint64(rand.Uint32()), 10)+suffix)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, os.ErrExist) && try < 10000 {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		return f, nil
+	}
 }
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }

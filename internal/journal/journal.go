@@ -36,7 +36,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -188,40 +187,7 @@ func Create(path string) (*Journal, error) { return CreateFS(fsx.OS, path) }
 // CreateFS is Create over an explicit filesystem — fsx.OS in
 // production, a fault-injecting fsx.Faulty under test.
 func CreateFS(fs fsx.FS, path string) (*Journal, error) {
-	// Lock before truncating: opening with O_TRUNC would destroy a
-	// live writer's records before the lock check could refuse.
-	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := acquire(fs, f, path); err != nil {
-		f.Close()
-		return nil, err
-	}
-	removeStaleTmp(fs, path)
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Journal{fs: fs, path: path, f: f, vals: make(map[string][]float64)}, nil
-}
-
-// acquire wraps the filesystem lock with the typed error.
-func acquire(fs fsx.FS, f fsx.File, path string) error {
-	if err := fs.Lock(f); err != nil {
-		if errors.Is(err, fsx.ErrLockHeld) {
-			return &LockError{Path: path}
-		}
-		return err
-	}
-	return nil
-}
-
-// removeStaleTmp deletes a finalize temp file a crashed writer may
-// have left next to the journal. Safe under the lock: no live writer
-// can be mid-finalize on this path while we hold it.
-func removeStaleTmp(fs fsx.FS, path string) {
-	fs.Remove(path + ".tmp")
+	return open(fs, path, func(j *Journal) error { return j.f.Truncate(0) })
 }
 
 // Open opens the journal at path for resumption, creating it if it
@@ -234,17 +200,32 @@ func Open(path string) (*Journal, error) { return OpenFS(fsx.OS, path) }
 
 // OpenFS is Open over an explicit filesystem.
 func OpenFS(fs fsx.FS, path string) (*Journal, error) {
+	return open(fs, path, (*Journal).recover)
+}
+
+// open is the prologue Create and Open share: open path without
+// truncating it, take the writer lock (opening with O_TRUNC would
+// destroy a live writer's records before the lock check could
+// refuse), sweep the tmp siblings a crashed finalize left, then run
+// init on the locked journal. The sweep is safe under the lock, since
+// no live writer can be mid-finalize on this path while we hold it,
+// and best-effort: a tmp it misses only takes space until the next
+// open.
+func open(fs fsx.FS, path string, init func(*Journal) error) (*Journal, error) {
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if err := acquire(fs, f, path); err != nil {
+	if err := fs.Lock(f); err != nil {
 		f.Close()
+		if errors.Is(err, fsx.ErrLockHeld) {
+			return nil, &LockError{Path: path}
+		}
 		return nil, err
 	}
-	removeStaleTmp(fs, path)
+	fsx.CleanStaleTmps(fs, path)
 	j := &Journal{fs: fs, path: path, f: f, vals: make(map[string][]float64)}
-	if err := j.recover(); err != nil {
+	if err := init(j); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -429,13 +410,14 @@ func (j *Journal) Close() error {
 }
 
 // Finalize compacts the journal after a fully successful run: records
-// are rewritten (deduplicated, in sorted key order) to <path>.tmp,
-// fsynced, and atomically renamed over the journal, so the finalized
-// file is either the complete old journal or the complete new one —
-// never a mix. The journal is closed afterwards. Finalize is safe
-// even on a poisoned journal: it writes a fresh file from the
-// in-memory records and only replaces the journal after a successful
-// fsync, so a failure here never damages the existing file.
+// are rewritten (deduplicated, in sorted key order) through
+// fsx.WriteFileAtomic, which fsyncs a tmp sibling, renames it over the
+// journal and syncs the directory, so the finalized file is either
+// the complete old journal or the complete new one — never a mix. The
+// journal is closed afterwards. Finalize is safe even on a poisoned
+// journal: it writes a fresh file from the in-memory records and only
+// replaces the journal after a successful fsync, so a failure here
+// never damages the existing file.
 func (j *Journal) Finalize() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -447,47 +429,19 @@ func (j *Journal) Finalize() error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	tmp := j.path + ".tmp"
-	tf, err := j.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err := fsx.WriteFileAtomic(j.fs, j.path, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		for _, k := range keys {
+			line, err := EncodeLine(Record{Key: k, Vals: j.vals[k]})
+			if err != nil {
+				return err
+			}
+			// A failed write sticks in bw; Flush reports it.
+			bw.Write(line)
+		}
+		return bw.Flush()
+	})
 	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(tf)
-	for _, k := range keys {
-		line, err := EncodeLine(Record{Key: k, Vals: j.vals[k]})
-		if err != nil {
-			tf.Close()
-			j.fs.Remove(tmp)
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			tf.Close()
-			j.fs.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tf.Close()
-		j.fs.Remove(tmp)
-		return err
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		j.fs.Remove(tmp)
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		j.fs.Remove(tmp)
-		return err
-	}
-	if err := j.fs.Rename(tmp, j.path); err != nil {
-		j.fs.Remove(tmp)
-		return err
-	}
-	if err := j.fs.SyncDir(filepath.Dir(j.path)); err != nil {
-		// The rename may still be volatile: without the directory sync
-		// its durability is genuinely unknown, which a finalize must
-		// not paper over.
 		return err
 	}
 	err = j.f.Close()

@@ -211,8 +211,8 @@ func TestFinalizeCompactsAndSorts(t *testing.T) {
 	if err := j.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("tmp file left behind: %v", err)
+	if left, _ := filepath.Glob(path + ".tmp*"); len(left) != 0 {
+		t.Fatalf("tmp files left behind: %v", left)
 	}
 	j2, err := Open(path)
 	if err != nil {
@@ -290,4 +290,52 @@ func FuzzJournalDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Create and Open sweep the tmp siblings a crashed finalize leaves
+// next to the journal: the unique "<path>.tmp.*" names of
+// fsx.WriteFileAtomic and the fixed "<path>.tmp" of older finalizes.
+func TestOpenSweepsStaleTmps(t *testing.T) {
+	for name, openJournal := range map[string]func(string) (*Journal, error){"Create": Create, "Open": Open} {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		for _, tmp := range []string{path + ".tmp.1234", path + ".tmp"} {
+			if err := os.WriteFile(tmp, []byte("stale"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, err := openJournal(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		j.Close()
+		if left, _ := filepath.Glob(path + ".tmp*"); len(left) != 0 {
+			t.Errorf("%s left stale tmps: %v", name, left)
+		}
+	}
+}
+
+// A finalized journal keeps the mode Create gave the file.
+func TestFinalizeKeepsMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	j, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("a", []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	finalized, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finalized.Mode() != created.Mode() {
+		t.Fatalf("finalized mode = %v, want %v as created", finalized.Mode(), created.Mode())
+	}
 }

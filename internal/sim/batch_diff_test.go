@@ -145,7 +145,6 @@ func TestBatchDifferential(t *testing.T) {
 						// path that drifted would fail twice over.
 						RecordTimeline: seed%2 == 0,
 						Audit:          seed%2 == 0,
-						IgnorePowerOps: seed%3 == 0,
 					}
 					if withFaults {
 						plan, err := faults.New(seed, nDisks, moderate)

@@ -15,7 +15,15 @@ import (
 // segment becomes a complete span carrying its RPM and power draw,
 // transition starts additionally emit instant power-op markers, and
 // per-disk RPM and power counters track the spindle over time.
-func ChromeTraceEvents(res *Result) ([]obs.TraceEvent, error) {
+//
+// The run's decision-provenance log, when non-nil, is merged in after
+// the timeline: every logged decision, spin-up miss, fault, and
+// batching bail-out becomes an instant event on its disk's track,
+// carrying the provenance as args (trigger, predicted and measured
+// idle, break-even, energy regret, fault detail). Suite-level events
+// with no disk (worker-pool retries, journal lifecycle) are skipped —
+// they have no place on a disk timeline.
+func ChromeTraceEvents(res *Result, log []events.Event) ([]obs.TraceEvent, error) {
 	if res.Timelines == nil {
 		return nil, fmt.Errorf("sim: no timelines recorded; run with Config.RecordTimeline")
 	}
@@ -23,12 +31,12 @@ func ChromeTraceEvents(res *Result) ([]obs.TraceEvent, error) {
 	if res.Scheme != "" {
 		name += "/" + res.Scheme
 	}
-	events := []obs.TraceEvent{{
+	out := []obs.TraceEvent{{
 		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": name},
 	}}
 	for d := range res.Timelines {
-		events = append(events, obs.TraceEvent{
+		out = append(out, obs.TraceEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: d,
 			Args: map[string]any{"name": fmt.Sprintf("disk%d", d)},
 		})
@@ -42,7 +50,7 @@ func ChromeTraceEvents(res *Result) ([]obs.TraceEvent, error) {
 				label = "idle"
 			}
 			ts, dur := sg.StartMS*1e3, (sg.EndMS-sg.StartMS)*1e3
-			events = append(events, obs.TraceEvent{
+			out = append(out, obs.TraceEvent{
 				Name: label, Cat: "disk", Ph: "X", TS: ts, Dur: dur, Pid: 0, Tid: d,
 				Args: map[string]any{"rpm": sg.RPM, "power_w": sg.PowerW},
 			})
@@ -52,44 +60,20 @@ func ChromeTraceEvents(res *Result) ([]obs.TraceEvent, error) {
 				// findable in the Perfetto timeline.
 				switch sg.Stat {
 				case StDown:
-					events = append(events, opInstant("spin_down", ts, d, 0))
+					out = append(out, opInstant("spin_down", ts, d, 0))
 				case StUp:
-					events = append(events, opInstant("spin_up", ts, d, sg.RPM))
+					out = append(out, opInstant("spin_up", ts, d, sg.RPM))
 				case StShift:
-					events = append(events, opInstant("set_rpm", ts, d, sg.RPM))
+					out = append(out, opInstant("set_rpm", ts, d, sg.RPM))
 				}
 			}
-			events = append(events,
+			out = append(out,
 				obs.TraceEvent{Name: fmt.Sprintf("disk%d rpm", d), Ph: "C", TS: ts, Pid: 0, Tid: d,
 					Args: map[string]any{"rpm": sg.RPM}},
 				obs.TraceEvent{Name: fmt.Sprintf("disk%d power_w", d), Ph: "C", TS: ts, Pid: 0, Tid: d,
 					Args: map[string]any{"w": sg.PowerW}},
 			)
 		}
-	}
-	return events, nil
-}
-
-func opInstant(name string, ts float64, d, rpm int) obs.TraceEvent {
-	ev := obs.TraceEvent{Name: name, Cat: "powerop", Ph: "i", TS: ts, Pid: 0, Tid: d, S: "t"}
-	if rpm > 0 {
-		ev.Args = map[string]any{"rpm": rpm}
-	}
-	return ev
-}
-
-// ChromeTraceEventsAnnotated is ChromeTraceEvents with the run's
-// decision-provenance log merged in: every logged decision, spin-up
-// miss, fault, and batching bail-out becomes an instant event on its
-// disk's track, carrying the provenance as args (trigger, predicted
-// and measured idle, break-even, energy regret, fault detail).
-// Suite-level events with no disk (worker-pool retries, journal
-// lifecycle) are skipped — they have no place on a disk timeline.
-// The base exporter's output is unchanged; annotation only appends.
-func ChromeTraceEventsAnnotated(res *Result, log []events.Event) ([]obs.TraceEvent, error) {
-	out, err := ChromeTraceEvents(res)
-	if err != nil {
-		return nil, err
 	}
 	for i := range log {
 		ev := &log[i]
@@ -146,21 +130,20 @@ func ChromeTraceEventsAnnotated(res *Result, log []events.Event) ([]obs.TraceEve
 	return out, nil
 }
 
-// WriteChromeTrace writes the run's recorded timelines as a Chrome
-// trace-event JSON file that loads in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. See ChromeTraceEvents for the event model.
-func WriteChromeTrace(w io.Writer, res *Result) error {
-	events, err := ChromeTraceEvents(res)
-	if err != nil {
-		return err
+func opInstant(name string, ts float64, d, rpm int) obs.TraceEvent {
+	ev := obs.TraceEvent{Name: name, Cat: "powerop", Ph: "i", TS: ts, Pid: 0, Tid: d, S: "t"}
+	if rpm > 0 {
+		ev.Args = map[string]any{"rpm": rpm}
 	}
-	return obs.WriteChromeTrace(w, events)
+	return ev
 }
 
-// WriteChromeTraceAnnotated is WriteChromeTrace with the run's
-// decision-provenance log merged in (see ChromeTraceEventsAnnotated).
-func WriteChromeTraceAnnotated(w io.Writer, res *Result, log []events.Event) error {
-	evs, err := ChromeTraceEventsAnnotated(res, log)
+// WriteChromeTrace writes the run's recorded timelines, with the
+// log's events merged in when it is non-nil, as a Chrome trace-event
+// JSON file that loads in Perfetto (ui.perfetto.dev) or
+// chrome://tracing. See ChromeTraceEvents for the event model.
+func WriteChromeTrace(w io.Writer, res *Result, log []events.Event) error {
+	evs, err := ChromeTraceEvents(res, log)
 	if err != nil {
 		return err
 	}

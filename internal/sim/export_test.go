@@ -61,7 +61,7 @@ func goldenRun(t *testing.T) *sim.Result {
 func TestChromeTraceGolden(t *testing.T) {
 	res := goldenRun(t)
 	var buf bytes.Buffer
-	if err := sim.WriteChromeTrace(&buf, res); err != nil {
+	if err := sim.WriteChromeTrace(&buf, res, nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "trace_two_disk.golden.json")
@@ -86,7 +86,7 @@ func TestChromeTraceGolden(t *testing.T) {
 func TestChromeTraceStructure(t *testing.T) {
 	res := goldenRun(t)
 	var buf bytes.Buffer
-	if err := sim.WriteChromeTrace(&buf, res); err != nil {
+	if err := sim.WriteChromeTrace(&buf, res, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -134,7 +134,7 @@ func TestChromeTraceStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.ChromeTraceEvents(bare); err == nil {
+	if _, err := sim.ChromeTraceEvents(bare, nil); err == nil {
 		t.Error("ChromeTraceEvents on a run without timelines: want error, got nil")
 	}
 }
@@ -162,12 +162,12 @@ func faultTrace() *trace.Trace {
 	}}
 }
 
-// TestChromeTraceAnnotatedFaultsGolden locks the annotated exporter —
-// timeline plus merged decision/fault events — byte-for-byte under a
-// deterministic all-failures fault plan, and asserts the fault
-// lifecycle (failed attempts, retries, on-demand fallback) surfaces
-// as instant events whose args carry the detail, in the same numbers
-// the metrics collector counted.
+// TestChromeTraceAnnotatedFaultsGolden locks the exporter with an
+// event log — timeline plus merged decision/fault events —
+// byte-for-byte under a deterministic all-failures fault plan, and
+// asserts the fault lifecycle (failed attempts, retries, on-demand
+// fallback) surfaces as instant events whose args carry the detail,
+// in the same numbers the metrics collector counted.
 func TestChromeTraceAnnotatedFaultsGolden(t *testing.T) {
 	plan, err := faults.New(1, 1, faults.Config{
 		SpinUpFailProb: 1, MaxRetries: 2, RetryBackoffMS: 10,
@@ -186,7 +186,7 @@ func TestChromeTraceAnnotatedFaultsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sim.WriteChromeTraceAnnotated(&buf, res, log.Events()); err != nil {
+	if err := sim.WriteChromeTrace(&buf, res, log.Events()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "trace_faults.golden.json")

@@ -249,7 +249,7 @@ func (corruptPolicy) Finish(*Machine, float64)                     {}
 func TestNotSpinningErrorThroughRun(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := mkTrace(1, req(10, 0, 65536))
-	_, err := Run(tr, Config{Disk: p, Policy: corruptPolicy{}, IgnorePowerOps: true})
+	_, err := Run(tr, Config{Disk: p, Policy: corruptPolicy{}})
 	var nse *NotSpinningError
 	if !errors.As(err, &nse) {
 		t.Fatalf("Run returned %v, want *NotSpinningError", err)

@@ -44,14 +44,13 @@ func TestCollectorTransitionResidency(t *testing.T) {
 			tr := randomBatchTrace(rand.New(rand.NewSource(5)), nDisks)
 			coll := obs.New()
 			cfg := sim.Config{
-				Disk:                p,
-				Policy:              diffPolicy(tc.pol, p),
-				PowerCallOverheadMS: sim.DefaultPowerCallOverheadMS,
+				Disk: p,
 				// The reactive policies run on the trace's requests
 				// alone; the embedded ops drive the policy-free run.
-				IgnorePowerOps: tc.pol != "none",
-				RecordTimeline: true,
-				Obs:            coll,
+				Policy:              diffPolicy(tc.pol, p),
+				PowerCallOverheadMS: sim.DefaultPowerCallOverheadMS,
+				RecordTimeline:      true,
+				Obs:                 coll,
 			}
 			if withFaults {
 				if cfg.Faults, err = faults.New(5, nDisks, moderate); err != nil {

@@ -272,13 +272,23 @@ func TestIdlePeriodsRecorded(t *testing.T) {
 	}
 }
 
+// nopPolicy manages nothing: a run under it differs from a
+// policy-free run only in dropping the trace's power ops.
+type nopPolicy struct{}
+
+func (nopPolicy) Name() string                                 { return "nop" }
+func (nopPolicy) BeforeService(*Machine, int, float64)         {}
+func (nopPolicy) AfterService(*Machine, int, float64, float64) {}
+func (nopPolicy) Finish(*Machine, float64)                     {}
+
+// A run with a policy drops the trace's power ops.
 func TestIgnorePowerOps(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := mkTrace(1,
 		op(0, 0, trace.OpSetRPM, 3000),
 		req(1000, 0, 65536),
 	)
-	res, err := Run(tr, Config{Disk: p, IgnorePowerOps: true})
+	res, err := Run(tr, Config{Disk: p, Policy: nopPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}

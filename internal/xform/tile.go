@@ -39,12 +39,12 @@ type TileOptions struct {
 type TileResult struct {
 	// Program is the transformed program.
 	Program *ir.Program
-	// TiledNests lists the indices (in Program.Nests) of the nests
-	// that were tiled.
-	TiledNests []int
-	// TileDims maps a tiled nest index to the tile extents chosen
-	// for its original loops.
-	TileDims map[int][]int64
+	// TiledNest is the index (in Program.Nests) of the nest that was
+	// tiled: the costliest one.
+	TiledNest int
+	// TileDims holds the tile extents chosen for the tiled nest's two
+	// original loops.
+	TileDims [2]int64
 	// Stripings holds the per-array disk layouts the transformation
 	// determined (only for LayoutAware mode; arrays it did not block
 	// are absent and keep the default layout).
@@ -70,7 +70,6 @@ func Tile(p *ir.Program, opts TileOptions) (*TileResult, error) {
 	cp := p.Clone()
 	res := &TileResult{
 		Program:   cp,
-		TileDims:  make(map[int][]int64),
 		Stripings: make(map[string]layout.Striping),
 	}
 	ci := -1
@@ -95,8 +94,8 @@ func Tile(p *ir.Program, opts TileOptions) (*TileResult, error) {
 		return nil, fmt.Errorf("xform: costliest nest %q is not tileable", cp.Nests[ci].Label)
 	}
 	tileNest(cp.Nests[ci], t0, t1)
-	res.TiledNests = []int{ci}
-	res.TileDims[ci] = []int64{t0, t1}
+	res.TiledNest = ci
+	res.TileDims = [2]int64{t0, t1}
 	if opts.LayoutAware {
 		res.applyLayout(cp.Nests[ci], t0, t1, opts)
 	}

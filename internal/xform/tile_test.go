@@ -28,15 +28,15 @@ func TestTileBasicShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := res.Program
-	if len(res.TiledNests) != 1 || res.TiledNests[0] != 0 {
-		t.Fatalf("tiled nests = %v", res.TiledNests)
+	if res.TiledNest != 0 {
+		t.Fatalf("tiled nest = %d", res.TiledNest)
 	}
 	n := tp.Nests[0]
 	if n.Depth() != 4 {
 		t.Fatalf("tiled depth = %d", n.Depth())
 	}
 	// 64KB / 8B = 8192 elems; t1=128, t0=64 for 256x256.
-	dims := res.TileDims[0]
+	dims := res.TileDims
 	if dims[0] != 64 || dims[1] != 128 {
 		t.Fatalf("tile dims = %v", dims)
 	}
@@ -194,8 +194,8 @@ func TestTileCostliestSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.TiledNests) != 1 || res.TiledNests[0] != 1 {
-		t.Errorf("tiled nests = %v, want [1]", res.TiledNests)
+	if res.TiledNest != 1 {
+		t.Errorf("tiled nest = %d, want 1", res.TiledNest)
 	}
 	if res.Program.ArrayByName("big").Block == nil {
 		t.Error("big not blocked")
