@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short vet race fuzz-smoke crash-smoke bench bench-check bench-json bench-diff bench-diff-rev experiments golden golden-drift examples cover cover-all serve-smoke soak-smoke govulncheck clean
+.PHONY: all check build test test-short vet race fuzz-smoke crash-smoke bench bench-check bench-json bench-diff bench-diff-rev experiments golden golden-drift events-drift examples cover cover-all serve-smoke soak-smoke govulncheck clean
 
 all: check
 
@@ -128,6 +128,21 @@ golden:
 
 golden-drift: golden
 	git diff --exit-code results/experiments.txt
+
+# events-drift regenerates the whole decision-provenance event log of
+# a one-worker sweep (2,228,977 events, about 618 MB, written to a
+# temporary directory so no log line can mix in) and fails unless its
+# sha256 equals results/events_all.sha256. The tables only show each
+# run's result; the log also pins which runs are observed and in what
+# order, the contract a change to the instance memo is most likely to
+# break.
+events-drift:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/dpmexp" ./cmd/dpmexp && \
+	"$$dir/dpmexp" -run all -workers 1 -events-cap 3000000 -events-out "$$dir/events.jsonl" > /dev/null && \
+	got=$$(sha256sum < "$$dir/events.jsonl" | cut -d' ' -f1) && want=$$(cat results/events_all.sha256) && \
+	if [ "$$got" != "$$want" ]; then echo "events-drift: the event log hashes to $$got, results/events_all.sha256 holds $$want" >&2; exit 1; fi && \
+	echo "events-drift: sha256 $$got matches results/events_all.sha256"
 
 examples:
 	$(GO) run ./examples/quickstart

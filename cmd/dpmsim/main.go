@@ -21,7 +21,9 @@
 //	                    timeline of the run (open in ui.perfetto.dev
 //	                    or chrome://tracing); single-policy runs only.
 //	                    With -events-out, decision and fault events
-//	                    are merged in as annotated instants
+//	                    are merged in as annotated instants. "-"
+//	                    writes to stdout and moves the report to
+//	                    stderr
 //	-events-out FILE    write the decision-provenance event log as
 //	                    JSON Lines after the run: every spin-down/
 //	                    spin-up/RPM-shift with its trigger, inputs,
@@ -43,7 +45,9 @@
 // Every output file (-metrics-out, -events-out, -trace-out) is written
 // atomically: a temp file is fsynced and renamed over the destination,
 // so a failed or killed run never leaves a partial file. "-" writes
-// the output to stdout instead.
+// the output to stdout instead, which then holds that output alone:
+// setting more than one of the three to "-" is a usage error (exit
+// 2), because the concatenated streams would parse as none of them.
 package main
 
 import (
@@ -78,7 +82,7 @@ func main() {
 	timeline := flag.Int("timeline", 0, "print up to N timeline segments per disk")
 	workers := flag.Int("workers", 0, "worker goroutines for -policy all (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus text-format metrics to this file after the run (- for stdout; the report then moves to stderr)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event / Perfetto JSON timeline to this file (single-policy runs; decision/fault events are merged in when -events-out is also set)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace-event / Perfetto JSON timeline to this file (- for stdout; the report then moves to stderr; single-policy runs; decision/fault events are merged in when -events-out is also set)")
 	eventsOut := flag.String("events-out", "", "write the decision-provenance event log as JSON Lines to this file after the run (- for stdout; the report then moves to stderr); query with dpmquery")
 	eventsCap := flag.Int("events-cap", 0, "event ring capacity for -events-out (0 = default; oldest events drop past the cap)")
 	httpAddr := flag.String("http", "", "serve live /metrics, /status, and /debug/pprof on this address (e.g. :6060) for the run's duration")
@@ -92,6 +96,17 @@ func main() {
 
 	if *traceFile == "" {
 		cli.Fatal(fmt.Errorf("-trace is required"))
+	}
+	all := strings.EqualFold(*pol, "all")
+	if all && *traceOut != "" {
+		slog.Warn("-trace-out applies to single-policy runs; ignoring it with -policy all")
+		*traceOut = ""
+	}
+	reportToStderr, err := reportOnStderr(*metricsOut, *traceOut, *eventsOut)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dpmsim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	var src *os.File
 	if *traceFile == "-" {
@@ -118,10 +133,8 @@ func main() {
 	if *eventsOut != "" {
 		evLog = events.NewLog(*eventsCap)
 	}
-	// With metrics or events on stdout, the human-readable report
-	// moves to stderr so stdout remains pure machine output.
 	report := io.Writer(os.Stdout)
-	if *metricsOut == "-" || *eventsOut == "-" {
+	if reportToStderr {
 		report = os.Stderr
 	}
 
@@ -170,10 +183,7 @@ func main() {
 	ctx, stop := cli.RootContext(*timeout)
 	defer stop()
 
-	if strings.EqualFold(*pol, "all") {
-		if *traceOut != "" {
-			slog.Warn("-trace-out applies to single-policy runs; ignoring it with -policy all")
-		}
+	if all {
 		err := runAll(ctx, report, tr, baseCfg, *openLoop, *workers, coll)
 		writeMetrics(*metricsOut, coll)
 		writeEvents(*eventsOut, evLog)
@@ -257,6 +267,22 @@ func main() {
 	}
 	writeMetrics(*metricsOut, coll)
 	writeEvents(*eventsOut, evLog)
+}
+
+// reportOnStderr says whether the human-readable report moves to
+// stderr: it does when an output goes to stdout ("-"), so that stdout
+// holds pure machine output. More than one output there is an error.
+func reportOnStderr(metricsOut, traceOut, eventsOut string) (bool, error) {
+	n := 0
+	for _, path := range []string{metricsOut, traceOut, eventsOut} {
+		if path == "-" {
+			n++
+		}
+	}
+	if n > 1 {
+		return false, fmt.Errorf("at most one of -metrics-out, -trace-out and -events-out may be - (stdout)")
+	}
+	return n == 1, nil
 }
 
 // output writes one output through cli.WriteOutput ("-" for stdout)

@@ -2,15 +2,19 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"sdpm/internal/cycles"
+	"sdpm/internal/disk"
 	"sdpm/internal/ir"
 	"sdpm/internal/layout"
 	"sdpm/internal/obs"
 	"sdpm/internal/obs/events"
+	"sdpm/internal/tracegen"
 )
 
 // Cache memoizes prepared instances so the expensive front half of
@@ -34,11 +38,26 @@ import (
 // per preparation, not per name or fault seed, and needs no eviction.
 // Config.Fingerprint, which covers the run-only settings too, keys
 // experiment cells, not this memo.
+//
+// A preparation that misses builds its instance from two layers, each
+// keyed only on what it reads. The walk (placement and site
+// extraction) keys on the program pointer, disk count, stripe unit,
+// buffer cache and overrides, so configurations that differ only in
+// the disk parameters, cycle model or DisablePreactivation walk
+// once. A finished walk whose sites and file table equal an earlier
+// walk's adopts the earlier one's, so distinct programs with one site
+// stream (TL's tiles leave every benchmark's unchanged) share what is
+// derived from it. The derived artifacts (base trace, instrumented
+// traces and plans, compiled forms) key on the site stream, disk
+// count, disk parameters and cycle model values, and an instrumented
+// trace within them on its mode and DisablePreactivation. Len counts
+// neither layer.
 type Cache struct {
 	// Obs, when non-nil, receives hit/miss/singleflight-wait counts
 	// from every Prepare and PrepareVersion call (a version's
 	// preparation of its transformed program is not a call of its
-	// own) and is propagated onto each prepared
+	// own, and PrepareVersionUnobserved counts nothing) and is
+	// propagated onto each prepared
 	// Instance (so simulation runs on cached instances are observed
 	// too). Set it before first use.
 	Obs *obs.Collector
@@ -47,8 +66,15 @@ type Cache struct {
 	// instances land in one shared log). Set it before first use.
 	Events *events.Log
 
-	mu      sync.Mutex
+	mu      sync.Mutex // guards entries, walks and derived
 	entries map[string]*cacheEntry
+	walks   map[walkKey]*walkEntry
+	derived map[derivedKey]*derived
+
+	streamMu sync.Mutex // guards streams
+	// streams indexes every walk's site stream by its length and end
+	// sites, the candidates a finished walk compares itself with.
+	streams map[streamKey][]*siteStream
 }
 
 type cacheEntry struct {
@@ -63,6 +89,42 @@ type cacheEntry struct {
 	in      *Instance
 	applied bool
 	err     error
+}
+
+// walkKey is what the walk reads; prog, held by the key, pins the
+// program's address.
+type walkKey struct {
+	prog       *ir.Program
+	numDisks   int
+	unitBytes  int64
+	cacheUnits int
+	overrides  string
+}
+
+type walkEntry struct {
+	once   sync.Once
+	stream *siteStream
+	err    error
+}
+
+// siteStream is a walk's output, shared by every walk that yields
+// equal sites and files.
+type siteStream struct {
+	sites []tracegen.Site
+	files []string
+}
+
+type streamKey struct {
+	n           int
+	first, last tracegen.Site
+}
+
+// derivedKey is what the derived artifacts read.
+type derivedKey struct {
+	stream   *siteStream
+	numDisks int
+	disk     disk.Params
+	model    cycles.Model
 }
 
 // NewCache returns an empty instance cache.
@@ -112,18 +174,85 @@ func (c *Cache) prepareQuiet(name string, p *ir.Program, cfg Config, overrides m
 // prepare is Prepare; count says whether the lookup shows in the
 // hit/miss/wait counters.
 func (c *Cache) prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout.Striping, count bool) (*Instance, error) {
-	key := fmt.Sprintf("p|%p|%s|%s", p, cfg.prepKey(), overridesKey(overrides))
+	ov := overridesKey(overrides)
+	key := fmt.Sprintf("p|%p|%s|%s", p, cfg.prepKey(), ov)
 	in, _, err := c.lookup(key, p, name, cfg, count, func() (*Instance, bool, error) {
-		in, err := Prepare(name, p, cfg, overrides)
-		if in != nil {
-			// Wire the observers before the entry publishes the
-			// instance: once other goroutines can copy it, its
-			// fields are read-only.
-			in.Obs, in.Events = c.Obs, c.Events
+		w := c.walk(p, cfg, overrides, ov)
+		if w.err != nil {
+			return nil, false, w.err
 		}
-		return in, false, err
+		// Wire the observers before the entry publishes the
+		// instance: once other goroutines can copy it, its fields
+		// are read-only.
+		return &Instance{
+			Name: name, Program: p, Sites: w.stream.sites, Files: w.stream.files, Cfg: cfg,
+			Obs: c.Obs, Events: c.Events, derived: c.derivedFor(w.stream, cfg),
+		}, false, nil
 	})
 	return in, err
+}
+
+// walk returns the memoized walk of p under cfg and the overrides
+// (rendered as ov), running it once per walkKey.
+func (c *Cache) walk(p *ir.Program, cfg Config, overrides map[string]layout.Striping, ov string) *walkEntry {
+	key := walkKey{prog: p, numDisks: cfg.NumDisks, unitBytes: cfg.UnitBytes, cacheUnits: cfg.walkCacheUnits(), overrides: ov}
+	c.mu.Lock()
+	if c.walks == nil {
+		c.walks = make(map[walkKey]*walkEntry)
+	}
+	w, ok := c.walks[key]
+	if !ok {
+		w = &walkEntry{}
+		c.walks[key] = w
+	}
+	c.mu.Unlock()
+	w.once.Do(func() {
+		sites, files, err := walk(p, cfg, overrides)
+		if err != nil {
+			w.err = err
+			return
+		}
+		w.stream = c.adopt(&siteStream{sites: sites, files: files})
+	})
+	return w
+}
+
+// adopt returns the stream of an earlier walk with the same sites and
+// files as s, or s itself, which later walks may then adopt.
+func (c *Cache) adopt(s *siteStream) *siteStream {
+	key := streamKey{n: len(s.sites)}
+	if key.n > 0 {
+		key.first, key.last = s.sites[0], s.sites[key.n-1]
+	}
+	c.streamMu.Lock()
+	defer c.streamMu.Unlock()
+	for _, e := range c.streams[key] {
+		if slices.Equal(e.sites, s.sites) && slices.Equal(e.files, s.files) {
+			return e
+		}
+	}
+	if c.streams == nil {
+		c.streams = make(map[streamKey][]*siteStream)
+	}
+	c.streams[key] = append(c.streams[key], s)
+	return s
+}
+
+// derivedFor returns the derived artifacts of stream s under cfg,
+// shared with every instance whose derivedKey equals it.
+func (c *Cache) derivedFor(s *siteStream, cfg Config) *derived {
+	key := derivedKey{stream: s, numDisks: cfg.NumDisks, disk: cfg.Disk, model: *cfg.model()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.derived == nil {
+		c.derived = make(map[derivedKey]*derived)
+	}
+	d, ok := c.derived[key]
+	if !ok {
+		d = newDerived()
+		c.derived[key] = d
+	}
+	return d
 }
 
 // PrepareVersion is a memoizing core.PrepareVersion: the code/layout
@@ -131,8 +260,29 @@ func (c *Cache) prepare(name string, p *ir.Program, cfg Config, overrides map[st
 // with every other lookup of the same program, configuration and
 // overrides. The bool reports whether the transformation applied.
 func (c *Cache) PrepareVersion(name string, p *ir.Program, v Version, cfg Config) (*Instance, bool, error) {
+	return c.prepareVersion(name, p, v, cfg, true)
+}
+
+// PrepareVersionUnobserved is PrepareVersion for a caller whose runs
+// must stay unobserved: the call shows in no hit/miss/wait counter,
+// and the instance it returns carries no collector or event log. A
+// derivation that reads the original (TL+DL) looks it up as
+// PrepareVersion does.
+func (c *Cache) PrepareVersionUnobserved(name string, p *ir.Program, v Version, cfg Config) (*Instance, bool, error) {
+	in, applied, err := c.prepareVersion(name, p, v, cfg, false)
+	if err != nil {
+		return nil, false, err
+	}
+	cp := *in
+	cp.Obs, cp.Events = nil, nil
+	return &cp, applied, nil
+}
+
+// prepareVersion is PrepareVersion; count says whether the lookup
+// shows in the hit/miss/wait counters.
+func (c *Cache) prepareVersion(name string, p *ir.Program, v Version, cfg Config, count bool) (*Instance, bool, error) {
 	key := fmt.Sprintf("v|%p|%s|%s", p, v, cfg.prepKey())
-	return c.lookup(key, p, versionName(name, v), cfg, true, func() (*Instance, bool, error) {
+	return c.lookup(key, p, versionName(name, v), cfg, count, func() (*Instance, bool, error) {
 		return prepareVersion(name, p, v, cfg, c.Prepare, c.prepareQuiet)
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"sdpm/internal/obs"
 	"sdpm/internal/obs/events"
 	"sdpm/internal/sim"
+	"sdpm/internal/trace"
 	"sdpm/internal/workloads"
 )
 
@@ -326,9 +327,10 @@ func TestCacheAuditFollowsRequest(t *testing.T) {
 
 // TestCacheSharesUnchangedVersions: Prepare and PrepareVersion for
 // every version of swim and wupwise, called concurrently on one cache
-// with a collector and an event log. VOrig and every version that
-// leaves the program unchanged share the original's sites and
-// compiled forms; every trace an instance hands out carries the
+// with a collector and an event log. VOrig, every version that
+// leaves the program unchanged and TL, whose tiles leave the site
+// stream unchanged, share the original's sites and compiled forms;
+// every trace an instance hands out carries the
 // instance's own name; every run equals an uncached preparation's;
 // and each public call counts once.
 func TestCacheSharesUnchangedVersions(t *testing.T) {
@@ -429,7 +431,9 @@ func TestCacheSharesUnchangedVersions(t *testing.T) {
 				t.Errorf("%s: %v trace names %q", name, mode, tr.Program)
 			}
 		}
-		shared := cl.v == "" || cl.v == VOrig || !cl.applied
+		// TL builds a new program with the original's site stream,
+		// which it shares by content.
+		shared := cl.v == "" || cl.v == VOrig || cl.v == VTL || !cl.applied
 		if got := &in.Sites[0] == &o.Sites[0]; got != shared {
 			t.Errorf("%s: shares the original's sites: %t, want %t", name, got, shared)
 		}
@@ -477,5 +481,130 @@ func TestCacheSharesUnchangedVersions(t *testing.T) {
 				t.Errorf("%s, %s: the cached run differs from an uncached one", name, s)
 			}
 		}
+	}
+}
+
+// TestCacheSharesWalks: through one cache, each benchmark's default
+// configuration, DisablePreactivation, two other cycle biases and TL
+// share one walk's sites. The default and DisablePreactivation share
+// the base trace's events and its compiled form but not the CMDRPM
+// trace, the bias variants share no base trace, TL shares every trace
+// of the default, every run equals an uncached preparation's, and Len
+// counts only the preparations and version lookups.
+func TestCacheSharesWalks(t *testing.T) {
+	type variant struct {
+		name string
+		cfg  func(b *workloads.Benchmark) Config
+		tl   bool // prepare the TL version instead of the program
+	}
+	def := func(b *workloads.Benchmark) Config {
+		cfg := DefaultConfig()
+		cfg.Model = b.Model()
+		return cfg
+	}
+	bias := func(pct float64) func(b *workloads.Benchmark) Config {
+		return func(b *workloads.Benchmark) Config {
+			cfg := def(b)
+			cfg.Model.BiasPct = pct
+			return cfg
+		}
+	}
+	variants := []variant{
+		{name: "default", cfg: def},
+		{name: "nopre", cfg: func(b *workloads.Benchmark) Config {
+			cfg := def(b)
+			cfg.DisablePreactivation = true
+			return cfg
+		}},
+		{name: "bias10", cfg: bias(10)},
+		{name: "bias30", cfg: bias(30)},
+		{name: "TL", cfg: def, tl: true},
+	}
+	const dflt, nopre, bias10, bias30, tl = 0, 1, 2, 3, 4
+	schemes := []Scheme{Base, CMTPM, CMDRPM}
+	events := func(tr *trace.Trace) *trace.Event { return &tr.Events[0] }
+	c := NewCache()
+	benches := workloads.All()
+	for _, b := range benches {
+		ins := make([]*Instance, len(variants))
+		for i, v := range variants {
+			name := b.Name + "/" + v.name
+			var in, cold *Instance
+			var err error
+			if v.tl {
+				var applied, coldApplied bool
+				in, applied, err = c.PrepareVersion(b.Name, b.Program, VTL, v.cfg(b))
+				if err == nil && !applied {
+					t.Fatalf("%s: TL did not apply", name)
+				}
+				if err == nil {
+					cold, coldApplied, err = PrepareVersion(b.Name, b.Program, VTL, v.cfg(b))
+				}
+				if err == nil && coldApplied != applied {
+					t.Errorf("%s: applied %t, uncached %t", name, applied, coldApplied)
+				}
+			} else {
+				in, err = c.Prepare(b.Name, b.Program, v.cfg(b), nil)
+				if err == nil {
+					cold, err = Prepare(b.Name, b.Program, v.cfg(b), nil)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, s := range schemes {
+				got, err := in.Run(s)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, s, err)
+				}
+				want, err := cold.Run(s)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, s, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %s: the cached run differs from an uncached one", name, s)
+				}
+			}
+			ins[i] = in
+		}
+
+		traceOf := func(i int, s Scheme) *trace.Trace {
+			tr, err := ins[i].Trace(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		for i, v := range variants {
+			if &ins[i].Sites[0] != &ins[dflt].Sites[0] {
+				t.Errorf("%s/%s: does not share the default's sites", b.Name, v.name)
+			}
+		}
+		for _, i := range []int{nopre, tl} {
+			base, dbase := traceOf(i, Base), traceOf(dflt, Base)
+			if events(base) != events(dbase) || ins[i].Compiled(base) != ins[dflt].Compiled(dbase) {
+				t.Errorf("%s/%s: does not share the default's base trace and its compiled form", b.Name, variants[i].name)
+			}
+		}
+		if events(traceOf(nopre, CMDRPM)) == events(traceOf(dflt, CMDRPM)) {
+			t.Errorf("%s/nopre: shares the default's CMDRPM trace", b.Name)
+		}
+		for _, s := range schemes {
+			if events(traceOf(tl, s)) != events(traceOf(dflt, s)) {
+				t.Errorf("%s/TL: does not share the default's %s trace", b.Name, s)
+			}
+		}
+		for _, i := range []int{bias10, bias30} {
+			for _, j := range []int{dflt, bias10} {
+				if i != j && events(traceOf(i, Base)) == events(traceOf(j, Base)) {
+					t.Errorf("%s/%s: shares the base trace of %s", b.Name, variants[i].name, variants[j].name)
+				}
+			}
+		}
+	}
+	// Per benchmark: four preparations of the program, and TL's
+	// version lookup and the preparation of its program.
+	if got, want := c.Len(), 6*len(benches); got != want {
+		t.Errorf("the cache holds %d entries, want %d", got, want)
 	}
 }

@@ -283,7 +283,6 @@ func (c *Config) faultPlan() (*faults.Plan, error) {
 type Instance struct {
 	Name    string
 	Program *ir.Program
-	Sub     *layout.Subsystem
 	Sites   []tracegen.Site
 	// Files is the file-name table the sites' File fields index; the
 	// instance's traces share it as their Files.
@@ -302,20 +301,32 @@ type Instance struct {
 	// bit-identical results with and without a log attached).
 	Events *events.Log
 
-	// derived holds the lazy artifacts, which depend only on what
-	// Prepare reads: copies under other names and run-only settings
-	// share them.
+	// derived holds the lazy artifacts, which read only the sites and
+	// files, the disk count and parameters and the cycle model:
+	// copies under other names and run-only settings share them, and
+	// so may instances of other programs or configurations (Cache).
 	*derived
 }
 
 type derived struct {
 	mu        sync.Mutex // guards the lazy caches below
 	baseTrace *trace.Trace
-	instr     map[insert.Mode]*instrumented
+	// instr is keyed on what instrumentation reads beyond the
+	// derived artifacts' own inputs.
+	instr map[instrKey]*instrumented
 	// compiled is keyed on a trace's first event, the identity
 	// trace.Compiled.For checks, so traces that share one event slice
 	// under different names share one compiled form.
 	compiled map[*trace.Event]*trace.Compiled
+}
+
+func newDerived() *derived {
+	return &derived{instr: make(map[instrKey]*instrumented)}
+}
+
+type instrKey struct {
+	mode  insert.Mode
+	noPre bool // Config.DisablePreactivation
 }
 
 type instrumented struct {
@@ -330,28 +341,40 @@ func Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	sub, err := layout.NewSubsystem(cfg.NumDisks)
-	if err != nil {
-		return nil, err
-	}
-	if err := access.PlaceArraysStaggered(p, sub, cfg.NumDisks, cfg.UnitBytes, overrides); err != nil {
-		return nil, err
-	}
-	cacheUnits := cfg.CacheUnits
-	if cfg.NoCache {
-		cacheUnits = 0
-	}
-	sites, files, err := tracegen.Sites(p, sub, cacheUnits)
+	sites, files, err := walk(p, cfg, overrides)
 	if err != nil {
 		return nil, err
 	}
 	return &Instance{
-		Name: name, Program: p, Sub: sub, Sites: sites, Files: files, Cfg: cfg,
-		derived: &derived{instr: make(map[insert.Mode]*instrumented)},
+		Name: name, Program: p, Sites: sites, Files: files, Cfg: cfg,
+		derived: newDerived(),
 	}, nil
+}
+
+// walk is the part of Prepare that reads the program: it places the
+// arrays and extracts the request sites and their file table. Of cfg
+// it reads only the disk count, the stripe unit and the buffer cache.
+func walk(p *ir.Program, cfg Config, overrides map[string]layout.Striping) ([]tracegen.Site, []string, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	sub, err := layout.NewSubsystem(cfg.NumDisks)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := access.PlaceArraysStaggered(p, sub, cfg.NumDisks, cfg.UnitBytes, overrides); err != nil {
+		return nil, nil, err
+	}
+	return tracegen.Sites(p, sub, cfg.walkCacheUnits())
+}
+
+// walkCacheUnits is the buffer cache capacity the site walk runs
+// with: 0, the cacheless walk, under NoCache.
+func (c *Config) walkCacheUnits() int {
+	if c.NoCache {
+		return 0
+	}
+	return c.CacheUnits
 }
 
 // withRun returns the instance under name and cfg, which has
@@ -399,9 +422,10 @@ func (in *Instance) BaseTrace() *trace.Trace {
 // and plan for the given mode. Like BaseTrace, the results are
 // shared and read-only.
 func (in *Instance) Instrumented(mode insert.Mode) (*trace.Trace, *insert.Plan, error) {
+	key := instrKey{mode: mode, noPre: in.Cfg.DisablePreactivation}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if got, ok := in.instr[mode]; ok {
+	if got, ok := in.instr[key]; ok {
 		return in.named(got.tr), got.plan, nil
 	}
 	tr, plan, err := insert.Instrument(in.Name, in.Cfg.NumDisks, in.Sites, insert.Options{
@@ -412,7 +436,7 @@ func (in *Instance) Instrumented(mode insert.Mode) (*trace.Trace, *insert.Plan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	in.instr[mode] = &instrumented{tr: tr, plan: plan}
+	in.instr[key] = &instrumented{tr: tr, plan: plan}
 	return tr, plan, nil
 }
 

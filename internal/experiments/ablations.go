@@ -144,23 +144,37 @@ func (s *Suite) AblationClustering() (*stats.Table, error) {
 }
 
 // lfdlEnergy runs CMDRPM on the LF+DL version of a benchmark,
-// optionally skipping the clustering step. The transformed program is
-// built fresh on every call, so preparation goes straight to
-// core.Prepare rather than through the memo (a fresh program pointer
-// can never hit).
+// optionally skipping the clustering step, and leaves the run
+// unobserved. The clustered program is the LF+DL version itself, so
+// that run takes the memoized version (PrepareVersionUnobserved);
+// the unclustered program is built fresh on every call, so its
+// preparation goes straight to core.Prepare rather than through the
+// memo (a fresh program pointer can never hit), and so does the
+// clustered one when the compiler declines the version.
 func (s *Suite) lfdlEnergy(b *workloads.Benchmark, cfg core.Config, cluster bool) (float64, error) {
-	fp := xform.Fission(b.Program)
+	var in *core.Instance
 	if cluster {
-		fp = xform.ClusterByGroup(fp)
+		vin, applied, err := s.memo().PrepareVersionUnobserved(b.Name, b.Program, core.VLFDL, cfg)
+		if err != nil {
+			return 0, err
+		}
+		if applied {
+			in = vin
+		}
 	}
-	groups := xform.ArrayGroups(fp)
-	st, err := xform.AssignGroupDisks(groups, cfg.NumDisks, cfg.UnitBytes)
-	if err != nil {
-		return 0, err
-	}
-	in, err := core.Prepare(b.Name+"/lfdl", fp, cfg, st)
-	if err != nil {
-		return 0, err
+	if in == nil {
+		fp := xform.Fission(b.Program)
+		if cluster {
+			fp = xform.ClusterByGroup(fp)
+		}
+		groups := xform.ArrayGroups(fp)
+		st, err := xform.AssignGroupDisks(groups, cfg.NumDisks, cfg.UnitBytes)
+		if err != nil {
+			return 0, err
+		}
+		if in, err = core.Prepare(b.Name+"/lfdl", fp, cfg, st); err != nil {
+			return 0, err
+		}
 	}
 	res, err := in.Run(core.CMDRPM)
 	if err != nil {
