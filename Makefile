@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzBreakEven -fuzztime=$(FUZZTIME) ./internal/disk
 	$(GO) test -run='^$$' -fuzz=FuzzBestRPM -fuzztime=$(FUZZTIME) ./internal/disk
+	$(GO) test -run='^$$' -fuzz=FuzzWalkMatchesBruteForce -fuzztime=$(FUZZTIME) ./internal/access
 	$(GO) test -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzRecoverTail -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzEventDecode -fuzztime=$(FUZZTIME) ./internal/obs/events

@@ -7,13 +7,17 @@
 //
 // The walker never enumerates individual array elements: for each run
 // of the innermost loop it computes the byte stride of every
-// reference and jumps directly between stripe-unit boundaries, so the
-// cost is proportional to the number of unit touches plus the number
-// of outer-loop iterations.
+// reference and jumps directly between stripe-unit boundaries. Nor
+// does it compute a run that touches the same units as the run before
+// it: it counts such repeats in closed form from where the run's
+// offsets sit in their units. The cost is proportional to the unit
+// touches of the runs that differ from the run before them, plus the
+// number of those runs.
 package access
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"sdpm/internal/ir"
@@ -40,24 +44,60 @@ type Touch struct {
 	Kind ir.RefKind
 }
 
-// Walk enumerates all stripe-unit touches of the program in program
-// order and passes each to fn. It stops early if fn returns an
-// error. Program order is: nests in sequence; iterations in
-// lexicographic order; within an iteration, statements then
-// references in declaration order.
-func Walk(p *ir.Program, sub *layout.Subsystem, fn func(Touch) error) error {
-	ids := make(map[string]int, len(p.Arrays))
+// Run is one run of a nest's innermost loop: the stripe-unit touches
+// it makes, and how many of the runs after it make the same ones.
+type Run struct {
+	// Touches are the run's touches in program order. The walk reuses
+	// the slice for its next run, so fn must not keep it.
+	Touches []Touch
+	// Repeats is the number of following runs that repeat this one.
+	// The r-th of them (1 <= r <= Repeats) makes Touches with every
+	// Iter advanced by r*IterStep.
+	Repeats int64
+	// IterStep is the distance in linearized iterations between
+	// consecutive runs: the innermost loop's trip count.
+	IterStep int64
+}
+
+// Walk passes the program's innermost runs to fn in program order. It
+// stops early if fn returns an error. Program order is: nests in
+// sequence; iterations in lexicographic order; within an iteration,
+// statements then references in declaration order.
+//
+// A run repeats the run before it when every reference touches the
+// same stripe units at the same innermost iterations. Walk does not
+// pass a repeat to fn: the run that starts a sequence of repeats
+// counts them in Run.Repeats, and the walk goes on after the last of
+// them. The count is exact for references to linearly laid-out
+// arrays, never spans a step of an outer loop other than the
+// next-to-innermost one, and is 0 for a run that touches a blocked
+// array. A repeat lies inside its file, so an out-of-bounds run is
+// always computed and fails with the same error after the same
+// touches.
+func Walk(p *ir.Program, sub *layout.Subsystem, fn func(Run) error) error {
+	w := walker{sub: sub, numArrays: len(p.Arrays), ids: make(map[string]int, len(p.Arrays)), fn: fn}
 	for i, a := range p.Arrays {
-		if _, dup := ids[a.Name]; !dup {
-			ids[a.Name] = i
+		if _, dup := w.ids[a.Name]; !dup {
+			w.ids[a.Name] = i
 		}
 	}
 	for ni, nest := range p.Nests {
-		if err := walkNest(ni, nest, sub, len(p.Arrays), ids, fn); err != nil {
+		if err := w.walkNest(ni, nest); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// walker is what one Walk carries from nest to nest.
+type walker struct {
+	sub       *layout.Subsystem
+	numArrays int
+	ids       map[string]int // Touch.Array by array name
+	fn        func(Run) error
+	// pending and run are the buffers every run of the walk reuses.
+	pending []pendingTouch
+	run     Run
 }
 
 // refPlan is the per-reference precomputation for one nest.
@@ -71,9 +111,12 @@ type refPlan struct {
 	file      string
 	array     int // Touch.Array
 	// Linear layouts: the byte offset at iteration vector iv is
-	// constB plus the sum of loopB[l]*iv[l].
+	// constB plus the sum of loopB[l]*iv[l]; rowB is the offset's
+	// change from one run to the next within a row (one step of the
+	// next-to-innermost loop).
 	constB int64
 	loopB  []int64
+	rowB   int64
 	// Blocked-layout handling: when the referenced array has a
 	// blocked (tiled) layout, runs are only piecewise linear.
 	blocked bool
@@ -96,7 +139,7 @@ type pendingTouch struct {
 	plan    *refPlan
 }
 
-func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, numArrays int, ids map[string]int, fn func(Touch) error) error {
+func (w *walker) walkNest(ni int, nest *ir.Nest) error {
 	depth := nest.Depth()
 	inner := nest.Loops[depth-1]
 	innerTrip := inner.Trip()
@@ -110,15 +153,15 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, numArrays int, ids m
 	for si, s := range nest.Stmts {
 		for ri := range s.Refs {
 			r := &s.Refs[ri]
-			st, ok := sub.StripingOf(r.Array.Name)
+			st, ok := w.sub.StripingOf(r.Array.Name)
 			if !ok {
 				return fmt.Errorf("access: array %q not placed on subsystem", r.Array.Name)
 			}
-			size, _ := sub.SizeOf(r.Array.Name)
-			id, ok := ids[r.Array.Name]
+			size, _ := w.sub.SizeOf(r.Array.Name)
+			id, ok := w.ids[r.Array.Name]
 			if !ok {
-				id = numArrays + len(ids)
-				ids[r.Array.Name] = id
+				id = w.numArrays + len(w.ids)
+				w.ids[r.Array.Name] = id
 			}
 			pl := refPlan{
 				ref: r, stmtIdx: si, refIdx: ri,
@@ -152,6 +195,9 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, numArrays int, ids m
 					}
 				}
 				pl.strideB = pl.loopB[depth-1] * inner.Step
+				if depth > 1 {
+					pl.rowB = pl.loopB[depth-2] * nest.Loops[depth-2].Step
+				}
 			}
 			plans = append(plans, pl)
 		}
@@ -169,10 +215,16 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, numArrays int, ids m
 	// allocated once per nest and overwritten per (run, reference)
 	// rather than copied afresh, keeping the outer loop allocation-free.
 	scratch := make([]int64, depth)
-	var touches []pendingTouch
-	for outer := int64(0); outer < outerTrips; outer++ {
+	touches := &w.pending
+	run := &w.run
+	run.IterStep = innerTrip
+	for outer := int64(0); outer < outerTrips; outer += 1 + run.Repeats {
 		if outer > 0 {
-			// Step the outer loops to the next run, like an odometer.
+			// Step the outer loops past the last repeat to the next
+			// run, like an odometer.
+			if run.Repeats > 0 {
+				iv[depth-2] += run.Repeats * nest.Loops[depth-2].Step
+			}
 			for l := depth - 2; l >= 0; l-- {
 				if iv[l] != last[l] {
 					iv[l] += nest.Loops[l].Step
@@ -182,19 +234,27 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, numArrays int, ids m
 			}
 		}
 		baseIter := outer * innerTrip
-		touches = touches[:0]
+		*touches = (*touches)[:0]
+		// No repeat crosses the end of the row.
+		run.Repeats = 0
+		if depth > 1 {
+			run.Repeats = (last[depth-2] - iv[depth-2]) / nest.Loops[depth-2].Step
+		}
 
 		for pi := range plans {
 			pl := &plans[pi]
 			var err error
 			if pl.blocked {
-				err = collectRunTouchesBlocked(pl, iv, scratch, inner, innerTrip, &touches)
+				err = collectRunTouchesBlocked(pl, iv, scratch, inner, innerTrip, touches)
+				run.Repeats = 0
 			} else {
 				base := pl.constB
 				for l, b := range pl.loopB {
 					base += b * iv[l]
 				}
-				err = collectRunTouches(pl, base, innerTrip, &touches)
+				var reps int64
+				reps, err = collectRunTouches(pl, base, innerTrip, touches)
+				run.Repeats = min(run.Repeats, reps)
 			}
 			if err != nil {
 				return fmt.Errorf("access: nest %d (%q) stmt %d ref %d: %w",
@@ -205,7 +265,7 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, numArrays int, ids m
 		// then reference. Keys are unique per touch, so the (unstable)
 		// sort is deterministic; SortFunc avoids sort.Slice's
 		// per-call closure and reflection-based swapper.
-		slices.SortFunc(touches, func(a, b pendingTouch) int {
+		slices.SortFunc(*touches, func(a, b pendingTouch) int {
 			if a.k != b.k {
 				if a.k < b.k {
 					return -1
@@ -217,27 +277,30 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, numArrays int, ids m
 			}
 			return a.refIdx - b.refIdx
 		})
-		for _, tc := range touches {
+		run.Touches = run.Touches[:0]
+		for _, tc := range *touches {
 			unitStart := tc.unit * tc.plan.unitBytes
 			b := tc.plan.unitBytes
 			if unitStart+b > tc.plan.fileSize {
 				b = tc.plan.fileSize - unitStart
 			}
-			if err := fn(Touch{
+			run.Touches = append(run.Touches, Touch{
 				Nest: ni, Iter: baseIter + tc.k, Array: tc.plan.array,
 				File: tc.plan.file, Unit: tc.unit, Bytes: b,
 				Kind: tc.plan.ref.Kind,
-			}); err != nil {
-				return err
-			}
+			})
+		}
+		if err := w.fn(*run); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // collectRunTouches appends the unit touches one reference makes over
-// one innermost run starting at byte offset base.
-func collectRunTouches(pl *refPlan, base, innerTrip int64, out *[]pendingTouch) error {
+// one innermost run starting at byte offset base, and returns how many
+// of the following runs of the row make the same touches.
+func collectRunTouches(pl *refPlan, base, innerTrip int64, out *[]pendingTouch) (int64, error) {
 	checkOff := func(off int64) error {
 		if off < 0 || off >= pl.fileSize {
 			return fmt.Errorf("offset %d outside file %q of size %d", off, pl.file, pl.fileSize)
@@ -245,17 +308,21 @@ func collectRunTouches(pl *refPlan, base, innerTrip int64, out *[]pendingTouch) 
 		return nil
 	}
 	if err := checkOff(base); err != nil {
-		return err
+		return 0, err
 	}
 	if pl.strideB == 0 {
 		*out = append(*out, pendingTouch{k: 0, stmtIdx: pl.stmtIdx, refIdx: pl.refIdx, unit: base / pl.unitBytes, plan: pl})
-		return nil
+		return pl.repeats(base%pl.unitBytes, base%pl.unitBytes, base), nil
 	}
 	// Check the last offset too, so the whole run is known in bounds
 	// (offsets are monotonic in k for affine references).
-	if err := checkOff(base + (innerTrip-1)*pl.strideB); err != nil {
-		return err
+	lastOff := base + (innerTrip-1)*pl.strideB
+	if err := checkOff(lastOff); err != nil {
+		return 0, err
 	}
+	// lo and hi bound the offsets' positions within their units; each
+	// unit's first and last offsets are its extremes.
+	lo, hi := pl.unitBytes, int64(-1)
 	k := int64(0)
 	off := base
 	for k < innerTrip {
@@ -271,10 +338,29 @@ func collectRunTouches(pl *refPlan, base, innerTrip int64, out *[]pendingTouch) 
 			neg := -pl.strideB
 			dk = (off - prev + neg - 1) / neg
 		}
+		first := off - unit*pl.unitBytes
+		final := first + (min(dk, innerTrip-k)-1)*pl.strideB
+		lo, hi = min(lo, first, final), max(hi, first, final)
 		k += dk
 		off += dk * pl.strideB
 	}
-	return nil
+	return pl.repeats(lo, hi, max(base, lastOff)), nil
+}
+
+// repeats returns how many following runs of a row repeat the
+// reference's touches in a run whose offsets sit at lo through hi
+// within their units and reach maxOff: each step of the row moves
+// every offset by rowB, and the touches stay the same while no offset
+// leaves its unit or the file.
+func (pl *refPlan) repeats(lo, hi, maxOff int64) int64 {
+	switch d := pl.rowB; {
+	case d > 0:
+		return min((pl.unitBytes-1-hi)/d, (pl.fileSize-1-maxOff)/d)
+	case d < 0:
+		return lo / -d
+	default:
+		return math.MaxInt64
+	}
 }
 
 // withinTileStride returns the byte stride of one step of the given

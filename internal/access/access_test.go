@@ -1,6 +1,7 @@
 package access
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -8,16 +9,44 @@ import (
 
 	"sdpm/internal/ir"
 	"sdpm/internal/layout"
+	"sdpm/internal/workloads"
 )
 
-// Touches collects the full touch sequence of a (small) program.
+// Touches collects the full touch sequence of a (small) program,
+// expanding every repeat of every run.
 func Touches(p *ir.Program, sub *layout.Subsystem) ([]Touch, error) {
+	out, _, err := walkRuns(p, sub)
+	return out, err
+}
+
+// walkRuns is Touches that also returns the runs Walk passed to fn.
+// It fails a walk that passes or counts more runs than the program
+// makes, or a negative repeat count, before expanding them, so a
+// miscounted repeat cannot exhaust memory.
+func walkRuns(p *ir.Program, sub *layout.Subsystem) ([]Touch, []Run, error) {
+	var left int64
+	for _, n := range p.Nests {
+		if trip := n.Loops[n.Depth()-1].Trip(); trip > 0 {
+			left += n.Trips() / trip
+		}
+	}
 	var out []Touch
-	err := Walk(p, sub, func(t Touch) error {
-		out = append(out, t)
+	var runs []Run
+	err := Walk(p, sub, func(run Run) error {
+		if left -= 1 + run.Repeats; left < 0 || run.Repeats < 0 {
+			return fmt.Errorf("run repeats %d times, %d runs left", run.Repeats, left)
+		}
+		for r := int64(0); r <= run.Repeats; r++ {
+			for _, t := range run.Touches {
+				t.Iter += r * run.IterStep
+				out = append(out, t)
+			}
+		}
+		run.Touches = slices.Clone(run.Touches)
+		runs = append(runs, run)
 		return nil
 	})
-	return out, err
+	return out, runs, err
 }
 
 // bruteTouches is a reference implementation that visits every
@@ -307,21 +336,26 @@ func TestWalkUnplacedArray(t *testing.T) {
 }
 
 func TestWalkEarlyStop(t *testing.T) {
+	// Every row of u is a stripe unit of its own, so no run repeats
+	// another and the walk passes all 8 runs unless fn stops it.
 	b := ir.NewBuilder("p")
-	u := b.Array1D("u", 1024)
-	b.Nest("n0", ir.L("i", 1024)).Stmt(1, ir.R(u, ir.Var(0)))
+	u := b.Array2D("u", 8, 64)
+	b.Nest("n0", ir.L("i", 8), ir.L("j", 64)).Stmt(1, ir.R(u, ir.Var(0), ir.Var(1)))
 	p := b.MustBuild()
 	sub := placeAll(t, p, 2, 512, 2)
 	count := 0
 	sentinel := errSentinel{}
-	err := Walk(p, sub, func(Touch) error {
+	err := Walk(p, sub, func(run Run) error {
 		count++
-		if count == 3 {
+		if run.Repeats != 0 {
+			t.Errorf("run %d repeats %d times, want 0", count, run.Repeats)
+		}
+		if count == 2 {
 			return sentinel
 		}
 		return nil
 	})
-	if err != sentinel || count != 3 {
+	if err != sentinel || count != 2 {
 		t.Fatalf("early stop failed: err=%v count=%d", err, count)
 	}
 }
@@ -457,5 +491,164 @@ func TestWalkBlockedMultiDrivenFallsBack(t *testing.T) {
 	want := bruteTouches(t, p, sub)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("diagonal blocked diverged:\n got %v\nwant %v", got, want)
+	}
+}
+
+// checkRuns compares the walk of p with bruteTouches and requires Walk
+// to have passed wantRuns runs.
+func checkRuns(t *testing.T, p *ir.Program, sub *layout.Subsystem, wantRuns int) []Run {
+	t.Helper()
+	got, runs, err := walkRuns(p, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bruteTouches(t, p, sub); !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk diverged from brute force:\n got %v\nwant %v", got, want)
+	}
+	if len(runs) != wantRuns {
+		t.Fatalf("Walk passed %d runs, want %d", len(runs), wantRuns)
+	}
+	return runs
+}
+
+func TestWalkRepeatsNegativeRowStep(t *testing.T) {
+	// u[15-i][j]: each run reads one 64-byte row, and the next run the
+	// row before it. A 512-byte unit holds 8 rows, so each unit's top
+	// row starts a run that the 7 rows below it repeat.
+	b := ir.NewBuilder("p")
+	u := b.Array2D("u", 16, 8)
+	b.Nest("n0", ir.L("i", 16), ir.L("j", 8)).Stmt(1, ir.R(u, ir.Var(0).Times(-1).Plus(15), ir.Var(1)))
+	p := b.MustBuild()
+	runs := checkRuns(t, p, placeAll(t, p, 2, 512, 2), 2)
+	for i, r := range runs {
+		if r.Repeats != 7 || r.IterStep != 8 || len(r.Touches) != 1 {
+			t.Errorf("run %d = %+v, want 1 touch repeated 7 times 8 iterations apart", i, r)
+		}
+	}
+}
+
+func TestWalkRepeatsZeroRowStep(t *testing.T) {
+	// v[j] does not depend on i, so a row of i repeats its first run
+	// to its end; u[k][j] moves with k, the loop outside the row, and
+	// no repeat crosses from one k to the next.
+	b := ir.NewBuilder("p")
+	u := b.Array2D("u", 4, 100)
+	v := b.Array1D("v", 100)
+	b.Nest("n0", ir.L("k", 4), ir.L("i", 6), ir.L("j", 100)).
+		Stmt(1, ir.R(v, ir.Var(2)), ir.W(u, ir.Var(0), ir.Var(2)))
+	p := b.MustBuild()
+	for _, r := range checkRuns(t, p, placeAll(t, p, 3, 512, 3), 4) {
+		if r.Repeats != 5 {
+			t.Errorf("run at iteration %d repeats %d times, want 5", r.Touches[0].Iter, r.Repeats)
+		}
+	}
+}
+
+func TestWalkRepeatsStraddleUnits(t *testing.T) {
+	// v[2i+j+30] over 48 iterations reads bytes 240+16i through
+	// 616+16i, and the next run reads them 16 bytes on. Runs 0-16 and
+	// 26-39 straddle a 512-byte unit boundary with an offset within 16
+	// bytes of it, so none repeats; run 17 reads bytes 512-888 of unit
+	// 1, and runs 18-25 repeat it.
+	b := ir.NewBuilder("p")
+	v := b.Array1D("v", 256)
+	b.Nest("n0", ir.L("i", 40), ir.L("j", 48)).
+		Stmt(1, ir.R(v, ir.Var(0).Times(2).Add(ir.Var(1)).Plus(30)))
+	p := b.MustBuild()
+	for i, r := range checkRuns(t, p, placeAll(t, p, 2, 512, 2), 32) {
+		wantTouches, wantRepeats := 2, int64(0)
+		if i == 17 {
+			wantTouches, wantRepeats = 1, 8
+		}
+		if len(r.Touches) != wantTouches || r.Repeats != wantRepeats {
+			t.Errorf("run %d makes %d touches repeated %d times, want %d repeated %d times", i, len(r.Touches), r.Repeats, wantTouches, wantRepeats)
+		}
+	}
+}
+
+// overrunProgram reads v[i+j], j < 4, from an 800-byte v whose second
+// 512-byte unit is partial, for i < rows: rows 98 and up leave the
+// file.
+func overrunProgram(rows int64) *ir.Program {
+	b := ir.NewBuilder("p")
+	v := b.Array1D("v", 100)
+	b.Nest("n0", ir.L("i", rows), ir.L("j", 4)).Stmt(1, ir.R(v, ir.Var(0).Add(ir.Var(1))))
+	return b.MustBuild()
+}
+
+// checkOverrun walks p and requires the touches of the in-bounds
+// runs, then the error the first out-of-bounds run gives.
+func checkOverrun(t *testing.T, p, inBounds *ir.Program, wantErr string) []Run {
+	t.Helper()
+	sub := placeAll(t, p, 2, 512, 2)
+	got, runs, err := walkRuns(p, sub)
+	if err == nil || err.Error() != wantErr {
+		t.Fatalf("error %v, want %q", err, wantErr)
+	}
+	if want := bruteTouches(t, inBounds, placeAll(t, inBounds, 2, 512, 2)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("touches before the error diverged:\n got %v\nwant %v", got, want)
+	}
+	return runs
+}
+
+func TestWalkRepeatsStopAtFileEnd(t *testing.T) {
+	// The run at i=64 reads bytes 512..536 of the partial unit. Its
+	// offsets could move 60 rows before leaving the unit, but the file
+	// ends after 32: the file bound stops the repeats, and row 97 fails.
+	runs := checkOverrun(t, overrunProgram(120), overrunProgram(97),
+		`access: nest 0 ("n0") stmt 0 ref 0: offset 800 outside file "v" of size 800`)
+	r := runs[len(runs)-1]
+	if r.Touches[0].Iter != 64*4 || r.Repeats != 32 {
+		t.Fatalf("last run starts at iteration %d with %d repeats, want 256 and 32", r.Touches[0].Iter, r.Repeats)
+	}
+}
+
+func TestWalkOutOfBoundsAfterRepeats(t *testing.T) {
+	// u[15-i][j] for i < 18: rows 15 down to 0 collapse into two runs
+	// of 7 repeats each, and row -1 fails with the error the first
+	// out-of-bounds offset gives.
+	prog := func(rows int64) *ir.Program {
+		b := ir.NewBuilder("p")
+		u := b.Array2D("u", 16, 8)
+		b.Nest("n0", ir.L("i", rows), ir.L("j", 8)).Stmt(1, ir.R(u, ir.Var(0).Times(-1).Plus(15), ir.Var(1)))
+		return b.MustBuild()
+	}
+	runs := checkOverrun(t, prog(18), prog(16),
+		`access: nest 0 ("n0") stmt 0 ref 0: offset -64 outside file "u" of size 1024`)
+	if len(runs) != 2 {
+		t.Fatalf("Walk passed %d runs before the error, want 2", len(runs))
+	}
+}
+
+// TestWalkRunCountsDefaultPlacement pins how many runs Walk passes to
+// fn for each benchmark under the default staggered placement. Every
+// run a benchmark's nests make is either passed or counted as a
+// repeat; losing the collapse passes them all.
+func TestWalkRunCountsDefaultPlacement(t *testing.T) {
+	want := map[string]struct{ runs, all int64 }{
+		"wupwise": {11809, 18496},
+		"swim":    {384, 3072},
+		"mgrid":   {4830, 41216},
+		"applu":   {961, 7744},
+		"mesa":    {417, 3344},
+		"galgel":  {512, 4096},
+	}
+	for _, b := range workloads.All() {
+		sub := layout.MustSubsystem(workloads.DefaultDisks)
+		if err := PlaceArraysStaggered(b.Program, sub, workloads.DefaultDisks, workloads.UnitBytes, nil); err != nil {
+			t.Fatal(err)
+		}
+		var runs, all int64
+		err := Walk(b.Program, sub, func(r Run) error {
+			runs++
+			all += 1 + r.Repeats
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want[b.Name]; runs != w.runs || all != w.all {
+			t.Errorf("%s: Walk passed %d runs standing for %d, want %d for %d", b.Name, runs, all, w.runs, w.all)
+		}
 	}
 }

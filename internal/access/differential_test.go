@@ -42,3 +42,27 @@ func TestWalkerMatchesBruteForceGenerated(t *testing.T) {
 		}
 	}
 }
+
+// FuzzWalkMatchesBruteForce generates a program and a placement from
+// the fuzzed values and requires the walk, its repeats expanded, to
+// equal the per-element reference.
+func FuzzWalkMatchesBruteForce(f *testing.F) {
+	f.Add(int64(909), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(1), uint8(0), uint8(0), uint8(3))
+	f.Add(int64(-77), uint8(5), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, disks, factor, unit uint8) {
+		p := progen.MustGenerate(rand.New(rand.NewSource(seed)), progen.DefaultOptions())
+		nd := 1 + int(disks)%6
+		sub := layout.MustSubsystem(nd)
+		if err := PlaceArraysStaggered(p, sub, 1+int(factor)%nd, 512*(1+int64(unit)%4), nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Touches(p, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteTouches(t, p, sub); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: walker diverged from brute force: got %d touches, want %d", p.Name, len(got), len(want))
+		}
+	})
+}

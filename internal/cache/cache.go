@@ -26,8 +26,6 @@ type LRU struct {
 	entries []entry
 	// head and tail index the most and least recently used entries.
 	head, tail int
-	hits       int64
-	misses     int64
 }
 
 // entry is one cached unit; prev points toward the head, next toward
@@ -49,14 +47,12 @@ func New(capUnits int) *LRU {
 // evicting the least recently used unit if the cache is full.
 func (c *LRU) Touch(k Key) bool {
 	if i, ok := c.lookup(k); ok {
-		c.hits++
 		if i != c.head {
 			c.unlink(i)
 			c.pushFront(i)
 		}
 		return true
 	}
-	c.misses++
 	if c.capacity == 0 {
 		return false
 	}
@@ -121,6 +117,3 @@ func (c *LRU) Len() int { return len(c.entries) }
 
 // Cap returns the capacity in units.
 func (c *LRU) Cap() int { return c.capacity }
-
-// Stats returns the cumulative hit and miss counts.
-func (c *LRU) Stats() (hits, misses int64) { return c.hits, c.misses }

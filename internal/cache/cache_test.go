@@ -23,10 +23,6 @@ func TestBasicHitMiss(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("Len = %d", c.Len())
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 2 {
-		t.Errorf("stats = %d/%d", hits, misses)
-	}
 }
 
 func TestEvictionOrder(t *testing.T) {
@@ -82,10 +78,6 @@ func TestSequentialSweepMissesEveryUnitWhenLarger(t *testing.T) {
 			}
 		}
 	}
-	_, misses := c.Stats()
-	if misses != 300 {
-		t.Errorf("misses = %d, want 300", misses)
-	}
 }
 
 func TestRepeatedTouchesWithinUnitHit(t *testing.T) {
@@ -103,15 +95,13 @@ func TestRepeatedTouchesWithinUnitHit(t *testing.T) {
 }
 
 func TestLRUInvariants(t *testing.T) {
-	// Property: Len never exceeds capacity; hits+misses equals
-	// touches; a touched key is always present afterwards (cap>0).
+	// Property: Len never exceeds capacity; a touched key is always
+	// present afterwards (cap>0).
 	rng := rand.New(rand.NewSource(42))
 	c := New(16)
-	touches := int64(0)
 	for i := 0; i < 5000; i++ {
 		key := k(rng.Intn(3), int64(rng.Intn(40)))
 		c.Touch(key)
-		touches++
 		if c.Len() > c.Cap() {
 			t.Fatalf("len %d exceeds cap %d", c.Len(), c.Cap())
 		}
@@ -119,27 +109,20 @@ func TestLRUInvariants(t *testing.T) {
 			t.Fatal("touched key absent")
 		}
 	}
-	h, m := c.Stats()
-	if h+m != touches {
-		t.Fatalf("hits %d + misses %d != touches %d", h, m, touches)
-	}
 }
 
 // listLRU is a reference LRU on container/list and a map.
 type listLRU struct {
-	capacity     int
-	ll           *list.List
-	m            map[Key]*list.Element
-	hits, misses int64
+	capacity int
+	ll       *list.List
+	m        map[Key]*list.Element
 }
 
 func (c *listLRU) touch(k Key) bool {
 	if e, ok := c.m[k]; ok {
 		c.ll.MoveToFront(e)
-		c.hits++
 		return true
 	}
-	c.misses++
 	if c.capacity == 0 {
 		return false
 	}
@@ -154,8 +137,8 @@ func (c *listLRU) touch(k Key) bool {
 
 // TestLRUMatchesListReference replays random touch streams, with
 // enough reuse to both hit and evict, against the container/list
-// reference: every touch must agree on hit or miss, and Len, Stats
-// and Contains must agree throughout.
+// reference: every touch must agree on hit or miss, and Len and
+// Contains must agree throughout.
 func TestLRUMatchesListReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, capacity := range []int{0, 1, 2, 16, 1000} {
@@ -174,9 +157,6 @@ func TestLRUMatchesListReference(t *testing.T) {
 			if _, want := ref.m[probe]; c.Contains(probe) != want {
 				t.Fatalf("cap %d touch %d: Contains(%+v) = %t", capacity, i, probe, !want)
 			}
-		}
-		if h, m := c.Stats(); h != ref.hits || m != ref.misses {
-			t.Fatalf("cap %d: stats %d/%d, reference %d/%d", capacity, h, m, ref.hits, ref.misses)
 		}
 	}
 }

@@ -72,14 +72,19 @@ type Extent struct {
 // maps array byte ranges to per-disk extents with absolute block
 // numbers. Files are allocated disk space in placement order.
 type Subsystem struct {
-	numDisks  int
-	stripings map[string]Striping
-	sizes     map[string]int64
-	// base[name] is the per-disk starting byte of the file's local
-	// allocation on each disk it is striped over (indexed by disk id).
-	base     map[string][]int64
+	numDisks int
+	files    map[string]*file
 	nextFree []int64
 	order    []string
+}
+
+// file is one placed file.
+type file struct {
+	st   Striping
+	size int64
+	// base is the starting byte of the file's local allocation on each
+	// disk it is striped over (indexed by disk id).
+	base []int64
 }
 
 // SubsystemSizeError reports an invalid disk count passed to
@@ -110,11 +115,9 @@ func NewSubsystem(numDisks int) (*Subsystem, error) {
 		return nil, &SubsystemSizeError{NumDisks: numDisks}
 	}
 	return &Subsystem{
-		numDisks:  numDisks,
-		stripings: make(map[string]Striping),
-		sizes:     make(map[string]int64),
-		base:      make(map[string][]int64),
-		nextFree:  make([]int64, numDisks),
+		numDisks: numDisks,
+		files:    make(map[string]*file),
+		nextFree: make([]int64, numDisks),
 	}, nil
 }
 
@@ -138,7 +141,7 @@ func (s *Subsystem) Files() []string { return append([]string(nil), s.order...) 
 // striping. The per-disk share of the file is allocated contiguously
 // at each disk's current allocation frontier.
 func (s *Subsystem) Place(name string, size int64, st Striping) error {
-	if _, dup := s.stripings[name]; dup {
+	if _, dup := s.files[name]; dup {
 		return fmt.Errorf("layout: file %q already placed", name)
 	}
 	if size <= 0 {
@@ -159,70 +162,74 @@ func (s *Subsystem) Place(name string, size int64, st Striping) error {
 		bases[d] = s.nextFree[d]
 		s.nextFree[d] += perDisk
 	}
-	s.stripings[name] = st
-	s.sizes[name] = size
-	s.base[name] = bases
+	s.files[name] = &file{st: st, size: size, base: bases}
 	s.order = append(s.order, name)
 	return nil
 }
 
 // StripingOf returns the striping of a placed file.
 func (s *Subsystem) StripingOf(name string) (Striping, bool) {
-	st, ok := s.stripings[name]
-	return st, ok
+	f, ok := s.files[name]
+	if !ok {
+		return Striping{}, false
+	}
+	return f.st, true
 }
 
 // SizeOf returns the placed size of a file.
 func (s *Subsystem) SizeOf(name string) (int64, bool) {
-	sz, ok := s.sizes[name]
-	return sz, ok
+	f, ok := s.files[name]
+	if !ok {
+		return 0, false
+	}
+	return f.size, true
 }
 
 // DisksOf returns the disks a placed file occupies, sorted ascending.
 func (s *Subsystem) DisksOf(name string) []int {
-	st, ok := s.stripings[name]
+	f, ok := s.files[name]
 	if !ok {
 		return nil
 	}
-	ds := st.Disks(s.numDisks)
+	ds := f.st.Disks(s.numDisks)
 	sort.Ints(ds)
 	return ds
 }
 
 // DiskOf returns the disk holding byte offset off of the named file.
 func (s *Subsystem) DiskOf(name string, off int64) (int, error) {
-	st, ok := s.stripings[name]
+	f, ok := s.files[name]
 	if !ok {
 		return 0, &NotPlacedError{File: name}
 	}
-	if off < 0 || off >= s.sizes[name] {
-		return 0, fmt.Errorf("layout: file %q: offset %d out of range [0,%d)", name, off, s.sizes[name])
+	if off < 0 || off >= f.size {
+		return 0, fmt.Errorf("layout: file %q: offset %d out of range [0,%d)", name, off, f.size)
 	}
-	return st.DiskOfUnit(st.UnitOf(off), s.numDisks), nil
+	return f.st.DiskOfUnit(f.st.UnitOf(off), s.numDisks), nil
 }
 
 // UnitOf returns the stripe unit index containing byte offset off of
 // the named file. Unit indices are file-global and suitable as buffer
 // cache keys.
 func (s *Subsystem) UnitOf(name string, off int64) (int64, error) {
-	st, ok := s.stripings[name]
+	f, ok := s.files[name]
 	if !ok {
 		return 0, &NotPlacedError{File: name}
 	}
-	return st.UnitOf(off), nil
+	return f.st.UnitOf(off), nil
 }
 
 // Map splits the byte range [off, off+n) of the named file into
 // per-disk extents with absolute block numbers, in ascending file
 // offset order.
 func (s *Subsystem) Map(name string, off, n int64) ([]Extent, error) {
-	st, ok := s.stripings[name]
+	f, ok := s.files[name]
 	if !ok {
 		return nil, &NotPlacedError{File: name}
 	}
-	size := s.sizes[name]
-	if off < 0 || n <= 0 || off+n > size {
-		return nil, fmt.Errorf("layout: file %q: range [%d,%d) out of [0,%d)", name, off, off+n, size)
+	st := f.st
+	if off < 0 || n <= 0 || off+n > f.size {
+		return nil, fmt.Errorf("layout: file %q: range [%d,%d) out of [0,%d)", name, off, off+n, f.size)
 	}
 	type span struct {
 		disk  int
@@ -238,7 +245,7 @@ func (s *Subsystem) Map(name string, off, n int64) ([]Extent, error) {
 			take = n
 		}
 		d := st.DiskOfUnit(u, s.numDisks)
-		localByte := s.base[name][d] + (u/int64(st.Factor))*st.UnitBytes + inUnit
+		localByte := f.base[d] + (u/int64(st.Factor))*st.UnitBytes + inUnit
 		// Merge with the previous span when contiguous on disk.
 		if k := len(spans) - 1; k >= 0 && spans[k].disk == d && spans[k].start+spans[k].bytes == localByte {
 			spans[k].bytes += take
@@ -259,20 +266,20 @@ func (s *Subsystem) Map(name string, off, n int64) ([]Extent, error) {
 // disk extent. Requests in the simulated workloads are issued at
 // stripe-unit granularity, so this is the hot path.
 func (s *Subsystem) MapUnit(name string, u int64) (Extent, error) {
-	st, ok := s.stripings[name]
+	f, ok := s.files[name]
 	if !ok {
 		return Extent{}, &NotPlacedError{File: name}
 	}
-	size := s.sizes[name]
+	st := f.st
 	off := u * st.UnitBytes
-	if off < 0 || off >= size {
+	if off < 0 || off >= f.size {
 		return Extent{}, fmt.Errorf("layout: file %q: unit %d out of range", name, u)
 	}
 	n := st.UnitBytes
-	if off+n > size {
-		n = size - off
+	if off+n > f.size {
+		n = f.size - off
 	}
 	d := st.DiskOfUnit(u, s.numDisks)
-	localByte := s.base[name][d] + (u/int64(st.Factor))*st.UnitBytes
+	localByte := f.base[d] + (u/int64(st.Factor))*st.UnitBytes
 	return Extent{Disk: d, Block: localByte / BlockSize, Bytes: n}, nil
 }

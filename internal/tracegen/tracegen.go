@@ -81,32 +81,47 @@ func Sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, []stri
 	case out = <-siteBufs:
 	default:
 	}
-	err := access.Walk(p, sub, func(t access.Touch) error {
-		if bc.Touch(cache.Key{Array: t.Array, Unit: t.Unit}) {
-			return nil
+	err := access.Walk(p, sub, func(run access.Run) error {
+		// Right after a run of at most capacity touches, its units are
+		// the most recently used, in the order of their last touch, so
+		// making the same touches again hits every time and leaves the
+		// cache as it was: the run's repeats make no request.
+		reps := run.Repeats
+		if len(run.Touches) <= bc.Cap() {
+			reps = 0
 		}
-		ext, err := sub.MapUnit(t.File, t.Unit)
-		if err != nil {
-			return err
+		for r := int64(0); r <= reps; r++ {
+			shift := r * run.IterStep
+			for i := range run.Touches {
+				t := &run.Touches[i]
+				if bc.Touch(cache.Key{Array: t.Array, Unit: t.Unit}) {
+					continue
+				}
+				ext, err := sub.MapUnit(t.File, t.Unit)
+				if err != nil {
+					return err
+				}
+				kind := trace.Read
+				if t.Kind == ir.Write {
+					kind = trace.Write
+				}
+				for t.Array >= len(fileOf) {
+					fileOf = append(fileOf, 0)
+				}
+				if fileOf[t.Array] == 0 {
+					files = append(files, t.File)
+					fileOf[t.Array] = int32(len(files))
+				}
+				iter := t.Iter + shift
+				out = append(out, Site{
+					Nest: int32(t.Nest), Iter: iter,
+					File: fileOf[t.Array], Unit: t.Unit,
+					Disk: int32(ext.Disk), Block: ext.Block, Bytes: ext.Bytes,
+					Kind:     kind,
+					CyclePos: base[t.Nest] + iter*p.Nests[t.Nest].IterCost(),
+				})
+			}
 		}
-		kind := trace.Read
-		if t.Kind == ir.Write {
-			kind = trace.Write
-		}
-		for t.Array >= len(fileOf) {
-			fileOf = append(fileOf, 0)
-		}
-		if fileOf[t.Array] == 0 {
-			files = append(files, t.File)
-			fileOf[t.Array] = int32(len(files))
-		}
-		out = append(out, Site{
-			Nest: int32(t.Nest), Iter: t.Iter,
-			File: fileOf[t.Array], Unit: t.Unit,
-			Disk: int32(ext.Disk), Block: ext.Block, Bytes: ext.Bytes,
-			Kind:     kind,
-			CyclePos: base[t.Nest] + t.Iter*p.Nests[t.Nest].IterCost(),
-		})
 		return nil
 	})
 	// Copy the sites out before the buffer goes back to the list,
