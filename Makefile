@@ -27,7 +27,8 @@ vet:
 # pool (including cancellation), the memoizing instance cache, the
 # site walk's buffer free list shared by concurrent preparations, the
 # experiment grid (an original and its code versions prepared
-# concurrently through one cache), the simulator, the fault-injection
+# concurrently through one cache, and concurrent lookups of the
+# suite's run memo), the simulator, the fault-injection
 # plan shared across workers, the journal appended to by concurrent
 # experiment cells, the observability layer (collector snapshots and
 # the event ring, both written by concurrent simulation runs), the
@@ -100,11 +101,12 @@ bench-diff:
 # BENCH_TOLERANCE, so the host's speed cancels out (see
 # tools/bench-diff-rev.sh). BENCH_REV selects the compiler front half,
 # the experiments it dominates, the whole sweep bench's `sweep`
-# workload measures, the 42 scheme runs of a cached dpmd round and the
-# BENCH_SMOKE hot paths.
+# workload measures, unobserved and with a collector attached (the
+# two sides of the suite's run memo), the 42 scheme runs of a cached
+# dpmd round and the BENCH_SMOKE hot paths.
 #
 #	make bench-diff-rev REV=HEAD~1
-BENCH_REV ?= Figure3$$|Figure13$$|SweepAll$$|TraceGeneration$$|CompilerInstrumentation$$|Prepare$$|Instrument$$|RunAllSchemes$$|$(BENCH_SMOKE)
+BENCH_REV ?= Figure3$$|Figure13$$|SweepAll$$|SweepAllObserved$$|TraceGeneration$$|CompilerInstrumentation$$|Prepare$$|Instrument$$|RunAllSchemes$$|$(BENCH_SMOKE)
 bench-diff-rev:
 	@test -n "$(REV)" || { echo "usage: make bench-diff-rev REV=<commit>" >&2; exit 2; }
 	GO=$(GO) tools/bench-diff-rev.sh '$(REV)' '$(BENCH_REV)' $(BENCH_TOLERANCE)

@@ -20,6 +20,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"sdpm/internal/obs"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -191,14 +193,28 @@ func benchSuite(b *testing.B, workers int) {
 // sweep workload does: RunExperiments("all") on a fresh suite at
 // GOMAXPROCS workers, after one untimed warm-up, with each
 // iteration's output checked against results/experiments.txt.
-func BenchmarkSweepAll(b *testing.B) {
+func BenchmarkSweepAll(b *testing.B) { benchSweep(b, false) }
+
+// BenchmarkSweepAllObserved is BenchmarkSweepAll with a fresh metrics
+// collector attached to each sweep, as dpmexp -metrics-out attaches
+// one: every run is then simulated, none shared through the suite's
+// run memo.
+func BenchmarkSweepAllObserved(b *testing.B) { benchSweep(b, true) }
+
+// benchSweep times the whole sweep, with a collector attached when
+// observed is set.
+func benchSweep(b *testing.B, observed bool) {
 	want, err := os.ReadFile(filepath.Join("results", "experiments.txt"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The golden output is rendered with dpmexp's default fault seed.
-	opts := Options{Workers: runtime.GOMAXPROCS(0), FaultSeed: 1}
 	sweep := func() {
+		// The golden output is rendered with dpmexp's default fault
+		// seed.
+		opts := Options{Workers: runtime.GOMAXPROCS(0), FaultSeed: 1}
+		if observed {
+			opts.Collector = obs.New()
+		}
 		var buf bytes.Buffer
 		if err := RunExperiments("all", &buf, opts); err != nil {
 			b.Fatal(err)

@@ -176,7 +176,7 @@ func (s *Suite) lfdlEnergy(b *workloads.Benchmark, cfg core.Config, cluster bool
 			return 0, err
 		}
 	}
-	res, err := in.Run(core.CMDRPM)
+	res, err := s.simulate(in, core.CMDRPM)
 	if err != nil {
 		return 0, err
 	}
@@ -200,7 +200,7 @@ func (s *Suite) AblationOpenLoop() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := in.Run(core.Base)
+		base, err := s.simulate(in, core.Base)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +208,7 @@ func (s *Suite) AblationOpenLoop() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dr, err := in.Run(core.DRPM)
+		dr, err := s.simulate(in, core.DRPM)
 		if err != nil {
 			return nil, err
 		}

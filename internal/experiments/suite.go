@@ -14,7 +14,11 @@
 // rendered output is byte-identical for any worker count; a shared
 // instance memo (core.Cache) ensures the compile→analysis→trace
 // pipeline runs once per (workload, configuration) no matter how many
-// schemes or experiments ask for it. See docs/performance.md.
+// schemes or experiments ask for it. A suite with no collector and no
+// event log also simulates each distinct closed-loop run once: a run
+// memo that lives as long as the suite answers the runs experiments
+// repeat (Figures 3/4, 5/6 and 7/8 and the fault tables report one
+// set of runs each). See docs/performance.md.
 package experiments
 
 import (
@@ -64,15 +68,19 @@ type Suite struct {
 	// for every value.
 	Workers int
 	// Obs, when non-nil, observes the whole suite: every simulation
-	// run, instance-cache lookup, and worker-pool cell reports into
-	// it. Set it before the first experiment; render with
-	// obs.WritePrometheus.
+	// run but ExtensionMultiprogram's merged open-loop replays and
+	// AblationClustering's LF+DL runs, and every instance-cache lookup
+	// and worker-pool cell, reports into it. Set it before the first
+	// experiment; render with obs.WritePrometheus. A suite with
+	// neither Obs nor Events answers a closed-loop run it already
+	// simulated from its run memo instead of simulating it again.
 	Obs *obs.Collector
 	// Events, when non-nil, collects decision-provenance events for
-	// the whole suite: every simulation run's power decisions (with
-	// energy-regret attribution), cell retries and recovered panics
-	// from the worker pool, and journal hit/miss lifecycle events.
-	// Render with events.WriteJSONL or query with dpmquery.
+	// the whole suite: the power decisions (with energy-regret
+	// attribution) of every simulation run but the ones Obs names,
+	// cell retries and recovered panics from the worker pool, and
+	// journal hit/miss lifecycle events. Render with events.WriteJSONL
+	// or query with dpmquery.
 	Events *events.Log
 	// Ctx, when non-nil, cancels in-flight experiments: worker pools
 	// stop claiming cells and the running experiment returns the
@@ -112,14 +120,19 @@ type Suite struct {
 
 	cacheOnce sync.Once
 	cache     *core.Cache
+	runs      runMemo
 }
 
 // NewSuite returns a suite with the paper's default configuration and
 // all six benchmarks.
-func NewSuite() *Suite {
+func NewSuite() *Suite { return NewSuiteOf(workloads.All()) }
+
+// NewSuiteOf returns a suite with the paper's default configuration
+// over the given benchmarks, which it shares rather than copies.
+func NewSuiteOf(benches []*workloads.Benchmark) *Suite {
 	cfg := core.DefaultConfig()
 	cfg.CacheUnits = CacheUnitsAuto
-	return &Suite{Cfg: cfg, Benchmarks: workloads.All()}
+	return &Suite{Cfg: cfg, Benchmarks: benches}
 }
 
 // memo returns the suite's instance cache: the injected shared Cache
@@ -256,7 +269,7 @@ func (s *Suite) schemeGrid(exp string, labels []string, schemes []core.Scheme, t
 			if err != nil {
 				return nil, err
 			}
-			res, err := in.Run(schemes[i%ns])
+			res, err := s.simulate(in, schemes[i%ns])
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", strings.Join(parts, "/"), err)
 			}
@@ -311,7 +324,7 @@ func (s *Suite) run(b *workloads.Benchmark, cfg core.Config, schemes ...core.Sch
 	}
 	res := make([]*sim.Result, len(schemes))
 	for i, sc := range schemes {
-		if res[i], err = in.Run(sc); err != nil {
+		if res[i], err = s.simulate(in, sc); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -59,7 +59,7 @@ func (s *Suite) Figure13() (*stats.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", b.Name, v, err)
 			}
-			res, err := in.Run(sc)
+			res, err := s.simulate(in, sc)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s/%s: %w", b.Name, v, sc, err)
 			}
@@ -103,7 +103,7 @@ func (s *Suite) ExtensionInterchange() (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := in.Run(core.CMDRPM)
+			res, err := s.simulate(in, core.CMDRPM)
 			if err != nil {
 				return nil, err
 			}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -173,6 +174,27 @@ func TestExperimentByteIdentityWithOffline(t *testing.T) {
 			t.Fatalf("%s/%s: served bytes differ from offline render:\n--- served ---\n%s\n--- offline ---\n%s",
 				tc.id, tc.format, w.Body.String(), offline.String())
 		}
+	}
+}
+
+// An experiment request's suite runs on the server's own benchmarks,
+// which the shared cache keys on, under dpmexp's configuration: it
+// builds no workload programs of its own.
+func TestExperimentSuiteSharesServerBenchmarks(t *testing.T) {
+	s := newTestServer(t, nil)
+	su, err := s.experimentSuite(&expRequest{ID: "table2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(su.Benchmarks) != len(s.benchmarks) || &su.Benchmarks[0] != &s.benchmarks[0] {
+		t.Fatalf("the request's suite holds %d benchmarks at %p, the server %d at %p",
+			len(su.Benchmarks), su.Benchmarks, len(s.benchmarks), s.benchmarks)
+	}
+	if want := experiments.NewSuite().Cfg; !reflect.DeepEqual(su.Cfg, want) {
+		t.Fatalf("the request's suite runs under %+v, NewSuite under %+v", su.Cfg, want)
+	}
+	if su.Cache != s.cache || su.Obs != s.coll {
+		t.Fatal("the request's suite does not share the server's cache and collector")
 	}
 }
 

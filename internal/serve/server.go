@@ -638,13 +638,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, validationf("unknown format %q (text or csv)", format))
 		return
 	}
-	su := experiments.NewSuite()
-	su.Cfg.Audit = req.Audit
-	if err := su.Cfg.SetFaults(req.Faults, req.FaultSeed); err != nil {
+	su, err := s.experimentSuite(req)
+	if err != nil {
 		writeError(w, validationf("%v", err))
 		return
 	}
-	su.FaultSeed = req.FaultSeed
 	if req.Durable && s.jrnl() == nil {
 		writeError(w, validationf("durable requested but the service has no journal configured (-journal)"))
 		return
@@ -655,12 +653,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 				return nil, "", unavailableDegraded(reason)
 			}
 		}
-		su.Benchmarks = s.benchmarks // pointer-stable: shared cache keys on program identity
-		su.Cache = s.cache
-		su.Workers = s.cfg.Workers
-		su.Retries = s.cfg.Retries
 		su.Ctx = ctx
-		su.Obs = s.coll
 		if s.jrnl() != nil {
 			// Always through the degrading wrapper (never the bare
 			// journal): appends retry, then degrade, and the request is
@@ -689,6 +682,24 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 		return buf.Bytes(), ct, nil
 	})
+}
+
+// experimentSuite returns the suite an experiment request runs on:
+// the server's own benchmarks (pointer-stable, as the shared cache
+// keys on program identity), cache, collector, workers and retries,
+// under the request's faults and audit flag.
+func (s *Server) experimentSuite(req *expRequest) (*experiments.Suite, error) {
+	su := experiments.NewSuiteOf(s.benchmarks)
+	su.Cfg.Audit = req.Audit
+	if err := su.Cfg.SetFaults(req.Faults, req.FaultSeed); err != nil {
+		return nil, err
+	}
+	su.FaultSeed = req.FaultSeed
+	su.Cache = s.cache
+	su.Workers = s.cfg.Workers
+	su.Retries = s.cfg.Retries
+	su.Obs = s.coll
+	return su, nil
 }
 
 // handleListExperiments returns the experiment ids.

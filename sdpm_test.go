@@ -2,8 +2,11 @@ package sdpm
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -453,6 +456,33 @@ func TestRunExperimentAll(t *testing.T) {
 		if !strings.Contains(strings.ToLower(out), strings.ToLower(want)) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+}
+
+// The unaudited sweep renders results/experiments.txt byte for byte
+// at one worker and at two. make golden renders that file with the
+// conservation audit on and dpmexp's default fault seed, 1; the
+// unaudited sweep, the one dpmexp and bench's sweep workload run,
+// keys its run memo apart from the audited one and must give the
+// same bytes.
+func TestRunExperimentsAllMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	want, err := os.ReadFile(filepath.Join("results", "experiments.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := RunExperiments("all", &buf, Options{FaultSeed: 1, Workers: w}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("the sweep differs from results/experiments.txt (%d vs %d bytes)", buf.Len(), len(want))
+			}
+		})
 	}
 }
 
